@@ -11,12 +11,20 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from functools import cmp_to_key
 
 import click
 
 from . import multi_index, poly, weighted
-from .families import VectorRelation, colex, lex, or_eq_rel, revlex, symlex
+from .families import (
+    LengthMismatchError,
+    VectorRelation,
+    colex,
+    lex,
+    or_eq_rel,
+    revlex,
+    sort_key,
+    symlex,
+)
 from .graded import grcolex, grevlex, grlex, grsymlex
 from .relations import (
     DIVIDES,
@@ -115,15 +123,10 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
             )
             sys.exit(3)
         click.echo(f"note: generate-then-sort fallback for order {order_name!r}", err=True)
-
-        def compare(a, b):
-            if order.apply(a, b):
-                return -1
-            if order.apply(b, a):
-                return 1
-            return 0
-
-        entries = sorted(multi_index.iter_multi_index_set(d, k, "lex"), key=cmp_to_key(compare))
+        try:
+            entries = sorted(multi_index.iter_multi_index_set(d, k, "lex"), key=sort_key(order))
+        except LengthMismatchError as exc:
+            raise click.UsageError(str(exc))
 
     if fmt == "plain":
         for entry in entries:
@@ -156,14 +159,17 @@ def cmd_compare(order_name, mode, a, b):
     if len(x) != len(y):
         raise click.UsageError(f"length mismatch: {len(x)} vs {len(y)}")
     strict = resolve_order(order_name, "strict")
-    if x == y:
-        verdict = "EQ"
-    elif strict.apply(x, y):
-        verdict = "LT"
-    elif strict.apply(y, x):
-        verdict = "GT"
-    else:
-        verdict = "INCOMPARABLE"
+    try:
+        if x == y:
+            verdict = "EQ"
+        elif strict.apply(x, y):
+            verdict = "LT"
+        elif strict.apply(y, x):
+            verdict = "GT"
+        else:
+            verdict = "INCOMPARABLE"
+    except LengthMismatchError as exc:
+        raise click.UsageError(str(exc))
     click.echo(verdict)
 
 
@@ -186,9 +192,9 @@ def cmd_sort_terms(d, order_name, mode, source):
     text = source.read()
     try:
         p = poly.parse_poly(text, d)
-    except poly.PolyParseError as exc:
+        terms = poly.sort_terms(p, order)
+    except (poly.PolyParseError, LengthMismatchError) as exc:
         raise click.UsageError(str(exc))
-    terms = poly.sort_terms(p, order)
     click.echo(poly.format_poly(terms, d))
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cmp_to_key
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from .relations import Predicate, Relation
@@ -72,14 +73,55 @@ class VectorRelation:
 
     ``arity`` is None for length-generic comparators (the usual case here);
     when set, it records the single family length the relation compares.
+
+    ``key``, when set, compiles the relation to a sort key: for any two
+    families x, y of the same length, ``apply(x, y) == (key(x) < key(y))``.
+    The builders attach one only where that holds by construction (strict
+    ``<`` on numbers, structural equality, natural-number sums); ``apply``
+    stays the reference definition.
     """
 
     apply: Callable[[Family, Family], bool]
     name: str = ""
     arity: Optional[int] = None
+    key: Optional[Callable[[Family], Any]] = None
 
     def __call__(self, x: Family, y: Family) -> bool:
         return self.apply(x, y)
+
+
+def sort_key(order: VectorRelation) -> Callable[[Family], Any]:
+    """Key for sorted/max under a strict vector order: the compiled key, or
+    else a comparator that calls ``apply`` both ways."""
+    if order.key is not None:
+        return order.key
+
+    def compare(x: Family, y: Family) -> int:
+        if order.apply(x, y):
+            return -1
+        if order.apply(y, x):
+            return 1
+        return 0
+
+    return cmp_to_key(compare)
+
+
+def is_strict_less(r: Relation, eq: Predicate = operator.eq) -> bool:
+    """True when r is the strict ``<`` and equality is structural, the case
+    in which the lexicographic comparators reduce to tuple comparison."""
+    return r.apply is operator.lt and not r.declared_reflexive and eq is operator.eq
+
+
+def _reversed(a: Family) -> Family:
+    return a[::-1]
+
+
+def _negated(a: Family) -> Family:
+    return tuple(map(operator.neg, a))
+
+
+def _reversed_negated(a: Family) -> Family:
+    return tuple(map(operator.neg, reversed(a)))
 
 
 def lex(r: Relation, eq: Predicate = operator.eq) -> VectorRelation:
@@ -99,7 +141,8 @@ def lex(r: Relation, eq: Predicate = operator.eq) -> VectorRelation:
                 return rapply(a, b)
         return base
 
-    return VectorRelation(apply, name=f"lex({r.name})")
+    key = tuple if is_strict_less(r, eq) else None
+    return VectorRelation(apply, name=f"lex({r.name})", key=key)
 
 
 def colex(r: Relation, eq: Predicate = operator.eq) -> VectorRelation:
@@ -118,7 +161,8 @@ def colex(r: Relation, eq: Predicate = operator.eq) -> VectorRelation:
                 return rapply(x[i], y[i])
         return base
 
-    return VectorRelation(apply, name=f"colex({r.name})")
+    key = _reversed if is_strict_less(r, eq) else None
+    return VectorRelation(apply, name=f"colex({r.name})", key=key)
 
 
 def symlex(r: Relation, eq: Predicate = operator.eq) -> VectorRelation:
@@ -128,7 +172,8 @@ def symlex(r: Relation, eq: Predicate = operator.eq) -> VectorRelation:
     def apply(x: Family, y: Family) -> bool:
         return inner.apply(y, x)
 
-    return VectorRelation(apply, name=f"symlex({r.name})")
+    key = _negated if is_strict_less(r, eq) else None
+    return VectorRelation(apply, name=f"symlex({r.name})", key=key)
 
 
 def revlex(r: Relation, eq: Predicate = operator.eq) -> VectorRelation:
@@ -138,7 +183,8 @@ def revlex(r: Relation, eq: Predicate = operator.eq) -> VectorRelation:
     def apply(x: Family, y: Family) -> bool:
         return inner.apply(y, x)
 
-    return VectorRelation(apply, name=f"revlex({r.name})")
+    key = _reversed_negated if is_strict_less(r, eq) else None
+    return VectorRelation(apply, name=f"revlex({r.name})", key=key)
 
 
 def reverse_rel(rn: VectorRelation) -> VectorRelation:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Any, Callable
 
-from .families import Family, VectorRelation, check_same_length
+from .families import Family, VectorRelation, check_same_length, is_strict_less
 from .relations import Carrier, Predicate, Relation, is_strict_total_order, is_total_order
 
 
@@ -51,7 +51,11 @@ def family_add(x: Family, y: Family, monoid: Monoid = NAT_ADD) -> Family:
 
 def graded(scalar: Relation, vector: VectorRelation, monoid: Monoid = NAT_ADD) -> VectorRelation:
     """Compare family sums with the scalar relation; on equal sums defer to
-    the vector relation."""
+    the vector relation.
+
+    The result has the key (sum, vector key) when the scalar relation is the
+    strict ``<``, the vector relation has a key and the sums are natural-number
+    sums."""
 
     def apply(x: Family, y: Family) -> bool:
         check_same_length(x, y)
@@ -61,35 +65,42 @@ def graded(scalar: Relation, vector: VectorRelation, monoid: Monoid = NAT_ADD) -
             return vector.apply(x, y)
         return scalar.apply(sx, sy)
 
-    return VectorRelation(apply, name=f"graded({scalar.name},{vector.name})")
+    key = None
+    vector_key = vector.key
+    if vector_key is not None and monoid is NAT_ADD and is_strict_less(scalar):
+
+        def key(a: Family):
+            return (sum(a), vector_key(a))
+
+    return VectorRelation(apply, name=f"graded({scalar.name},{vector.name})", key=key)
 
 
 def grlex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
     from .families import lex
 
     v = graded(r, lex(r, eq), monoid)
-    return VectorRelation(v.apply, name=f"grlex({r.name})")
+    return VectorRelation(v.apply, name=f"grlex({r.name})", key=v.key)
 
 
 def grcolex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
     from .families import colex
 
     v = graded(r, colex(r, eq), monoid)
-    return VectorRelation(v.apply, name=f"grcolex({r.name})")
+    return VectorRelation(v.apply, name=f"grcolex({r.name})", key=v.key)
 
 
 def grsymlex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
     from .families import symlex
 
     v = graded(r, symlex(r, eq), monoid)
-    return VectorRelation(v.apply, name=f"grsymlex({r.name})")
+    return VectorRelation(v.apply, name=f"grsymlex({r.name})", key=v.key)
 
 
 def grevlex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
     from .families import revlex
 
     v = graded(r, revlex(r, eq), monoid)
-    return VectorRelation(v.apply, name=f"grevlex({r.name})")
+    return VectorRelation(v.apply, name=f"grevlex({r.name})", key=v.key)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .families import Family, LengthMismatchError, VectorRelation
+from .families import Family, LengthMismatchError, VectorRelation, sort_key
 
 _ALIASES = {"X": 0, "Y": 1, "Z": 2}
 
@@ -67,7 +66,10 @@ class SparsePoly:
                 raise LengthMismatchError(
                     f"exponent family of length {len(exponents)} in dimension {dimension}"
                 )
-            acc[exponents] = acc.get(exponents, Fraction(0)) + Fraction(coefficient)
+            if exponents in acc:
+                acc[exponents] += Fraction(coefficient)
+            else:
+                acc[exponents] = Fraction(coefficient)
         return cls(dimension, {e: c for e, c in acc.items() if c != 0})
 
     def is_zero(self) -> bool:
@@ -131,7 +133,7 @@ def parse_poly(text: str, dimension: int) -> SparsePoly:
 
 def _parse_term(tokens, i: int, dimension: int):
     exponents = [0] * dimension
-    coefficient = Fraction(1)
+    coefficient = 1  # an int until a p/q factor makes it a Fraction
     seen_factor = False
     while True:
         if i >= len(tokens):
@@ -139,7 +141,14 @@ def _parse_term(tokens, i: int, dimension: int):
             raise PolyParseError("expected a coefficient or a variable", pos)
         kind, value, pos = tokens[i]
         if kind == "number":
-            coefficient *= Fraction(value.replace(" ", ""))
+            numerator, slash, denominator = value.partition("/")
+            if slash:
+                denominator = int(denominator)
+                if denominator == 0:
+                    raise PolyParseError("zero denominator", pos)
+                coefficient *= Fraction(int(numerator), denominator)
+            else:
+                coefficient *= int(numerator)
             i += 1
         elif kind == "var":
             index = _var_index(value, dimension, pos)
@@ -171,25 +180,16 @@ def _parse_term(tokens, i: int, dimension: int):
 
 def sort_terms(p: SparsePoly, order: VectorRelation) -> List[Term]:
     """Terms in ascending order under a strict total vector order."""
-
-    def compare(a: Term, b: Term) -> int:
-        if order.apply(a.exponents, b.exponents):
-            return -1
-        if order.apply(b.exponents, a.exponents):
-            return 1
-        return 0
-
-    terms = [Term(e, c) for e, c in p.terms.items()]
-    return sorted(terms, key=cmp_to_key(compare))
+    terms = p.terms
+    return [Term(e, terms[e]) for e in sorted(terms, key=sort_key(order))]
 
 
 def leading_term(p: SparsePoly, order: VectorRelation) -> Optional[Term]:
     """Maximum term under the order; None for the zero polynomial."""
-    lead: Optional[Term] = None
-    for exponents, coefficient in p.terms.items():
-        if lead is None or order.apply(lead.exponents, exponents):
-            lead = Term(exponents, coefficient)
-    return lead
+    if not p.terms:
+        return None
+    lead = max(p.terms, key=sort_key(order))
+    return Term(lead, p.terms[lead])
 
 
 def monomial_mul(p: SparsePoly, gamma: Sequence[int]) -> SparsePoly:

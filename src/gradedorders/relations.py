@@ -71,6 +71,13 @@ class Carrier:
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
         elems = self.elements
+        if self.eq is operator.eq:
+            try:
+                if len(set(elems)) == len(elems):
+                    return
+            except TypeError:  # unhashable elements: fall back to the scan
+                pass
+        # the pairwise scan decides under a custom eq and names the first duplicate pair
         for i, x in enumerate(elems):
             for y in elems[i + 1 :]:
                 if self.eq(x, y):

@@ -17,12 +17,13 @@ agreement with the combinator order on a small box (d <= 3).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence, Tuple
 
-from .families import Family, LengthMismatchError, VectorRelation
+from .families import Family, LengthMismatchError, VectorRelation, is_strict_less
 from .graded import grcolex, grevlex, grlex, grsymlex
 from .relations import LT, Relation
 
@@ -93,10 +94,24 @@ def weighted_lt(w: WeightMatrix, k_lt: Relation, x: Family, y: Family) -> bool:
 
 
 def weighted_relation(w: WeightMatrix, k_lt: Relation = LT) -> VectorRelation:
+    """The matrix order as a vector relation; under the strict ``<`` its key
+    is the tuple of column dot products."""
+
     def apply(x: Family, y: Family) -> bool:
         return weighted_lt(w, k_lt, x, y)
 
-    return VectorRelation(apply, name=f"weighted[{w.d}x{w.m}]", arity=w.d)
+    key = None
+    if is_strict_less(k_lt):
+        columns = [w.column(j) for j in range(w.m)]
+        d = w.d
+        mul = operator.mul
+
+        def key(a: Family):
+            if len(a) != d:
+                raise LengthMismatchError(f"expected families of length {d}, got {len(a)}")
+            return tuple([sum(map(mul, a, column)) for column in columns])
+
+    return VectorRelation(apply, name=f"weighted[{w.d}x{w.m}]", arity=w.d, key=key)
 
 
 # ---------------------------------------------------------------------------

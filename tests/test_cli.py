@@ -89,6 +89,28 @@ def test_enumerate_deterministic(runner):
     assert runner.invoke(main, args).stdout == runner.invoke(main, args).stdout
 
 
+def _wrong_dimension_matrix(tmp_path):
+    path = tmp_path / "w3.txt"
+    path.write_text(format_matrix(matrix_for("grlex", 3)))
+    return f"weighted:{path}"
+
+
+def _one_line_usage_error(result):
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("Error: expected families of length 3, got 2")
+    assert "Traceback" not in result.output
+
+
+def test_enumerate_wrong_dimension_order_is_a_usage_error(runner, tmp_path):
+    order = _wrong_dimension_matrix(tmp_path)
+    result = runner.invoke(
+        main, ["enumerate", "--d", "2", "--k", "2", "--order", order, "--allow-sort-fallback"]
+    )
+    _one_line_usage_error(result)
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -125,6 +147,11 @@ def test_compare_weighted_order(runner, tmp_path):
     assert result.stdout.strip() == "INCOMPARABLE"
 
 
+def test_compare_wrong_dimension_order_is_a_usage_error(runner, tmp_path):
+    order = _wrong_dimension_matrix(tmp_path)
+    _one_line_usage_error(runner.invoke(main, ["compare", "--order", order, "1,2", "3,4"]))
+
+
 def test_compare_missing_matrix_file(runner):
     assert runner.invoke(main, ["compare", "--order", "weighted:/no/such", "0", "1"]).exit_code == 2
 
@@ -159,6 +186,18 @@ def test_sort_terms_parse_error_reports_position(runner):
     result = runner.invoke(main, ["sort-terms", "--d", "2"], input="X0 + $")
     assert result.exit_code == 2
     assert "position" in result.output
+
+
+def test_sort_terms_wrong_dimension_order_is_a_usage_error(runner, tmp_path):
+    order = _wrong_dimension_matrix(tmp_path)
+    _one_line_usage_error(runner.invoke(main, ["sort-terms", "--d", "2", "--order", order], input="X + Y"))
+
+
+def test_sort_terms_zero_denominator_is_a_usage_error(runner):
+    result = runner.invoke(main, ["sort-terms", "--d", "2"], input="1/0*X")
+    assert result.exit_code == 2
+    assert "zero denominator (at position 0)" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_sort_terms_from_file(runner, tmp_path):

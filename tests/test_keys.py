@@ -1,0 +1,144 @@
+"""Compiled sort keys against the compositional definitions they replace.
+
+A key must satisfy apply(x, y) == (key(x) < key(y)) on same-length
+families; orders without that guarantee carry no key and sort through the
+pairwise comparator.
+"""
+
+import operator
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import box, sort_under
+from gradedorders import (
+    GT,
+    LE,
+    LT,
+    LengthMismatchError,
+    Monoid,
+    SparsePoly,
+    WeightMatrix,
+    colex,
+    converse_rel,
+    format_poly,
+    grcolex,
+    grcolex_rec,
+    grevlex,
+    grevlex_rec,
+    grlex,
+    grlex_rec,
+    grsymlex,
+    grsymlex_full_rec,
+    grsymlex_rec,
+    leading_term,
+    lex,
+    matrix_for,
+    or_eq_rel,
+    parse_poly,
+    reverse_rel,
+    revlex,
+    sort_terms,
+    symlex,
+    weighted_relation,
+)
+from gradedorders.weighted import MATRIX_ORDER_NAMES
+
+NAMED = {
+    "lex": lex,
+    "colex": colex,
+    "symlex": symlex,
+    "revlex": revlex,
+    "grlex": grlex,
+    "grcolex": grcolex,
+    "grsymlex": grsymlex,
+    "grevlex": grevlex,
+}
+
+
+def keyed_orders(d):
+    orders = {name: build(LT) for name, build in NAMED.items()}
+    for name in MATRIX_ORDER_NAMES:
+        orders[f"matrix_for({name})"] = weighted_relation(matrix_for(name, d), LT)
+    # one weight column with a zero entry: ties are incomparable, not total
+    orders["inline non-total"] = weighted_relation(
+        WeightMatrix(tuple((2 * i,) for i in range(d))), LT
+    )
+    return orders
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_key_agrees_with_apply_on_boxes(d):
+    items = box(d, 3)
+    for name, order in keyed_orders(d).items():
+        assert order.key is not None, name
+        keys = [order.key(x) for x in items]
+        for x, kx in zip(items, keys):
+            for y, ky in zip(items, keys):
+                assert order.apply(x, y) == (kx < ky), (name, x, y)
+
+
+def test_weighted_key_rejects_wrong_length():
+    order = weighted_relation(matrix_for("grlex", 3), LT)
+    with pytest.raises(LengthMismatchError):
+        order.key((1, 2))
+
+
+NAT_ADD_COPY = Monoid(0, operator.add, name="nat+ copy")
+
+
+def keyless_orders():
+    return {
+        "lex(le)": lex(LE),
+        "colex(gt)": colex(GT),
+        "grevlex(gt)": grevlex(GT),
+        "grlex(le)": grlex(LE),
+        "weighted le": weighted_relation(matrix_for("grlex", 2), LE),
+        "lex custom eq": lex(LT, lambda a, b: a == b),
+        "grsymlex custom eq": grsymlex(LT, eq=lambda a, b: a == b),
+        "grlex other monoid": grlex(LT, NAT_ADD_COPY),
+        "grlex_rec": grlex_rec(LT),
+        "grcolex_rec": grcolex_rec(LT),
+        "grsymlex_rec": grsymlex_rec(LT),
+        "grevlex_rec": grevlex_rec(LT),
+        "grsymlex_full_rec": grsymlex_full_rec(LT),
+        "reverse_rel(lex)": reverse_rel(lex(LT)),
+        "converse_rel(grlex)": converse_rel(grlex(LT)),
+        "or_eq_rel(grevlex)": or_eq_rel(grevlex(LT)),
+    }
+
+
+@pytest.mark.parametrize("name, order", keyless_orders().items())
+def test_keyless_orders_sort_by_comparator(name, order):
+    assert order.key is None
+    rng = random.Random(name)
+    for _ in range(20):
+        pairs = [(tuple(rng.randint(0, 4) for _ in range(2)), rng.choice([-2, 1, 3]))
+                 for _ in range(rng.randint(1, 12))]
+        p = SparsePoly.from_pairs(2, pairs)
+        expected = sort_under(order, list(p.terms))
+        assert [t.exponents for t in sort_terms(p, order)] == expected
+        if expected:
+            assert leading_term(p, order).exponents == expected[-1]
+
+
+coefficients = st.one_of(
+    st.integers(-20, 20).filter(bool),
+    st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 9)),
+)
+
+
+@st.composite
+def sparse_polys(draw):
+    d = draw(st.integers(1, 5))
+    pairs = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 6)] * d), coefficients), max_size=12))
+    return SparsePoly.from_pairs(d, pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_polys(), st.sampled_from(sorted(NAMED)))
+def test_parse_format_roundtrip_under_every_order(p, name):
+    terms = sort_terms(p, NAMED[name](LT))
+    assert parse_poly(format_poly(terms, p.dimension), p.dimension) == p

@@ -72,6 +72,14 @@ def test_parse_errors_carry_position():
         parse_poly("X", 4)
 
 
+def test_parse_zero_denominator_is_a_parse_error():
+    for text, position in [("1/0*X0", 0), ("X0 + 3 / 0", 5), ("X0*2*1/0", 5)]:
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text, 2)
+        assert err.value.position == position
+        assert "zero denominator" in str(err.value)
+
+
 def test_term_rejects_zero_coefficient():
     with pytest.raises(ValueError):
         Term((1, 0), 0)

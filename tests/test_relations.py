@@ -1,4 +1,5 @@
 import operator
+import re
 
 import pytest
 
@@ -131,6 +132,15 @@ def test_empty_carrier_vacuous():
 def test_carrier_rejects_duplicates():
     with pytest.raises(ValueError):
         Carrier((1, 1, 2))
+    # the first duplicate pair is named, whichever way it was detected
+    for elements, eq, pair in [
+        ((3, 1, 2, 1, 3), operator.eq, "3, 3"),
+        (([0], [1], [1]), operator.eq, "[1], [1]"),
+        ((0, 1, 2, 4), lambda a, b: a % 3 == b % 3, "1, 4"),
+    ]:
+        with pytest.raises(ValueError, match=f"duplicate carrier elements: {re.escape(pair)}$"):
+            Carrier(elements, eq)
+    assert len(carrier_range(0, 3000).elements) == 3001
 
 
 def test_property_witness_reports_counterexample():
