@@ -8,9 +8,8 @@ scheme when --allow-sort-fallback is not given).
 
 from __future__ import annotations
 
-import csv
-import json
 import sys
+from itertools import islice
 
 import click
 
@@ -20,7 +19,6 @@ from .families import (
     VectorRelation,
     colex,
     lex,
-    or_eq_rel,
     revlex,
     sort_key,
     symlex,
@@ -54,24 +52,26 @@ SCHEME_FOR_ORDER = {"grlex": "lex", "grcolex": "colex", "grsymlex": "symlex"}
 
 CLI_RELATIONS = {"lt": LT, "le": LE, "gt": GT, "ge": GE, "divides": DIVIDES}
 
+# lines per write of enumerate's output, which bounds its memory on the
+# slice path
+CHUNK_LINES = 4096
 
-def resolve_order(name: str, mode: str = "strict") -> VectorRelation:
-    """Vector relation for an order name; 'weighted:FILE' loads a weight
-    matrix fixture.  Nonstrict mode uses the nonstrict scalar order for the
-    named combinators and the reflexive closure for weighted orders."""
+
+def resolve_order(name: str) -> VectorRelation:
+    """Strict vector relation for an order name; 'weighted:FILE' loads a
+    weight matrix fixture."""
     if name.startswith("weighted:"):
         path = name.split(":", 1)[1]
         try:
             matrix = weighted.load_matrix(path)
         except (OSError, ValueError) as exc:
             raise click.UsageError(f"cannot load weight matrix {path!r}: {exc}")
-        strict = weighted.weighted_relation(matrix, LT)
-        return strict if mode == "strict" else or_eq_rel(strict)
+        return weighted.weighted_relation(matrix, LT)
     try:
         builder = ORDER_BUILDERS[name]
     except KeyError:
         raise click.UsageError(f"unknown order {name!r}")
-    return builder(LT if mode == "strict" else LE)
+    return builder(LT)
 
 
 def _parse_index(text: str):
@@ -113,9 +113,9 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
         raise click.UsageError(f"--k must be >= 0, got {k}")
     scheme = SCHEME_FOR_ORDER.get(order_name)
     if scheme is not None:
-        entries = list(multi_index.iter_multi_index_set(d, k, scheme))
+        entries = multi_index.iter_multi_index_set(d, k, scheme)
     else:
-        order = resolve_order(order_name, "strict")
+        order = resolve_order(order_name)
         if not allow_sort_fallback:
             click.echo(
                 f"order {order_name!r} has no slice scheme; pass --allow-sort-fallback",
@@ -128,67 +128,56 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
         except LengthMismatchError as exc:
             raise click.UsageError(str(exc))
 
+    # entries are consumed lazily and written CHUNK_LINES lines at a time;
+    # the lines are those csv.writer and json.dumps would give
     if fmt == "plain":
-        for entry in entries:
-            click.echo(",".join(str(c) for c in entry))
+        lines = (",".join(map(str, e)) for e in entries)
     elif fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow([f"i{j}" for j in range(d)] + ["sum", "rank"])
-        for rank, entry in enumerate(entries):
-            writer.writerow(list(entry) + [sum(entry), rank])
+        click.echo(",".join([f"i{j}" for j in range(d)] + ["sum", "rank"]))
+        lines = (f"{','.join(map(str, e))},{sum(e)},{r}" for r, e in enumerate(entries))
     else:
-        for rank, entry in enumerate(entries):
-            click.echo(json.dumps({"index": list(entry), "sum": sum(entry), "rank": rank}))
+        lines = (
+            f'{{"index": [{", ".join(map(str, e))}], "sum": {sum(e)}, "rank": {r}}}'
+            for r, e in enumerate(entries)
+        )
+    while chunk := list(islice(lines, CHUNK_LINES)):
+        chunk.append("")
+        click.echo("\n".join(chunk), nl=False)
 
 
 @main.command("compare")
 @click.option("--order", "order_name", default="grsymlex", show_default=True)
-@click.option(
-    "--mode",
-    type=click.Choice(["strict", "nonstrict"]),
-    default="strict",
-    show_default=True,
-    help="Verdicts are always computed from the strict core of the order.",
-)
 @click.argument("a")
 @click.argument("b")
-def cmd_compare(order_name, mode, a, b):
+def cmd_compare(order_name, a, b):
     """Print LT / GT / EQ / INCOMPARABLE for two multi-indices."""
     x = _parse_index(a)
     y = _parse_index(b)
     if len(x) != len(y):
         raise click.UsageError(f"length mismatch: {len(x)} vs {len(y)}")
-    strict = resolve_order(order_name, "strict")
-    try:
-        if x == y:
-            verdict = "EQ"
-        elif strict.apply(x, y):
-            verdict = "LT"
-        elif strict.apply(y, x):
-            verdict = "GT"
-        else:
-            verdict = "INCOMPARABLE"
-    except LengthMismatchError as exc:
-        raise click.UsageError(str(exc))
+    strict = resolve_order(order_name)
+    if strict.arity is not None and strict.arity != len(x):
+        raise click.UsageError(f"expected families of length {strict.arity}, got {len(x)}")
+    if x == y:
+        verdict = "EQ"
+    elif strict.apply(x, y):
+        verdict = "LT"
+    elif strict.apply(y, x):
+        verdict = "GT"
+    else:
+        verdict = "INCOMPARABLE"
     click.echo(verdict)
 
 
 @main.command("sort-terms")
 @click.option("--d", "d", type=int, required=True, help="Number of variables.")
 @click.option("--order", "order_name", default="grlex", show_default=True)
-@click.option(
-    "--mode",
-    type=click.Choice(["strict", "nonstrict"]),
-    default="strict",
-    show_default=True,
-    help="Sorting always uses the strict core of the order.",
-)
 @click.argument("source", type=click.File("r"), default="-")
-def cmd_sort_terms(d, order_name, mode, source):
+def cmd_sort_terms(d, order_name, source):
     """Parse a polynomial and print its terms ascending under the order."""
     if d < 1:
         raise click.UsageError(f"--d must be >= 1, got {d}")
-    order = resolve_order(order_name, "strict")
+    order = resolve_order(order_name)
     text = source.read()
     try:
         p = poly.parse_poly(text, d)
@@ -211,9 +200,12 @@ def cmd_check(property_name, relation_name, carrier_spec):
         raise click.UsageError(f"unknown relation {relation_name!r}")
     try:
         lo_text, hi_text = carrier_spec.split("..")
-        carrier = carrier_range(int(lo_text), int(hi_text))
+        lo, hi = int(lo_text), int(hi_text)
     except ValueError:
         raise click.UsageError(f"cannot parse carrier {carrier_spec!r}; expected 'a..b'")
+    if lo > hi:
+        raise click.UsageError(f"empty carrier {carrier_spec!r}; expected 'a..b' with a <= b")
+    carrier = carrier_range(lo, hi)
     failure = property_witness(property_name, relation, carrier)
     if failure is None:
         click.echo(f"PASS {property_name}({relation_name}) on {carrier_spec}")

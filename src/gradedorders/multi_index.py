@@ -50,22 +50,27 @@ def _check_args(d: int, scheme: str) -> None:
 
 def iter_slice(d: int, l: int, scheme: str = "symlex") -> Iterator[Family]:
     """Multi-indices of dimension d with component sum exactly l, in the
-    order induced by the scheme."""
+    order induced by the scheme; none when l is negative."""
     _check_args(d, scheme)
+    if l >= 0:
+        yield from _slice(d, l, scheme)
+
+
+def _slice(d: int, l: int, scheme: str) -> Iterator[Family]:
     if d == 1:
         yield (l,)
         return
     if scheme == "lex":
         for i in range(l + 1):
-            for rest in iter_slice(d - 1, l - i, scheme):
+            for rest in _slice(d - 1, l - i, scheme):
                 yield (i,) + rest
     elif scheme == "colex":
         for i in range(l + 1):
-            for rest in iter_slice(d - 1, l - i, scheme):
+            for rest in _slice(d - 1, l - i, scheme):
                 yield rest + (i,)
     else:  # symlex: first component decreasing from l
         for i in range(l + 1):
-            for rest in iter_slice(d - 1, i, scheme):
+            for rest in _slice(d - 1, i, scheme):
                 yield (l - i,) + rest
 
 
@@ -74,7 +79,7 @@ def iter_multi_index_set(d: int, k: int, scheme: str = "symlex") -> Iterator[Fam
     of increasing sum."""
     _check_args(d, scheme)
     for l in range(k + 1):
-        yield from iter_slice(d, l, scheme)
+        yield from _slice(d, l, scheme)
 
 
 def degree_slice(d: int, l: int, scheme: str = "symlex") -> MultiIndexList:

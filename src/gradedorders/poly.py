@@ -48,7 +48,8 @@ class Term:
         if self.coefficient == 0:
             raise ValueError("terms carry nonzero coefficients")
         object.__setattr__(self, "exponents", tuple(self.exponents))
-        object.__setattr__(self, "coefficient", Fraction(self.coefficient))
+        if not isinstance(self.coefficient, Fraction):
+            object.__setattr__(self, "coefficient", Fraction(self.coefficient))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,15 @@
+import csv
+import io
 import json
+import sys
+from functools import lru_cache
 
 import pytest
 from click.testing import CliRunner
+from conftest import box, sort_under
 
-from gradedorders import format_matrix, matrix_for
+from gradedorders import LT, format_matrix, grcolex, grevlex, grlex, grsymlex, matrix_for
+from gradedorders import cli
 from gradedorders.cli import main
 
 
@@ -89,6 +95,68 @@ def test_enumerate_deterministic(runner):
     assert runner.invoke(main, args).stdout == runner.invoke(main, args).stdout
 
 
+REFERENCE_ORDERS = {"grlex": grlex, "grcolex": grcolex, "grsymlex": grsymlex, "grevlex": grevlex}
+
+
+@lru_cache(maxsize=None)
+def _reference_entries(order_name, d, k):
+    """The set by brute force, sorted by pairwise comparison under the order."""
+    items = [a for a in box(d, k) if sum(a) <= k]
+    return sort_under(REFERENCE_ORDERS[order_name](LT), items)
+
+
+def _reference_output(order_name, d, k, fmt):
+    entries = _reference_entries(order_name, d, k)
+    out = io.StringIO()
+    if fmt == "plain":
+        for entry in entries:
+            out.write(",".join(str(c) for c in entry) + "\n")
+    elif fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow([f"i{j}" for j in range(d)] + ["sum", "rank"])
+        for rank, entry in enumerate(entries):
+            writer.writerow(list(entry) + [sum(entry), rank])
+    else:
+        for rank, entry in enumerate(entries):
+            out.write(json.dumps({"index": list(entry), "sum": sum(entry), "rank": rank}) + "\n")
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "jsonl"])
+@pytest.mark.parametrize("order_name", ["grlex", "grcolex", "grsymlex", "grevlex"])
+def test_enumerate_output_matches_csv_and_json_rendering(runner, order_name, fmt):
+    # grevlex has no slice scheme and takes the sort fallback
+    fallback = ["--allow-sort-fallback"] if order_name == "grevlex" else []
+    for d in range(1, 5):
+        for k in range(6):
+            args = ["enumerate", "--d", str(d), "--k", str(k), "--order", order_name, "--format", fmt]
+            result = runner.invoke(main, args + fallback)
+            assert result.exit_code == 0, result.output
+            assert result.stdout == _reference_output(order_name, d, k, fmt), args
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "jsonl"])
+def test_enumerate_streams_before_the_set_is_exhausted(monkeypatch, fmt):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    generate = cli.multi_index.iter_multi_index_set
+    pulled, written_before_last = [], []
+
+    def watched(d, k, scheme):
+        for entry in generate(d, k, scheme):
+            pulled.append(entry)
+            if len(pulled) == 5456:
+                written_before_last.append(out.getvalue().count("\n"))
+            yield entry
+
+    monkeypatch.setattr(cli.multi_index, "iter_multi_index_set", watched)
+    main.main(["enumerate", "--d", "3", "--k", "30", "--format", fmt], standalone_mode=False)
+    header = 1 if fmt == "csv" else 0
+    assert len(pulled) == 5456
+    assert written_before_last == [header + cli.CHUNK_LINES]
+    assert out.getvalue().count("\n") == header + 5456
+
+
 def _wrong_dimension_matrix(tmp_path):
     path = tmp_path / "w3.txt"
     path.write_text(format_matrix(matrix_for("grlex", 3)))
@@ -150,6 +218,14 @@ def test_compare_weighted_order(runner, tmp_path):
 def test_compare_wrong_dimension_order_is_a_usage_error(runner, tmp_path):
     order = _wrong_dimension_matrix(tmp_path)
     _one_line_usage_error(runner.invoke(main, ["compare", "--order", order, "1,2", "3,4"]))
+    _one_line_usage_error(runner.invoke(main, ["compare", "--order", order, "1,2", "1,2"]))
+    assert runner.invoke(main, ["compare", "--order", order, "1,2,0", "1,2,0"]).stdout == "EQ\n"
+
+
+def test_mode_option_is_gone(runner):
+    assert runner.invoke(main, ["compare", "--mode", "strict", "0,1", "1,0"]).exit_code == 2
+    result = runner.invoke(main, ["sort-terms", "--d", "2", "--mode", "strict"], input="X + Y")
+    assert result.exit_code == 2
 
 
 def test_compare_missing_matrix_file(runner):
@@ -237,6 +313,16 @@ def test_check_trivial_pass(runner):
         main, ["check", "--property", "reflexive", "--relation", "le", "--carrier", "0..0"]
     )
     assert result.exit_code == 0
+
+
+def test_check_empty_carrier_is_a_usage_error(runner):
+    result = runner.invoke(
+        main, ["check", "--property", "reflexive", "--relation", "le", "--carrier", "5..1"]
+    )
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == ["Error: empty carrier '5..1'; expected 'a..b' with a <= b"]
+    assert "PASS" not in result.output
 
 
 def test_check_unknown_names(runner):

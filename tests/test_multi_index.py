@@ -70,6 +70,15 @@ def test_unknown_scheme_rejected():
         list(iter_slice(2, 2, "revlex"))
 
 
+@pytest.mark.parametrize("scheme", ["lex", "colex", "symlex"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_negative_sum_slices_are_empty(scheme, d):
+    for l in (-1, -3):
+        assert list(iter_slice(d, l, scheme)) == []
+        assert degree_slice(d, l, scheme).entries == ()
+    assert list(iter_multi_index_set(d, -1, scheme)) == []
+
+
 def test_streaming_prefix():
     prefix = list(islice(iter_multi_index_set(3, 40, "symlex"), 4))
     assert prefix == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]

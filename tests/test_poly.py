@@ -85,6 +85,13 @@ def test_term_rejects_zero_coefficient():
         Term((1, 0), 0)
 
 
+def test_term_stores_a_fraction_coefficient():
+    t = Term((3, 0, 0), 1)
+    assert type(t.coefficient) is Fraction and t.coefficient == 1
+    half = Fraction(1, 2)
+    assert Term((0, 1), half).coefficient is half
+
+
 def test_sort_terms_table_rows():
     p = parse_poly(TABLE_INPUT, 3)
     grevlex_terms = sort_terms(p, grevlex(LT))
