@@ -15,12 +15,13 @@ import click
 
 from . import multi_index, poly, weighted
 from .families import (
+    IncomparableError,
     LengthMismatchError,
     VectorRelation,
     colex,
     lex,
     revlex,
-    sort_key,
+    sorted_total,
     symlex,
 )
 from .graded import grcolex, grevlex, grlex, grsymlex
@@ -74,6 +75,11 @@ def resolve_order(name: str) -> VectorRelation:
     return builder(LT)
 
 
+def _not_total(order_name: str, exc: IncomparableError) -> click.UsageError:
+    x, y = (",".join(map(str, e)) for e in exc.pair)
+    return click.UsageError(f"order {order_name!r} is not total: it ties {x} and {y}")
+
+
 def _parse_index(text: str):
     try:
         items = tuple(int(tok) for tok in text.split(","))
@@ -124,9 +130,11 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
             sys.exit(3)
         click.echo(f"note: generate-then-sort fallback for order {order_name!r}", err=True)
         try:
-            entries = sorted(multi_index.iter_multi_index_set(d, k, "lex"), key=sort_key(order))
+            entries = sorted_total(multi_index.iter_multi_index_set(d, k, "lex"), order)
         except LengthMismatchError as exc:
             raise click.UsageError(str(exc))
+        except IncomparableError as exc:
+            raise _not_total(order_name, exc)
 
     # entries are consumed lazily and written CHUNK_LINES lines at a time;
     # the lines are those csv.writer and json.dumps would give
@@ -184,6 +192,8 @@ def cmd_sort_terms(d, order_name, source):
         terms = poly.sort_terms(p, order)
     except (poly.PolyParseError, LengthMismatchError) as exc:
         raise click.UsageError(str(exc))
+    except IncomparableError as exc:
+        raise _not_total(order_name, exc)
     click.echo(poly.format_poly(terms, d))
 
 

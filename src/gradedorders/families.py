@@ -19,7 +19,9 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Any, Callable, Optional, Sequence, Tuple
+from itertools import pairwise
+from operator import itemgetter
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .relations import Predicate, Relation
 
@@ -32,6 +34,14 @@ class LengthMismatchError(ValueError):
 
 class EmptyFamilyError(ValueError):
     """Head/tail/init/last was taken on an empty family."""
+
+
+class IncomparableError(ValueError):
+    """A sort met two distinct families that the order does not separate."""
+
+    def __init__(self, x: Family, y: Family):
+        super().__init__(f"the order does not separate {x} and {y}")
+        self.pair = (x, y)
 
 
 def check_same_length(x: Sequence, y: Sequence) -> None:
@@ -104,6 +114,20 @@ def sort_key(order: VectorRelation) -> Callable[[Family], Any]:
         return 0
 
     return cmp_to_key(compare)
+
+
+def sorted_total(items: Iterable[Family], order: VectorRelation) -> List[Family]:
+    """Families ascending under a strict total order, each key computed once.
+
+    Raises IncomparableError naming the first two neighbours of the result
+    whose keys are equal, which a total order never gives two distinct
+    families."""
+    key = sort_key(order)
+    keyed = sorted([(key(x), x) for x in items], key=itemgetter(0))
+    for (kx, x), (ky, y) in pairwise(keyed):
+        if kx == ky:
+            raise IncomparableError(x, y)
+    return [item for _, item in keyed]
 
 
 def is_strict_less(r: Relation, eq: Predicate = operator.eq) -> bool:

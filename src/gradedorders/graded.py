@@ -17,10 +17,18 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress, repeat
 from typing import Any, Callable
 
 from .families import Family, VectorRelation, check_same_length, is_strict_less
-from .relations import Carrier, Predicate, Relation, is_strict_total_order, is_total_order
+from .relations import (
+    CONJUNCTIVE_PARTS,
+    Carrier,
+    Predicate,
+    Relation,
+    _conjunctive_witness,
+    _Table,
+)
 
 
 @dataclass(frozen=True)
@@ -221,33 +229,52 @@ def is_plus_compat_r(r: Relation, monoid: Monoid, c: Carrier) -> bool:
 
 
 def plus_compat_r_witness(r: Relation, monoid: Monoid, c: Carrier):
-    for x in c.elements:
-        for x1 in c.elements:
-            for x2 in c.elements:
-                if r.apply(x1, x2) and not r.apply(monoid.op(x1, x), monoid.op(x2, x)):
-                    return (x, x1, x2)
+    return _plus_compat_r_witness(_Table(r, c), r, monoid)
+
+
+def _plus_compat_r_witness(t: _Table, r: Relation, monoid: Monoid):
+    """First (x, x1, x2) with r(x1, x2) and not r(x1 + x, x2 + x), reading
+    r(x1, x2) from the table and adding each element to x once."""
+    els, ap, op = t.elements, r.apply, monoid.op
+    for x in els:
+        sums = [op(y, x) for y in els]
+        for x1, s1, row in zip(els, sums, t.rows):
+            # r(s1, s2) for the x2 related to x1, asked up to the first False
+            kept = map(ap, repeat(s1), compress(sums, row))
+            for x2 in compress(compress(els, row), map(operator.not_, kept)):
+                return (x, x1, x2)
     return None
 
 
 def is_plus_reg_r(monoid: Monoid, c: Carrier) -> bool:
     """Right cancellation: equal sums with the same right addend force equal
     left addends."""
-    for x in c.elements:
-        for x1 in c.elements:
-            for x2 in c.elements:
-                if monoid.eq(monoid.op(x1, x), monoid.op(x2, x)) and not monoid.eq(x1, x2):
+    els, op, eq = c.elements, monoid.op, monoid.eq
+    for x in els:
+        sums = [op(y, x) for y in els]
+        for s1, x1 in zip(sums, els):
+            for s2, x2 in zip(sums, els):
+                if eq(s1, s2) and not eq(x1, x2):
                     return False
     return True
 
 
+def _is_monomial(order: str, r: Relation, monoid: Monoid, c: Carrier) -> bool:
+    t = _Table(r, c)
+    return (
+        _conjunctive_witness(CONJUNCTIVE_PARTS[order], t) is None
+        and _plus_compat_r_witness(t, r, monoid) is None
+    )
+
+
 def is_monomial_order(r: Relation, monoid: Monoid, c: Carrier) -> bool:
     """Strict total order conjoined with right plus-compatibility."""
-    return is_strict_total_order(r, c) and is_plus_compat_r(r, monoid, c)
+    return _is_monomial("strict_total_order", r, monoid, c)
 
 
 def is_monomial_nonstrict_order(r: Relation, monoid: Monoid, c: Carrier) -> bool:
     """Total order conjoined with right plus-compatibility."""
-    return is_total_order(r, c) and is_plus_compat_r(r, monoid, c)
+    return _is_monomial("total_order", r, monoid, c)
 
 
 def zero_least_on_nonzero(r: Relation, monoid: Monoid, c: Carrier) -> bool:

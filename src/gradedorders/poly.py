@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .families import Family, LengthMismatchError, VectorRelation, sort_key
+from .families import Family, LengthMismatchError, VectorRelation, sort_key, sorted_total
 
 _ALIASES = {"X": 0, "Y": 1, "Z": 2}
 
@@ -180,9 +180,10 @@ def _parse_term(tokens, i: int, dimension: int):
 
 
 def sort_terms(p: SparsePoly, order: VectorRelation) -> List[Term]:
-    """Terms in ascending order under a strict total vector order."""
+    """Terms in ascending order under a strict total vector order; raises
+    IncomparableError when the order ties two of the exponents."""
     terms = p.terms
-    return [Term(e, terms[e]) for e in sorted(terms, key=sort_key(order))]
+    return [Term(e, terms[e]) for e in sorted_total(terms, order)]
 
 
 def leading_term(p: SparsePoly, order: VectorRelation) -> Optional[Term]:

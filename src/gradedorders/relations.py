@@ -1,4 +1,4 @@
-"""Binary relations as values, operators on them, and brute-force property
+"""Binary relations as values, operators on them, and exhaustive property
 deciders over explicit finite carriers.
 
 A relation is a pure binary predicate plus a declared reflexivity flag.  The
@@ -6,15 +6,23 @@ flag is metadata, not something inferred: it drives the empty-family base case
 of the lexicographic comparators, where the result on two empty families is
 exactly "is the scalar relation reflexive".
 
-Property deciders are naive O(|C|^3) loops.  Carriers are meant to stay small
-(size <= 6 by convention); at that scale checking all 512 relations on a
-3-element carrier against a lemma takes milliseconds.
+The deciders ask the relation about each ordered pair of carrier elements at
+most once: at most n^2 calls on an n-element carrier, also for a conjunctive
+property, whose conjuncts share one table of the relation.  The quantifiers
+then run as mask arithmetic over the table's rows: transitivity costs one
+mask operation per related pair and no further calls.  The witness is the
+first counterexample of the definitional loop over x, y (and z) in carrier
+order.  Deciders read whole rows, so pairs after the first witness in a row
+may be evaluated: a relation must be a total predicate on the carrier,
+defined and without side effects on every pair.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import compress, islice, repeat
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 Predicate = Callable[[Any, Any], bool]
@@ -143,33 +151,144 @@ def intersection(r1: Relation, r2: Relation, *, declared_reflexive: bool) -> Rel
 
 
 # ---------------------------------------------------------------------------
+# the relation as a table
+#
+# Row i of a table holds truth(r(c[i], c[j])) in byte j.  As an int (little
+# endian) a row is a mask with bit 8j set when c[i] is related to c[j], so
+# quantifying over a row is mask arithmetic: the Boolean-matrix view of a
+# relation (Warshall, "A theorem on Boolean matrices", JACM 9, 1962).
+
+_truth = operator.truth
+_NOT = bytes.maketrans(b"\0\1", b"\1\0")  # complement of a row
+
+
+def _row(ap: Predicate, x, ys) -> bytes:
+    """Byte k is truth(ap(x, y)) for the k-th y of ys."""
+    return bytes(map(_truth, map(ap, repeat(x), ys)))
+
+
+def _mask(row: bytes) -> int:
+    return int.from_bytes(row, "little")
+
+
+def _first(mask: int) -> int:
+    """Position of the lowest set byte of a nonzero mask."""
+    return ((mask & -mask).bit_length() - 1) >> 3
+
+
+class _Table:
+    """The relation asked once about every pair of carrier elements."""
+
+    def __init__(self, r: Relation, c: Carrier):
+        ap = r.apply
+        self.elements = els = c.elements
+        self.n = len(els)
+        self.rows = [_row(ap, x, els) for x in els]
+        self.cells = b"".join(self.rows)
+        self.masks = [_mask(row) for row in self.rows]
+
+    def pair(self, i: int) -> Tuple[bytes, bytes]:
+        """r(x, y) and r(y, x) for x = c[i] and y = c[i], c[i+1], ..."""
+        n = self.n
+        k = i * n + i
+        return self.cells[k : k - i + n], self.cells[k::n]
+
+    def diagonal(self) -> bytes:
+        return self.cells[:: self.n + 1]
+
+
+class _Pairs:
+    """The rows of ``_Table.pair`` asked of the relation one x at a time, so
+    that a witness for an early x ends the work early."""
+
+    def __init__(self, r: Relation, c: Carrier):
+        self.apply = r.apply
+        self.elements = c.elements
+        self.n = len(c.elements)
+
+    def pair(self, i: int) -> Tuple[bytes, bytes]:
+        ap, els = self.apply, self.elements
+        x = els[i]
+        xy = _row(ap, x, islice(els, i, None))
+        return xy, xy[:1] + bytes(map(_truth, map(ap, islice(els, i + 1, None), repeat(x))))
+
+
+# ---------------------------------------------------------------------------
 # elementary property deciders
 #
 # Each decider has a *_witness companion returning the first counterexample
-# tuple, or None.  On the empty carrier every universally quantified property
-# holds vacuously.
+# tuple of the definitional loop over x, y (and z) in carrier order, or None.
+# On the empty carrier every universally quantified property holds
+# vacuously.  The private forms read a _Table (or a _Pairs, for the five
+# pair properties), which a conjunction builds once for all its conjuncts.
+
+
+def _transitive(t: _Table) -> Optional[tuple]:
+    els, masks = t.elements, t.masks
+    for i, row in enumerate(masks):
+        outside = ~row
+        for j in compress(range(t.n), t.rows[i]):
+            bad = masks[j] & outside  # z with r(y, z) and not r(x, z)
+            if bad:
+                return (els[i], els[j], els[_first(bad)])
+    return None
+
+
+def _negatively_transitive(t: _Table) -> Optional[tuple]:
+    els, masks = t.elements, t.masks
+    for i, row in enumerate(masks):
+        for j in compress(range(t.n), t.rows[i].translate(_NOT)):
+            bad = row & ~masks[j]  # z with not r(y, z) and r(x, z)
+            if bad:
+                return (els[i], els[j], els[_first(bad)])
+    return None
+
+
+def _reflexive(t: _Table) -> Optional[tuple]:
+    i = t.diagonal().find(0)
+    return None if i < 0 else (t.elements[i],)
+
+
+def _irreflexive(t: _Table) -> Optional[tuple]:
+    i = t.diagonal().find(1)
+    return None if i < 0 else (t.elements[i],)
+
+
+def _pair_witness(t, fails) -> Optional[tuple]:
+    """First (x, y) failing a property that is symmetric in x and y.
+
+    Since (y, x) fails whenever (x, y) does, the first failing pair in row
+    order has y at or after x, so each x reads y from x onward only.  ``fails``
+    maps the masks of r(x, y) and of r(y, x) over those y, and the mask of all
+    of them, to the mask of the failing y.  Bit 0 is y = x: carrier elements
+    are pairwise distinct, so x = y only at the same position."""
+    els = t.elements
+    ones = _mask(b"\1" * t.n)
+    for i in range(t.n):
+        xy, yx = t.pair(i)
+        bad = fails(_mask(xy), _mask(yx), ones >> 8 * i)
+        if bad:
+            return (els[i], els[i + _first(bad)])
+    return None
+
+
+# the failing y of each pair property, from the masks _pair_witness passes
+_PAIR_FAILS = {
+    "antisymmetric": lambda xy, yx, ones: xy & yx & ~1,
+    "asymmetric": lambda xy, yx, ones: xy & yx,
+    "connected": lambda xy, yx, ones: (ones ^ (xy | yx)) & ~1,
+    "strongly_connected": lambda xy, yx, ones: ones ^ (xy | yx),
+    # exactly one of x = y, r(x, y), r(y, x)
+    "trichotomous": lambda xy, yx, ones: ((ones ^ xy ^ yx) & ~1) | ((xy | yx) & 1),
+}
 
 
 def transitive_witness(r: Relation, c: Carrier) -> Optional[tuple]:
-    ap = r.apply
-    for x in c.elements:
-        for y in c.elements:
-            if ap(x, y):
-                for z in c.elements:
-                    if ap(y, z) and not ap(x, z):
-                        return (x, y, z)
-    return None
+    return _transitive(_Table(r, c))
 
 
 def negatively_transitive_witness(r: Relation, c: Carrier) -> Optional[tuple]:
-    ap = r.apply
-    for x in c.elements:
-        for y in c.elements:
-            if not ap(x, y):
-                for z in c.elements:
-                    if not ap(y, z) and ap(x, z):
-                        return (x, y, z)
-    return None
+    return _negatively_transitive(_Table(r, c))
 
 
 def reflexive_witness(r: Relation, c: Carrier) -> Optional[tuple]:
@@ -187,48 +306,23 @@ def irreflexive_witness(r: Relation, c: Carrier) -> Optional[tuple]:
 
 
 def antisymmetric_witness(r: Relation, c: Carrier) -> Optional[tuple]:
-    for x in c.elements:
-        for y in c.elements:
-            if r.apply(x, y) and r.apply(y, x) and not c.eq(x, y):
-                return (x, y)
-    return None
+    return _pair_witness(_Pairs(r, c), _PAIR_FAILS["antisymmetric"])
 
 
 def asymmetric_witness(r: Relation, c: Carrier) -> Optional[tuple]:
-    for x in c.elements:
-        for y in c.elements:
-            if r.apply(x, y) and r.apply(y, x):
-                return (x, y)
-    return None
+    return _pair_witness(_Pairs(r, c), _PAIR_FAILS["asymmetric"])
 
 
 def connected_witness(r: Relation, c: Carrier) -> Optional[tuple]:
-    for x in c.elements:
-        for y in c.elements:
-            if not c.eq(x, y) and not r.apply(x, y) and not r.apply(y, x):
-                return (x, y)
-    return None
+    return _pair_witness(_Pairs(r, c), _PAIR_FAILS["connected"])
 
 
 def strongly_connected_witness(r: Relation, c: Carrier) -> Optional[tuple]:
-    for x in c.elements:
-        for y in c.elements:
-            if not r.apply(x, y) and not r.apply(y, x):
-                return (x, y)
-    return None
+    return _pair_witness(_Pairs(r, c), _PAIR_FAILS["strongly_connected"])
 
 
 def trichotomous_witness(r: Relation, c: Carrier) -> Optional[tuple]:
-    # Exactly the three-way exclusive disjunction, case by case.
-    for x in c.elements:
-        for y in c.elements:
-            xy = r.apply(x, y)
-            yx = r.apply(y, x)
-            eq = c.eq(x, y)
-            if (eq and not xy and not yx) or (not eq and xy and not yx) or (not eq and yx and not xy):
-                continue
-            return (x, y)
-    return None
+    return _pair_witness(_Pairs(r, c), _PAIR_FAILS["trichotomous"])
 
 
 ELEMENTARY_WITNESSES = {
@@ -241,6 +335,14 @@ ELEMENTARY_WITNESSES = {
     "connected": connected_witness,
     "strongly_connected": strongly_connected_witness,
     "trichotomous": trichotomous_witness,
+}
+
+_ON_TABLE = {
+    "transitive": _transitive,
+    "negatively_transitive": _negatively_transitive,
+    "reflexive": _reflexive,
+    "irreflexive": _irreflexive,
+    **{name: partial(_pair_witness, fails=fails) for name, fails in _PAIR_FAILS.items()},
 }
 
 
@@ -320,8 +422,13 @@ CONJUNCTIVE_PARTS = {
 def conjunctive_witness(name: str, r: Relation, c: Carrier) -> Optional[Tuple[str, tuple]]:
     """First failing conjunct of a named conjunctive property, with its
     counterexample, or None when the property holds."""
-    for part in CONJUNCTIVE_PARTS[name]:
-        w = ELEMENTARY_WITNESSES[part](r, c)
+    parts = CONJUNCTIVE_PARTS[name]
+    return _conjunctive_witness(parts, _Table(r, c))
+
+
+def _conjunctive_witness(parts: Sequence[str], t: _Table) -> Optional[Tuple[str, tuple]]:
+    for part in parts:
+        w = _ON_TABLE[part](t)
         if w is not None:
             return (part, w)
     return None

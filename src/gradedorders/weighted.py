@@ -169,9 +169,10 @@ def matrix_for(order_name: str, d: int) -> WeightMatrix:
     if d <= 3:
         reference = _reference_order(order_name)
         box = list(product(range(4), repeat=d))
-        for x in box:
-            for y in box:
-                if weighted_lt(w, LT, x, y) != reference.apply(x, y):
+        keyed = list(zip(box, map(weighted_relation(w, LT).key, box)))
+        for x, kx in keyed:
+            for y, ky in keyed:
+                if (kx < ky) != reference.apply(x, y):
                     raise AssertionError(
                         f"candidate matrix for {order_name} disagrees at {x} vs {y}"
                     )
@@ -185,6 +186,15 @@ def find_incomparable(w: WeightMatrix, k_lt: Relation, box_bound: int) -> Option
     Which witness is returned is an artifact of the scan order; any valid
     pair is acceptable."""
     box = list(product(range(box_bound + 1), repeat=w.d))
+    key = weighted_relation(w, k_lt).key
+    if key is not None:
+        # under < two vectors are incomparable exactly when their keys are
+        # equal; the first pair of the scan is the first two of the group
+        # that starts earliest
+        groups = {}
+        for x in box:
+            groups.setdefault(key(x), []).append(x)
+        return next(((g[0], g[1]) for g in groups.values() if len(g) > 1), None)
     for i, x in enumerate(box):
         for y in box[i + 1 :]:
             if not weighted_lt(w, k_lt, x, y) and not weighted_lt(w, k_lt, y, x):

@@ -286,6 +286,57 @@ def test_sort_terms_from_file(runner, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# sorting refuses orders that are not total
+
+
+def _ones_matrix(tmp_path):
+    path = tmp_path / "ones.txt"
+    path.write_text("2 1\n1\n1\n")
+    return f"weighted:{path}"
+
+
+def _tie_error(result, pair):
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1
+    assert errors[0].endswith(f"is not total: it ties {pair}")
+    assert "Traceback" not in result.output
+
+
+def test_sort_terms_refuses_a_non_total_order(runner, tmp_path):
+    order = _ones_matrix(tmp_path)
+    argv = ["sort-terms", "--d", "2", "--order", order]
+    result = runner.invoke(main, argv, input="X + Y + X^2 + X*Y")
+    _tie_error(result, "1,0 and 0,1")
+    assert result.stdout == ""
+
+
+def test_enumerate_fallback_refuses_a_non_total_order(runner, tmp_path):
+    order = _ones_matrix(tmp_path)
+    result = runner.invoke(
+        main, ["enumerate", "--d", "2", "--k", "1", "--order", order, "--allow-sort-fallback"]
+    )
+    _tie_error(result, "0,1 and 1,0")
+    assert result.stdout == ""
+
+
+def test_total_orders_sort_as_before(runner, tmp_path):
+    path = tmp_path / "grlex3.txt"
+    path.write_text(format_matrix(matrix_for("grlex", 3)))
+    for order in ("grlex", f"weighted:{path}"):
+        argv = ["sort-terms", "--d", "3", "--order", order]
+        result = runner.invoke(main, argv, input=TABLE_INPUT)
+        assert result.exit_code == 0, result.output
+        assert result.stdout.strip() == "Z^3 + Y^3 + X*Y*Z + X*Y^2 + X^3"
+        result = runner.invoke(
+            main, ["enumerate", "--d", "3", "--k", "3", "--order", order, "--allow-sort-fallback"]
+        )
+        assert result.exit_code == 0, result.output
+        expected = [",".join(map(str, e)) for e in sort_under(grlex(LT), box(3, 3)) if sum(e) <= 3]
+        assert result.stdout.splitlines() == expected
+
+
+# ---------------------------------------------------------------------------
 # check
 
 

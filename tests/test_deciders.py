@@ -1,0 +1,331 @@
+"""The table-based property deciders against the definitional loops they
+replace, and the bound on how often they ask the relation."""
+
+import operator
+import random
+from itertools import product
+
+import pytest
+
+from conftest import all_relations, relation_from_pairs
+
+from gradedorders import (
+    DIVIDES,
+    GE,
+    GT,
+    LE,
+    LT,
+    NAT_ADD,
+    Carrier,
+    Monoid,
+    Relation,
+    WeightMatrix,
+    carrier_range,
+    find_incomparable,
+    is_monomial_nonstrict_order,
+    is_monomial_order,
+    is_plus_reg_r,
+    matrix_for,
+    weighted_lt,
+)
+from gradedorders import weighted
+from gradedorders.graded import plus_compat_r_witness
+from gradedorders.relations import CONJUNCTIVE_PARTS, EMPTY, PROPERTY_NAMES, property_witness
+
+# ---------------------------------------------------------------------------
+# reference deciders: the compositional definitions, one loop per quantifier
+
+
+def ref_transitive(r, c):
+    ap = r.apply
+    for x in c.elements:
+        for y in c.elements:
+            if ap(x, y):
+                for z in c.elements:
+                    if ap(y, z) and not ap(x, z):
+                        return (x, y, z)
+    return None
+
+
+def ref_negatively_transitive(r, c):
+    ap = r.apply
+    for x in c.elements:
+        for y in c.elements:
+            if not ap(x, y):
+                for z in c.elements:
+                    if not ap(y, z) and ap(x, z):
+                        return (x, y, z)
+    return None
+
+
+def ref_reflexive(r, c):
+    for x in c.elements:
+        if not r.apply(x, x):
+            return (x,)
+    return None
+
+
+def ref_irreflexive(r, c):
+    for x in c.elements:
+        if r.apply(x, x):
+            return (x,)
+    return None
+
+
+def ref_antisymmetric(r, c):
+    for x in c.elements:
+        for y in c.elements:
+            if r.apply(x, y) and r.apply(y, x) and not c.eq(x, y):
+                return (x, y)
+    return None
+
+
+def ref_asymmetric(r, c):
+    for x in c.elements:
+        for y in c.elements:
+            if r.apply(x, y) and r.apply(y, x):
+                return (x, y)
+    return None
+
+
+def ref_connected(r, c):
+    for x in c.elements:
+        for y in c.elements:
+            if not c.eq(x, y) and not r.apply(x, y) and not r.apply(y, x):
+                return (x, y)
+    return None
+
+
+def ref_strongly_connected(r, c):
+    for x in c.elements:
+        for y in c.elements:
+            if not r.apply(x, y) and not r.apply(y, x):
+                return (x, y)
+    return None
+
+
+def ref_trichotomous(r, c):
+    for x in c.elements:
+        for y in c.elements:
+            xy = r.apply(x, y)
+            yx = r.apply(y, x)
+            eq = c.eq(x, y)
+            if (eq and not xy and not yx) or (not eq and xy and not yx) or (not eq and yx and not xy):
+                continue
+            return (x, y)
+    return None
+
+
+REF_ELEMENTARY = {
+    "transitive": ref_transitive,
+    "negatively_transitive": ref_negatively_transitive,
+    "reflexive": ref_reflexive,
+    "irreflexive": ref_irreflexive,
+    "antisymmetric": ref_antisymmetric,
+    "asymmetric": ref_asymmetric,
+    "connected": ref_connected,
+    "strongly_connected": ref_strongly_connected,
+    "trichotomous": ref_trichotomous,
+}
+
+
+def ref_property_witness(name, r, c):
+    if name in REF_ELEMENTARY:
+        w = REF_ELEMENTARY[name](r, c)
+        return None if w is None else (name, w)
+    for part in CONJUNCTIVE_PARTS[name]:
+        w = REF_ELEMENTARY[part](r, c)
+        if w is not None:
+            return (part, w)
+    return None
+
+
+def ref_plus_compat_r_witness(r, monoid, c):
+    for x in c.elements:
+        for x1 in c.elements:
+            for x2 in c.elements:
+                if r.apply(x1, x2) and not r.apply(monoid.op(x1, x), monoid.op(x2, x)):
+                    return (x, x1, x2)
+    return None
+
+
+def ref_is_plus_reg_r(monoid, c):
+    for x in c.elements:
+        for x1 in c.elements:
+            for x2 in c.elements:
+                if monoid.eq(monoid.op(x1, x), monoid.op(x2, x)) and not monoid.eq(x1, x2):
+                    return False
+    return True
+
+
+def ref_find_incomparable(w, k_lt, box_bound):
+    box = list(product(range(box_bound + 1), repeat=w.d))
+    for i, x in enumerate(box):
+        for y in box[i + 1 :]:
+            if not weighted_lt(w, k_lt, x, y) and not weighted_lt(w, k_lt, y, x):
+                return (x, y)
+    return None
+
+
+def assert_same_witnesses(r, c):
+    for name in PROPERTY_NAMES:
+        assert property_witness(name, r, c) == ref_property_witness(name, r, c), (name, r.name, c)
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the 14 properties
+
+
+def test_reference_covers_every_property():
+    assert set(REF_ELEMENTARY) | set(CONJUNCTIVE_PARTS) == set(PROPERTY_NAMES)
+
+
+@pytest.mark.parametrize("elements", [(0, 1), ("a", "b", "c")])
+def test_every_relation_on_small_carriers(elements):
+    c = Carrier(elements)
+    for pairs in all_relations(elements):
+        assert_same_witnesses(relation_from_pairs(pairs), c)
+
+
+def test_random_relations_up_to_eight_elements():
+    rng = random.Random(5)
+    for n in range(9):
+        elements = tuple(f"e{i}" for i in rng.sample(range(20), n))
+        c = Carrier(elements)
+        for density in (0.1, 0.5, 0.9):
+            for _ in range(12):
+                pairs = {(x, y) for x in elements for y in elements if rng.random() < density}
+                assert_same_witnesses(relation_from_pairs(pairs), c)
+
+
+@pytest.mark.parametrize("r", [LT, LE, GT, GE, DIVIDES, EMPTY], ids=lambda r: r.name)
+@pytest.mark.parametrize("lo, hi", [(0, 0), (0, 7), (1, 12), (-3, 5)])
+def test_named_relations_on_ranges(r, lo, hi):
+    assert_same_witnesses(r, carrier_range(lo, hi))
+
+
+def test_custom_eq_carrier():
+    c = Carrier((0, 1, 2, 4), eq=lambda a, b: a % 5 == b % 5)
+    for r in (
+        LT,
+        LE,
+        Relation(lambda a, b: a % 3 <= b % 3, name="mod3 le"),
+        Relation(lambda a, b: a % 3 < b % 3, name="mod3 lt"),
+    ):
+        assert_same_witnesses(r, c)
+
+
+def test_empty_carrier():
+    for r in (LT, LE, EMPTY):
+        assert_same_witnesses(r, Carrier(()))
+        assert all(property_witness(name, r, Carrier(())) is None for name in PROPERTY_NAMES)
+
+
+def test_relations_returning_non_bool_values():
+    for r in (
+        Relation(lambda x, y: y - x, name="y - x"),
+        Relation(lambda x, y: 0, name="0"),
+        Relation(lambda x, y: (x * y) % 3, name="xy mod 3"),
+        Relation(lambda x, y: [x] if x <= y else [], name="list if le"),
+    ):
+        assert_same_witnesses(r, carrier_range(-2, 4))
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the monomial and matrix checks
+
+MONOIDS = [
+    NAT_ADD,
+    Monoid(0, max, name="max"),
+    Monoid(0, lambda a, b: (a + b) % 4, name="Z/4"),
+    Monoid(1, operator.mul, name="mul"),
+    Monoid(0, lambda a, b: a + b, eq=lambda a, b: a % 3 == b % 3, name="sum mod 3"),
+    # not commutative, so that the order of the operands is pinned as well
+    Monoid(0, lambda a, b: 2 * a + b, name="2a + b"),
+    Monoid(0, lambda a, b: a, name="left projection"),
+]
+
+
+def _scrambled(seed):
+    return Relation(lambda a, b: (a * 7 + b * 13 + seed) % 5 < 2, name=f"scrambled{seed}")
+
+
+@pytest.mark.parametrize("monoid", MONOIDS, ids=lambda m: m.name)
+def test_plus_compat_r_witness_matches_reference(monoid):
+    for r in [LT, LE, GT, DIVIDES, EMPTY] + [_scrambled(seed) for seed in range(6)]:
+        for c in (carrier_range(0, 5), carrier_range(1, 4), Carrier((3, 0, 2)), Carrier(())):
+            assert plus_compat_r_witness(r, monoid, c) == ref_plus_compat_r_witness(r, monoid, c)
+            assert is_monomial_order(r, monoid, c) == (
+                ref_property_witness("strict_total_order", r, c) is None
+                and ref_plus_compat_r_witness(r, monoid, c) is None
+            )
+            assert is_monomial_nonstrict_order(r, monoid, c) == (
+                ref_property_witness("total_order", r, c) is None
+                and ref_plus_compat_r_witness(r, monoid, c) is None
+            )
+
+
+@pytest.mark.parametrize("monoid", MONOIDS, ids=lambda m: m.name)
+def test_is_plus_reg_r_matches_reference(monoid):
+    for c in (carrier_range(0, 5), carrier_range(1, 3), Carrier((4, 1)), Carrier(())):
+        assert is_plus_reg_r(monoid, c) == ref_is_plus_reg_r(monoid, c)
+
+
+@pytest.mark.parametrize("k_lt", [LT, GT, LE], ids=lambda r: r.name)
+def test_find_incomparable_matches_reference(k_lt):
+    rng = random.Random(11)
+    for _ in range(60):
+        d, m = rng.randint(1, 3), rng.randint(1, 3)
+        w = WeightMatrix(tuple(tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(d)))
+        for bound in (1, 2, 3):
+            expected = ref_find_incomparable(w, k_lt, bound)
+            assert find_incomparable(w, k_lt, bound) == expected, (w, bound)
+
+
+def test_matrix_for_rejects_a_wrong_candidate(monkeypatch):
+    right = weighted._candidate_columns
+
+    def wrong(order_name, d):
+        return right(order_name, d)[::-1]
+
+    monkeypatch.setattr(weighted, "_candidate_columns", wrong)
+    for name in ("grlex", "grevlex", "grsymlex", "grcolex"):
+        for d in (2, 3):
+            with pytest.raises(AssertionError, match=f"candidate matrix for {name} disagrees"):
+                matrix_for(name, d)
+
+
+# ---------------------------------------------------------------------------
+# how often the relation is asked
+
+
+def _counted(r):
+    calls = [0]
+
+    def apply(x, y):
+        calls[0] += 1
+        return r.apply(x, y)
+
+    return Relation(apply, declared_reflexive=r.declared_reflexive, name=r.name), calls
+
+
+@pytest.mark.parametrize("r", [LT, LE, DIVIDES, EMPTY], ids=lambda r: r.name)
+def test_every_decider_asks_each_pair_at_most_once(r):
+    c = carrier_range(0, 39)
+    for name in PROPERTY_NAMES:
+        counted, calls = _counted(r)
+        property_witness(name, counted, c)
+        assert calls[0] <= 40 * 40, name
+
+
+def test_transitive_and_total_order_bound():
+    for name in ("transitive", "total_order"):
+        counted, calls = _counted(LE)
+        assert property_witness(name, counted, carrier_range(0, 39)) is None
+        assert calls[0] <= 1600
+
+
+def test_early_failure_stays_early():
+    counted, calls = _counted(LE)
+    assert property_witness("asymmetric", counted, carrier_range(0, 599)) == ("asymmetric", (0, 0))
+    assert calls[0] <= 2 * 600

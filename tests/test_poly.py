@@ -5,7 +5,9 @@ import pytest
 
 from gradedorders import (
     LT,
+    IncomparableError,
     LengthMismatchError,
+    WeightMatrix,
     PolyParseError,
     SparsePoly,
     Term,
@@ -20,6 +22,7 @@ from gradedorders import (
     monomial_mul,
     parse_poly,
     sort_terms,
+    weighted_relation,
 )
 
 TABLE_INPUT = "Z^3 + Y^3 + X*Y*Z + X*Y^2 + X^3"
@@ -102,6 +105,14 @@ def test_sort_terms_table_rows():
     assert [t.exponents for t in grsymlex_terms] == [
         (3, 0, 0), (1, 2, 0), (1, 1, 1), (0, 3, 0), (0, 0, 3),
     ]
+
+
+def test_sort_terms_refuses_tied_exponents():
+    order = weighted_relation(WeightMatrix(((1,), (1,))))
+    with pytest.raises(IncomparableError) as excinfo:
+        sort_terms(parse_poly("X + Y + X^2 + X*Y", 2), order)
+    assert excinfo.value.pair == ((1, 0), (0, 1))
+    assert [t.exponents for t in sort_terms(parse_poly("X + X^2", 2), order)] == [(1, 0), (2, 0)]
 
 
 def test_sort_terms_single_term():
