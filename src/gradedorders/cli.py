@@ -9,7 +9,7 @@ scheme when --allow-sort-fallback is not given).
 from __future__ import annotations
 
 import sys
-from itertools import islice
+from itertools import chain, count, islice
 
 import click
 
@@ -48,8 +48,8 @@ ORDER_BUILDERS = {
     "grevlex": grevlex,
 }
 
-# orders whose enumeration is backed by a slice recursion scheme
-SCHEME_FOR_ORDER = {"grlex": "lex", "grcolex": "colex", "grsymlex": "symlex"}
+# orders whose enumeration streams from a scheme of the slice walk
+SCHEME_FOR_ORDER = {"grlex": "lex", "grcolex": "colex", "grsymlex": "symlex", "grevlex": "revlex"}
 
 CLI_RELATIONS = {"lt": LT, "le": LE, "gt": GT, "ge": GE, "divides": DIVIDES}
 
@@ -118,9 +118,7 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
     if k < 0:
         raise click.UsageError(f"--k must be >= 0, got {k}")
     scheme = SCHEME_FOR_ORDER.get(order_name)
-    if scheme is not None:
-        entries = multi_index.iter_multi_index_set(d, k, scheme)
-    else:
+    if scheme is None:
         order = resolve_order(order_name)
         if not allow_sort_fallback:
             click.echo(
@@ -135,22 +133,60 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
             raise click.UsageError(str(exc))
         except IncomparableError as exc:
             raise _not_total(order_name, exc)
-
-    # entries are consumed lazily and written CHUNK_LINES lines at a time;
-    # the lines are those csv.writer and json.dumps would give
-    if fmt == "plain":
-        lines = (",".join(map(str, e)) for e in entries)
-    elif fmt == "csv":
-        click.echo(",".join([f"i{j}" for j in range(d)] + ["sum", "rank"]))
-        lines = (f"{','.join(map(str, e))},{sum(e)},{r}" for r, e in enumerate(entries))
+        lines = _lines(entries, fmt)
+    elif d == 1:
+        lines = _lines(multi_index.iter_multi_index_set(d, k, scheme), fmt)
     else:
-        lines = (
-            f'{{"index": [{", ".join(map(str, e))}], "sum": {sum(e)}, "rank": {r}}}'
-            for r, e in enumerate(entries)
-        )
+        lines = _slice_lines(d, k, scheme, fmt)
+
+    # lines are made lazily and written CHUNK_LINES at a time
+    if fmt == "csv":
+        click.echo(",".join([f"i{j}" for j in range(d)] + ["sum", "rank"]))
     while chunk := list(islice(lines, CHUNK_LINES)):
         chunk.append("")
         click.echo("\n".join(chunk), nl=False)
+
+
+# The lines of enumerate are those csv.writer and json.dumps would give.
+# Per format: the separator of the components, and the text that opens a
+# line, comes before its sum, before its rank and closes it.  A plain line
+# is the components alone.
+_FRAMES = {
+    "plain": (",", "", "", "", ""),
+    "csv": (",", "", ",", ",", ""),
+    "jsonl": (", ", '{"index": [', '], "sum": ', ', "rank": ', "}"),
+}
+
+
+def _slice_lines(d, k, scheme, fmt):
+    """The lines of the set (d >= 2) from the slice walk.  The components a
+    run fixes come as text, written once per run; the sum is the slice's l
+    and the rank a running count."""
+    sep, opening, before_sum, before_rank, closing = _FRAMES[fmt]
+    ranked = fmt != "plain"
+    runs = chain.from_iterable(
+        multi_index._text_runs(d, l, scheme, sep, opening, f"{before_sum}{l}{before_rank}" if ranked else "")
+        for l in range(k + 1)
+    )
+    if not ranked:
+        return (f"{h}{a}{sep}{b}{t}" for h, (firsts, seconds), t in runs for a, b in zip(firsts, seconds))
+    ranks = count()
+    return (
+        f"{h}{a}{sep}{b}{t}{r}{closing}"
+        for h, (firsts, seconds), t in runs
+        for a, b, r in zip(firsts, seconds, ranks)
+    )
+
+
+def _lines(entries, fmt):
+    """The lines of entries (tuples) in the format."""
+    sep, opening, before_sum, before_rank, closing = _FRAMES[fmt]
+    if fmt == "plain":
+        return (sep.join(map(str, e)) for e in entries)
+    return (
+        f"{opening}{sep.join(map(str, e))}{before_sum}{sum(e)}{before_rank}{r}{closing}"
+        for r, e in enumerate(entries)
+    )
 
 
 @main.command("compare")

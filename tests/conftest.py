@@ -46,3 +46,24 @@ def matrix_relation(order, items):
 
 def family_carrier(items):
     return Carrier(tuple(items))
+
+
+def reference_slice(d, l, scheme):
+    """The slice (d, l) by the three-branch recursion that once implemented
+    the lex, colex and symlex schemes: the definition the slice walk
+    replaces."""
+    if d == 1:
+        yield (l,)
+        return
+    if scheme == "lex":
+        for i in range(l + 1):
+            for rest in reference_slice(d - 1, l - i, scheme):
+                yield (i,) + rest
+    elif scheme == "colex":
+        for i in range(l + 1):
+            for rest in reference_slice(d - 1, l - i, scheme):
+                yield rest + (i,)
+    else:  # symlex: first component decreasing from l
+        for i in range(l + 1):
+            for rest in reference_slice(d - 1, i, scheme):
+                yield (l - i,) + rest

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 from conftest import box, sort_under
 
-from gradedorders import LT, format_matrix, grcolex, grevlex, grlex, grsymlex, matrix_for
+from gradedorders import LT, format_matrix, grcolex, grevlex, grlex, grsymlex, lex, matrix_for
 from gradedorders import cli
 from gradedorders.cli import main
 
@@ -95,7 +95,14 @@ def test_enumerate_deterministic(runner):
     assert runner.invoke(main, args).stdout == runner.invoke(main, args).stdout
 
 
-REFERENCE_ORDERS = {"grlex": grlex, "grcolex": grcolex, "grsymlex": grsymlex, "grevlex": grevlex}
+REFERENCE_ORDERS = {
+    "grlex": grlex,
+    "grcolex": grcolex,
+    "grsymlex": grsymlex,
+    "grevlex": grevlex,
+    "lex": lex,
+    "weighted:grevlex": grevlex,
+}
 
 
 @lru_cache(maxsize=None)
@@ -123,13 +130,19 @@ def _reference_output(order_name, d, k, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["plain", "csv", "jsonl"])
-@pytest.mark.parametrize("order_name", ["grlex", "grcolex", "grsymlex", "grevlex"])
-def test_enumerate_output_matches_csv_and_json_rendering(runner, order_name, fmt):
-    # grevlex has no slice scheme and takes the sort fallback
-    fallback = ["--allow-sort-fallback"] if order_name == "grevlex" else []
-    for d in range(1, 5):
-        for k in range(6):
-            args = ["enumerate", "--d", str(d), "--k", str(k), "--order", order_name, "--format", fmt]
+@pytest.mark.parametrize("order_name", ["grlex", "grcolex", "grsymlex", "grevlex", "lex", "weighted:grevlex"])
+def test_enumerate_output_matches_csv_and_json_rendering(runner, tmp_path, order_name, fmt):
+    # d = 1, d = 2 and deeper take different base cases of the slice walk;
+    # lex and a grevlex matrix take the sort fallback, which renders tuples
+    fallback = [] if order_name in cli.SCHEME_FOR_ORDER else ["--allow-sort-fallback"]
+    for d in range(1, 9):
+        order = order_name
+        if order_name == "weighted:grevlex":
+            path = tmp_path / f"grevlex{d}.txt"
+            path.write_text(format_matrix(matrix_for("grevlex", d)))
+            order = f"weighted:{path}"
+        for k in range(6 if d <= 4 else 4):
+            args = ["enumerate", "--d", str(d), "--k", str(k), "--order", order, "--format", fmt]
             result = runner.invoke(main, args + fallback)
             assert result.exit_code == 0, result.output
             assert result.stdout == _reference_output(order_name, d, k, fmt), args
@@ -139,22 +152,96 @@ def test_enumerate_output_matches_csv_and_json_rendering(runner, order_name, fmt
 def test_enumerate_streams_before_the_set_is_exhausted(monkeypatch, fmt):
     out = io.StringIO()
     monkeypatch.setattr(sys, "stdout", out)
-    generate = cli.multi_index.iter_multi_index_set
+    walk = cli.multi_index._text_runs
     pulled, written_before_last = [], []
 
-    def watched(d, k, scheme):
-        for entry in generate(d, k, scheme):
-            pulled.append(entry)
+    def watched(*args):
+        for run in walk(*args):
+            head, (firsts, seconds), tail = run
+            pulled.extend(zip(firsts, seconds))
             if len(pulled) == 5456:
                 written_before_last.append(out.getvalue().count("\n"))
-            yield entry
+            yield run
 
-    monkeypatch.setattr(cli.multi_index, "iter_multi_index_set", watched)
+    monkeypatch.setattr(cli.multi_index, "_text_runs", watched)
     main.main(["enumerate", "--d", "3", "--k", "30", "--format", fmt], standalone_mode=False)
     header = 1 if fmt == "csv" else 0
     assert len(pulled) == 5456
     assert written_before_last == [header + cli.CHUNK_LINES]
     assert out.getvalue().count("\n") == header + 5456
+
+
+class _WriteCounter(io.TextIOBase):
+    """Stdout that keeps the line count of each write and no text."""
+
+    def __init__(self, on_write):
+        self.on_write = on_write
+
+    def write(self, text):
+        if not isinstance(text, str):  # click probes for a binary stream
+            raise TypeError("a text stream")
+        if text:  # and writes empty probes
+            self.on_write(text.count("\n"))
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "jsonl"])
+def test_enumerate_cuts_a_slice_longer_than_a_chunk(monkeypatch, fmt):
+    # At d = 2 a slice is a single run of l + 1 lines.  Only the last slice
+    # of k = 20000 (20001 lines, about five chunks) is let through, which
+    # keeps the test fast.
+    d, k = 2, 20000
+    walk = cli.multi_index._text_runs
+    finished, writes = [], []
+
+    def last_slice_only(d, l, *args):
+        if l == k:
+            yield from walk(d, l, *args)
+            finished.append(l)
+
+    monkeypatch.setattr(cli.multi_index, "_text_runs", last_slice_only)
+    monkeypatch.setattr(sys, "stdout", _WriteCounter(lambda lines: writes.append((lines, list(finished)))))
+    main.main(["enumerate", "--d", str(d), "--k", str(k), "--format", fmt], standalone_mode=False)
+    header = 1 if fmt == "csv" else 0
+    body = [lines for lines, _ in writes[header:]]
+    assert sum(body) == k + 1
+    assert max(body) <= cli.CHUNK_LINES
+    assert writes[header] == (cli.CHUNK_LINES, [])  # written before the slice is finished
+    assert finished == [k]
+
+
+@lru_cache(maxsize=None)
+def _deep_entries(order_name, d):
+    entries = tuple(cli.multi_index.iter_multi_index_set(d, 1, cli.SCHEME_FOR_ORDER[order_name]))
+    return entries, [",".join(map(str, e)) for e in entries]
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "jsonl"])
+@pytest.mark.parametrize("order_name", ["grlex", "grcolex", "grsymlex", "grevlex"])
+def test_enumerate_deep_dimension(runner, order_name, fmt):
+    d = 1100
+    result = runner.invoke(main, ["enumerate", "--d", str(d), "--k", "1", "--order", order_name, "--format", fmt])
+    assert result.exit_code == 0, result.output[-300:]
+    lines = result.stdout.splitlines()
+    entries, plain = _deep_entries(order_name, d)
+    assert len(entries) == d + 1
+    if fmt == "plain":
+        assert lines == plain
+    elif fmt == "csv":
+        assert lines[1:] == [f"{p},{int(r > 0)},{r}" for r, p in enumerate(plain)]
+    else:
+        records = [json.loads(line) for line in lines]
+        assert tuple(tuple(rec["index"]) for rec in records) == entries
+        assert [(rec["sum"], rec["rank"]) for rec in records] == [(int(r > 0), r) for r in range(d + 1)]
+
+
+def test_enumerate_grevlex_streams(runner):
+    result = runner.invoke(main, ["enumerate", "--d", "3", "--k", "2", "--order", "grevlex"])
+    assert result.exit_code == 0
+    assert "fallback" not in result.output
+    assert result.stdout.splitlines() == [
+        "0,0,0", "0,0,1", "0,1,0", "1,0,0", "0,0,2", "0,1,1", "1,0,1", "0,2,0", "1,1,0", "2,0,0",
+    ]
 
 
 def _wrong_dimension_matrix(tmp_path):

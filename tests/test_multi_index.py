@@ -1,14 +1,15 @@
-from itertools import islice, product
+from itertools import combinations, islice, product
 from math import comb
 
 import pytest
 
-from conftest import box
+from conftest import box, reference_slice, sort_under
 
 from gradedorders import (
     LT,
     degree_slice,
     grcolex,
+    grevlex,
     grlex,
     grsymlex,
     iter_multi_index_set,
@@ -16,7 +17,13 @@ from gradedorders import (
     multi_index_set,
 )
 
-GRADED_FOR_SCHEME = {"lex": grlex(LT), "colex": grcolex(LT), "symlex": grsymlex(LT)}
+GRADED_FOR_SCHEME = {
+    "lex": grlex(LT),
+    "colex": grcolex(LT),
+    "symlex": grsymlex(LT),
+    "revlex": grevlex(LT),
+}
+SCHEMES = tuple(GRADED_FOR_SCHEME)
 
 
 def brute_set(d, k):
@@ -67,7 +74,7 @@ def test_dimension_zero_rejected():
 
 def test_unknown_scheme_rejected():
     with pytest.raises(ValueError):
-        list(iter_slice(2, 2, "revlex"))
+        list(iter_slice(2, 2, "deglex"))
 
 
 @pytest.mark.parametrize("scheme", ["lex", "colex", "symlex"])
@@ -84,7 +91,7 @@ def test_streaming_prefix():
     assert prefix == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
-@pytest.mark.parametrize("scheme", ["lex", "colex", "symlex"])
+@pytest.mark.parametrize("scheme", ["lex", "colex", "symlex", "revlex"])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("k", [0, 1, 3, 5])
 def test_set_correctness_and_sortedness(scheme, d, k):
@@ -107,3 +114,40 @@ def test_slice_partition_and_cardinalities(d, k):
         entries.extend(s)
     assert tuple(entries) == multi_index_set(d, k).entries
     assert len(entries) == comb(d + k, d)
+
+
+def compositions(d, l):
+    """The slice (d, l) by stars and bars, in no particular order."""
+    for bars in combinations(range(l + d - 1), d - 1):
+        edges = (-1,) + bars + (l + d - 1,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("d", range(1, 9))
+def test_slice_walk_matches_its_definitions(scheme, d):
+    k = 6 if d <= 4 else 4
+    expected_set = []
+    for l in range(k + 1):
+        by_sort = sort_under(GRADED_FOR_SCHEME[scheme], compositions(d, l))
+        walked = list(iter_slice(d, l, scheme))
+        if scheme != "revlex":  # the reference has no revlex branch
+            assert walked == list(reference_slice(d, l, scheme))
+        assert walked == by_sort
+        assert degree_slice(d, l, scheme).entries == tuple(by_sort)
+        expected_set += by_sort
+    assert list(iter_multi_index_set(d, k, scheme)) == expected_set
+    assert multi_index_set(d, k, scheme).entries == tuple(expected_set)
+
+
+def unit_vectors(d):
+    zeros = (0,) * d
+    return [zeros[:i] + (1,) + zeros[i + 1 :] for i in range(d)]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_deep_dimensions_do_not_recurse(scheme):
+    d = 1100
+    units = sorted(unit_vectors(d), key=GRADED_FOR_SCHEME[scheme].key)
+    assert list(iter_multi_index_set(d, 1, scheme)) == [(0,) * d] + units
+    assert degree_slice(d, 1, scheme).entries == tuple(units)
