@@ -14,17 +14,8 @@ from itertools import chain, count, islice
 import click
 
 from . import multi_index, poly, weighted
-from .families import (
-    IncomparableError,
-    LengthMismatchError,
-    VectorRelation,
-    colex,
-    lex,
-    revlex,
-    sorted_total,
-    symlex,
-)
-from .graded import grcolex, grevlex, grlex, grsymlex
+from .families import IncomparableError, LengthMismatchError, VectorRelation, sorted_total
+from .graded import NAMED_ORDERS, named_builder
 from .relations import (
     DIVIDES,
     GE,
@@ -36,20 +27,6 @@ from .relations import (
     carrier_range,
     property_witness,
 )
-
-ORDER_BUILDERS = {
-    "lex": lex,
-    "colex": colex,
-    "symlex": symlex,
-    "revlex": revlex,
-    "grlex": grlex,
-    "grcolex": grcolex,
-    "grsymlex": grsymlex,
-    "grevlex": grevlex,
-}
-
-# orders whose enumeration streams from a scheme of the slice walk
-SCHEME_FOR_ORDER = {"grlex": "lex", "grcolex": "colex", "grsymlex": "symlex", "grevlex": "revlex"}
 
 CLI_RELATIONS = {"lt": LT, "le": LE, "gt": GT, "ge": GE, "divides": DIVIDES}
 
@@ -69,7 +46,7 @@ def resolve_order(name: str) -> VectorRelation:
             raise click.UsageError(f"cannot load weight matrix {path!r}: {exc}")
         return weighted.weighted_relation(matrix, LT)
     try:
-        builder = ORDER_BUILDERS[name]
+        builder = named_builder(name)
     except KeyError:
         raise click.UsageError(f"unknown order {name!r}")
     return builder(LT)
@@ -117,8 +94,9 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
         raise click.UsageError(f"--d must be >= 1, got {d}")
     if k < 0:
         raise click.UsageError(f"--k must be >= 0, got {k}")
-    scheme = SCHEME_FOR_ORDER.get(order_name)
-    if scheme is None:
+    # the graded orders stream from the slice walk of their scheme
+    scheme, streams = NAMED_ORDERS.get(order_name, (None, False))
+    if not streams:
         order = resolve_order(order_name)
         if not allow_sort_fallback:
             click.echo(

@@ -27,6 +27,17 @@ from .relations import Predicate, Relation
 
 Family = Tuple[Any, ...]
 
+# The four lexicographic orders, named by their slice scheme, as two flags
+# (down, back).  Down swaps the arguments of the comparison (symlex, revlex);
+# back decides at the last differing index rather than the first (colex,
+# revlex).  The slice walk of multi_index reads the same flags.
+SCHEMES = {
+    "lex": (False, False),
+    "colex": (False, True),
+    "symlex": (True, False),
+    "revlex": (True, True),
+}
+
 
 class LengthMismatchError(ValueError):
     """Two families of different lengths were compared."""

@@ -4,7 +4,8 @@ monomial-order property checks.
 Grading turns a scalar relation (comparing family sums) and a vector relation
 (breaking ties) into a new vector relation: sums are compared first, equal
 sums fall through to the vector relation.  The four graded orders are the
-gradings of lex/colex/symlex/revlex with the same scalar relation.
+gradings of lex/colex/symlex/revlex with the same scalar relation, and
+NAMED_ORDERS lists all eight named orders by slice scheme and grading bit.
 
 The simplified recursive forms of grsymlex and grevlex are provided as
 independent variants; they must agree with the graded compositions whenever
@@ -20,6 +21,7 @@ from functools import reduce
 from itertools import compress, repeat
 from typing import Any, Callable
 
+from . import families
 from .families import Family, VectorRelation, check_same_length, is_strict_less
 from .relations import (
     CONJUNCTIVE_PARTS,
@@ -83,36 +85,69 @@ def graded(scalar: Relation, vector: VectorRelation, monoid: Monoid = NAT_ADD) -
     return VectorRelation(apply, name=f"graded({scalar.name},{vector.name})", key=key)
 
 
-def grlex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
-    from .families import lex
+def _grade(name: str, vector, r: Relation, monoid: Monoid, eq: Predicate) -> VectorRelation:
+    v = graded(r, vector(r, eq), monoid)
+    return VectorRelation(v.apply, name=f"{name}({r.name})", key=v.key)
 
-    v = graded(r, lex(r, eq), monoid)
-    return VectorRelation(v.apply, name=f"grlex({r.name})", key=v.key)
+
+def grlex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
+    return _grade("grlex", families.lex, r, monoid, eq)
 
 
 def grcolex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
-    from .families import colex
-
-    v = graded(r, colex(r, eq), monoid)
-    return VectorRelation(v.apply, name=f"grcolex({r.name})", key=v.key)
+    return _grade("grcolex", families.colex, r, monoid, eq)
 
 
 def grsymlex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
-    from .families import symlex
-
-    v = graded(r, symlex(r, eq), monoid)
-    return VectorRelation(v.apply, name=f"grsymlex({r.name})", key=v.key)
+    return _grade("grsymlex", families.symlex, r, monoid, eq)
 
 
 def grevlex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
-    from .families import revlex
+    return _grade("grevlex", families.revlex, r, monoid, eq)
 
-    v = graded(r, revlex(r, eq), monoid)
-    return VectorRelation(v.apply, name=f"grevlex({r.name})", key=v.key)
+
+# name -> (slice scheme, graded): the eight named orders are the four
+# lexicographic orders of families.SCHEMES and their gradings.  Each name is
+# spelled out, since "gr" + "revlex" is "grrevlex", not "grevlex".
+NAMED_ORDERS = {
+    "lex": ("lex", False),
+    "colex": ("colex", False),
+    "symlex": ("symlex", False),
+    "revlex": ("revlex", False),
+    "grlex": ("lex", True),
+    "grcolex": ("colex", True),
+    "grsymlex": ("symlex", True),
+    "grevlex": ("revlex", True),
+}
+
+
+def named_builder(name: str) -> Callable[..., VectorRelation]:
+    """The builder of a named order (KeyError for an unknown name).  It is
+    looked up on its module at each call, so a builder replaced there after
+    import is the one returned."""
+    return globals()[name] if NAMED_ORDERS[name][1] else getattr(families, name)
 
 
 # ---------------------------------------------------------------------------
 # recursive variants, for cross-checking against the graded compositions
+
+
+def _sum_rec(name: str, back: bool, r: Relation, monoid: Monoid) -> VectorRelation:
+    """grsymlex_rec, or grevlex_rec when back."""
+    base = r.declared_reflexive
+    rest = slice(None, -1) if back else slice(1, None)
+
+    def apply(x: Family, y: Family) -> bool:
+        check_same_length(x, y)
+        sx = family_sum(x, monoid)
+        sy = family_sum(y, monoid)
+        if not monoid.eq(sx, sy):
+            return r.apply(sx, sy)
+        if len(x) >= 2:
+            return apply(x[rest], y[rest])
+        return base
+
+    return VectorRelation(apply, name=f"{name}({r.name})")
 
 
 def grsymlex_rec(r: Relation, monoid: Monoid = NAT_ADD) -> VectorRelation:
@@ -120,37 +155,13 @@ def grsymlex_rec(r: Relation, monoid: Monoid = NAT_ADD) -> VectorRelation:
     first component and recurse.  Base case (length < 2 with equal sums) is
     the declared reflexivity of the scalar relation, so the variant matches
     the composition in both strict and nonstrict modes."""
-    base = r.declared_reflexive
-
-    def apply(x: Family, y: Family) -> bool:
-        check_same_length(x, y)
-        sx = family_sum(x, monoid)
-        sy = family_sum(y, monoid)
-        if not monoid.eq(sx, sy):
-            return r.apply(sx, sy)
-        if len(x) >= 2:
-            return apply(x[1:], y[1:])
-        return base
-
-    return VectorRelation(apply, name=f"grsymlex_rec({r.name})")
+    return _sum_rec("grsymlex_rec", False, r, monoid)
 
 
 def grevlex_rec(r: Relation, monoid: Monoid = NAT_ADD) -> VectorRelation:
     """Simplified recursion for grevlex: as grsymlex_rec but dropping the
     last component."""
-    base = r.declared_reflexive
-
-    def apply(x: Family, y: Family) -> bool:
-        check_same_length(x, y)
-        sx = family_sum(x, monoid)
-        sy = family_sum(y, monoid)
-        if not monoid.eq(sx, sy):
-            return r.apply(sx, sy)
-        if len(x) >= 2:
-            return apply(x[:-1], y[:-1])
-        return base
-
-    return VectorRelation(apply, name=f"grevlex_rec({r.name})")
+    return _sum_rec("grevlex_rec", True, r, monoid)
 
 
 def grsymlex_full_rec(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
@@ -176,9 +187,10 @@ def grsymlex_full_rec(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = ope
     return VectorRelation(apply, name=f"grsymlex_full_rec({r.name})")
 
 
-def grlex_rec(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
-    """Inlined recursion for grlex, strict scalar orders only: compare sums,
-    then the first components, then recurse on the tails."""
+def _component_rec(name: str, back: bool, r: Relation, monoid: Monoid, eq: Predicate) -> VectorRelation:
+    """grlex_rec, or grcolex_rec when back."""
+    i = -1 if back else 0
+    rest = slice(None, -1) if back else slice(1, None)
 
     def apply(x: Family, y: Family) -> bool:
         check_same_length(x, y)
@@ -188,34 +200,25 @@ def grlex_rec(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq
             return r.apply(sx, sy)
         if not x:
             return False
-        if not eq(x[0], y[0]):
-            return r.apply(x[0], y[0])
+        if not eq(x[i], y[i]):
+            return r.apply(x[i], y[i])
         if len(x) >= 2:
-            return apply(x[1:], y[1:])
+            return apply(x[rest], y[rest])
         return False
 
-    return VectorRelation(apply, name=f"grlex_rec({r.name})")
+    return VectorRelation(apply, name=f"{name}({r.name})")
+
+
+def grlex_rec(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
+    """Inlined recursion for grlex, strict scalar orders only: compare sums,
+    then the first components, then recurse on the tails."""
+    return _component_rec("grlex_rec", False, r, monoid, eq)
 
 
 def grcolex_rec(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
     """Inlined recursion for grcolex, strict scalar orders only: compare sums,
     then the last components, then recurse on the initial segments."""
-
-    def apply(x: Family, y: Family) -> bool:
-        check_same_length(x, y)
-        sx = family_sum(x, monoid)
-        sy = family_sum(y, monoid)
-        if not monoid.eq(sx, sy):
-            return r.apply(sx, sy)
-        if not x:
-            return False
-        if not eq(x[-1], y[-1]):
-            return r.apply(x[-1], y[-1])
-        if len(x) >= 2:
-            return apply(x[:-1], y[:-1])
-        return False
-
-    return VectorRelation(apply, name=f"grcolex_rec({r.name})")
+    return _component_rec("grcolex_rec", True, r, monoid, eq)
 
 
 # ---------------------------------------------------------------------------

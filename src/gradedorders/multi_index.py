@@ -40,17 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
-from .families import Family
-
-# scheme -> (down, back): whether each fixed component runs down from the
-# sum left rather than up from 0, and whether it is fixed at the back of the
-# index rather than the front
-SCHEMES = {
-    "lex": (False, False),
-    "colex": (False, True),
-    "symlex": (True, False),
-    "revlex": (True, True),
-}
+from .families import SCHEMES, Family
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence, Tuple
 
-from .families import Family, LengthMismatchError, VectorRelation, is_strict_less
-from .graded import grcolex, grevlex, grlex, grsymlex
+from .families import SCHEMES, Family, LengthMismatchError, VectorRelation, is_strict_less
+from .graded import NAMED_ORDERS, named_builder
 from .relations import LT, Relation
 
 _EXACT_TYPES = (int, Fraction)
@@ -123,34 +123,16 @@ def _unit(d: int, i: int, sign: int = 1) -> Tuple[int, ...]:
 
 
 def _candidate_columns(order_name: str, d: int):
-    ones = (1,) * d
-    if order_name == "lex":
-        return [_unit(d, i) for i in range(d)]
-    if order_name == "grlex":
-        return [ones] + [_unit(d, i) for i in range(d - 1)]
-    if order_name == "grcolex":
-        return [ones] + [_unit(d, i) for i in range(d - 1, 0, -1)]
-    if order_name == "grsymlex":
-        return [ones] + [_unit(d, i, -1) for i in range(d - 1)]
-    if order_name == "grevlex":
-        return [ones] + [_unit(d, i, -1) for i in range(d - 1, 0, -1)]
-    raise ValueError(f"unknown order name {order_name!r}")
-
-
-_COMBINATOR = {
-    "grlex": grlex,
-    "grcolex": grcolex,
-    "grsymlex": grsymlex,
-    "grevlex": grevlex,
-}
-
-
-def _reference_order(order_name: str) -> VectorRelation:
-    if order_name == "lex":
-        from .families import lex as lex_rel
-
-        return lex_rel(LT)
-    return _COMBINATOR[order_name](LT)
+    """The columns of a matrix order from the order's flags: down negates
+    the unit columns, back takes them from the last component, and grading
+    puts the all-ones column first and drops the last unit."""
+    if order_name not in MATRIX_ORDER_NAMES:
+        raise ValueError(f"unknown order name {order_name!r}")
+    scheme, is_graded = NAMED_ORDERS[order_name]
+    down, back = SCHEMES[scheme]
+    components = range(d - 1, -1, -1) if back else range(d)
+    units = [_unit(d, i, -1 if down else 1) for i in components]
+    return [(1,) * d] + units[:-1] if is_graded else units
 
 
 def matrix_for(order_name: str, d: int) -> WeightMatrix:
@@ -167,7 +149,7 @@ def matrix_for(order_name: str, d: int) -> WeightMatrix:
     columns = _candidate_columns(order_name, d)
     w = WeightMatrix(tuple(tuple(col[i] for col in columns) for i in range(d)))
     if d <= 3:
-        reference = _reference_order(order_name)
+        reference = named_builder(order_name)(LT)
         box = list(product(range(4), repeat=d))
         keyed = list(zip(box, map(weighted_relation(w, LT).key, box)))
         for x, kx in keyed:

@@ -67,3 +67,24 @@ def reference_slice(d, l, scheme):
         for i in range(l + 1):
             for rest in reference_slice(d - 1, i, scheme):
                 yield (l - i,) + rest
+
+
+def _unit(d, i, sign=1):
+    return tuple(sign if j == i else 0 for j in range(d))
+
+
+def reference_columns(order_name, d):
+    """The matrix columns of the named orders as five hand-written branches:
+    the definition that weighted._candidate_columns derives from the flags."""
+    ones = (1,) * d
+    if order_name == "lex":
+        return [_unit(d, i) for i in range(d)]
+    if order_name == "grlex":
+        return [ones] + [_unit(d, i) for i in range(d - 1)]
+    if order_name == "grcolex":
+        return [ones] + [_unit(d, i) for i in range(d - 1, 0, -1)]
+    if order_name == "grsymlex":
+        return [ones] + [_unit(d, i, -1) for i in range(d - 1)]
+    if order_name == "grevlex":
+        return [ones] + [_unit(d, i, -1) for i in range(d - 1, 0, -1)]
+    raise ValueError(f"unknown order name {order_name!r}")

@@ -11,6 +11,7 @@ from conftest import box, sort_under
 from gradedorders import LT, format_matrix, grcolex, grevlex, grlex, grsymlex, lex, matrix_for
 from gradedorders import cli
 from gradedorders.cli import main
+from gradedorders.graded import NAMED_ORDERS
 
 
 @pytest.fixture
@@ -63,7 +64,7 @@ def test_enumerate_fallback_requires_flag(runner):
     ]
 
 
-def test_enumerate_grevlex_fallback_matches_grlex_in_2d(runner):
+def test_enumerate_grevlex_ignores_the_fallback_flag_and_equals_grlex_in_2d(runner):
     grlex_out = runner.invoke(main, ["enumerate", "--d", "2", "--k", "3", "--order", "grlex"])
     grevlex_out = runner.invoke(
         main,
@@ -71,6 +72,32 @@ def test_enumerate_grevlex_fallback_matches_grlex_in_2d(runner):
     )
     assert grevlex_out.exit_code == 0
     assert grevlex_out.stdout == grlex_out.stdout
+
+
+def test_resolve_order_builds_with_the_builders_on_their_modules(monkeypatch):
+    # A tracer replaces the builders on families and graded after the package
+    # is imported and skips the builds made from inside those modules, so
+    # resolve_order must look each builder up when called and call it itself.
+    calls = []
+
+    def patched(name, build):
+        def builder(*args):
+            calls.append((name, sys._getframe(1).f_globals["__name__"]))
+            return build(*args)
+
+        return builder
+
+    for name, (_, graded) in NAMED_ORDERS.items():
+        # the package attribute `graded` is the grading function, not the module
+        module = sys.modules["gradedorders.graded" if graded else "gradedorders.families"]
+        monkeypatch.setattr(module, name, patched(name, getattr(module, name)))
+    assert cli.resolve_order("grlex").name == "grlex(lt)"
+    assert cli.resolve_order("lex").name == "lex(lt)"
+    assert calls == [("grlex", "gradedorders.cli"), ("lex", "gradedorders.graded"), ("lex", "gradedorders.cli")]
+    for name in NAMED_ORDERS:
+        calls.clear()
+        assert cli.resolve_order(name).name == f"{name}(lt)"
+        assert [call for call in calls if call[1] == "gradedorders.cli"] == [(name, "gradedorders.cli")]
 
 
 def test_enumerate_formats_carry_identical_content(runner):
@@ -134,7 +161,7 @@ def _reference_output(order_name, d, k, fmt):
 def test_enumerate_output_matches_csv_and_json_rendering(runner, tmp_path, order_name, fmt):
     # d = 1, d = 2 and deeper take different base cases of the slice walk;
     # lex and a grevlex matrix take the sort fallback, which renders tuples
-    fallback = [] if order_name in cli.SCHEME_FOR_ORDER else ["--allow-sort-fallback"]
+    fallback = [] if NAMED_ORDERS.get(order_name, (None, False))[1] else ["--allow-sort-fallback"]
     for d in range(1, 9):
         order = order_name
         if order_name == "weighted:grevlex":
@@ -212,7 +239,7 @@ def test_enumerate_cuts_a_slice_longer_than_a_chunk(monkeypatch, fmt):
 
 @lru_cache(maxsize=None)
 def _deep_entries(order_name, d):
-    entries = tuple(cli.multi_index.iter_multi_index_set(d, 1, cli.SCHEME_FOR_ORDER[order_name]))
+    entries = tuple(cli.multi_index.iter_multi_index_set(d, 1, NAMED_ORDERS[order_name][0]))
     return entries, [",".join(map(str, e)) for e in entries]
 
 

@@ -36,6 +36,8 @@ from gradedorders import (
     symlex,
     zero_least_on_nonzero,
 )
+from gradedorders.families import SCHEMES
+from gradedorders.graded import NAMED_ORDERS, named_builder
 from gradedorders.relations import Relation
 
 GRLEX_LT = grlex(LT)
@@ -108,6 +110,32 @@ def test_grsymlex_sum3_slice():
 def test_grlex_table_exponents():
     vectors = [(0, 0, 3), (0, 3, 0), (1, 1, 1), (1, 2, 0), (3, 0, 0)]
     assert sort_under(GRLEX_LT, sorted(vectors, reverse=True)) == vectors
+
+
+# ---------------------------------------------------------------------------
+# the named orders
+
+
+def test_named_orders_table():
+    builders = [lex, colex, symlex, revlex, grlex, grcolex, grsymlex, grevlex]
+    assert [named_builder(name) for name in NAMED_ORDERS] == builders
+    assert {scheme for scheme, _ in NAMED_ORDERS.values()} == set(SCHEMES)
+    assert [name for name, (_, graded) in NAMED_ORDERS.items() if graded] == list(ALL_GRADED)
+    with pytest.raises(KeyError):
+        named_builder("grrevlex")
+
+
+def test_builder_names():
+    # spelled out, since the builders fold their names from a shared helper
+    built = [
+        lex, colex, symlex, revlex, grlex, grcolex, grsymlex, grevlex,
+        grlex_rec, grcolex_rec, grsymlex_rec, grevlex_rec, grsymlex_full_rec,
+    ]
+    assert [build(LT).name for build in built] == [
+        "lex(lt)", "colex(lt)", "symlex(lt)", "revlex(lt)",
+        "grlex(lt)", "grcolex(lt)", "grsymlex(lt)", "grevlex(lt)",
+        "grlex_rec(lt)", "grcolex_rec(lt)", "grsymlex_rec(lt)", "grevlex_rec(lt)", "grsymlex_full_rec(lt)",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from conftest import box
+from conftest import box, reference_columns
 
 from gradedorders import (
     LT,
@@ -20,6 +20,7 @@ from gradedorders import (
     weighted_lt,
     weighted_relation,
 )
+from gradedorders.weighted import MATRIX_ORDER_NAMES, _candidate_columns
 
 ORDER_NAMES = ("lex", "grlex", "grevlex", "grsymlex", "grcolex")
 
@@ -74,6 +75,23 @@ def test_matrix_for_agrees_with_combinators(name, d):
 def test_matrix_for_unknown_name():
     with pytest.raises(ValueError):
         matrix_for("grwhatever", 2)
+
+
+@pytest.mark.parametrize("name", ["colex", "symlex", "revlex"])
+def test_matrix_for_rejects_orders_without_a_matrix(name):
+    with pytest.raises(ValueError, match="unknown order name"):
+        matrix_for(name, 2)
+
+
+def test_matrix_for_returns_the_reference_columns():
+    # matrix_for validates its matrix against the combinator order only up
+    # to d = 3; above that the columns must match their definition
+    assert MATRIX_ORDER_NAMES == ORDER_NAMES
+    for name in ORDER_NAMES:
+        for d in range(1, 9):
+            columns = reference_columns(name, d)
+            assert _candidate_columns(name, d) == columns, (name, d)
+            assert [matrix_for(name, d).column(j) for j in range(d)] == columns, (name, d)
 
 
 def test_ones_column_prepend_is_grading():
