@@ -194,13 +194,16 @@ def cmd_compare(order_name, a, b):
 @main.command("sort-terms")
 @click.option("--d", "d", type=int, required=True, help="Number of variables.")
 @click.option("--order", "order_name", default="grlex", show_default=True)
-@click.argument("source", type=click.File("r"), default="-")
+@click.argument("source", type=click.File("r", encoding="utf-8"), default="-")
 def cmd_sort_terms(d, order_name, source):
     """Parse a polynomial and print its terms ascending under the order."""
     if d < 1:
         raise click.UsageError(f"--d must be >= 1, got {d}")
     order = resolve_order(order_name)
-    text = source.read()
+    try:
+        text = source.read()
+    except UnicodeDecodeError as exc:
+        raise click.UsageError(f"cannot read {source.name}: {exc}")
     try:
         p = poly.parse_poly(text, d)
         terms = poly.sort_terms(p, order)
@@ -208,7 +211,11 @@ def cmd_sort_terms(d, order_name, source):
         raise click.UsageError(str(exc))
     except IncomparableError as exc:
         raise _not_total(order_name, exc)
-    click.echo(poly.format_poly(terms, d))
+    try:
+        line = poly.format_poly(terms, d)
+    except ValueError:  # str() of an int past the limit, which a product of coefficients can reach
+        raise click.UsageError(f"the result has a number of more than {sys.get_int_max_str_digits()} digits")
+    click.echo(line)
 
 
 @main.command("check")

@@ -9,9 +9,10 @@ the declared reflexivity of the scalar relation.  This is what lets a single
 definition cover both strict and nonstrict scalar orders (lex(le) on equal
 families is True, lex(lt) is False).
 
-The comparators are implemented iteratively (scan for the first differing
-index, then consult the scalar relation); the literal structural recursion is
-kept as a test oracle in the test suite.
+One builder makes the four comparators from the (down, back) flags of
+SCHEMES: it scans for the first differing index (the last when back) and
+consults the scalar relation there, with the arguments swapped when down.
+The literal structural recursion is kept as a test oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import pairwise
-from operator import itemgetter
+from operator import itemgetter, neg
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .relations import Predicate, Relation
@@ -30,7 +31,8 @@ Family = Tuple[Any, ...]
 # The four lexicographic orders, named by their slice scheme, as two flags
 # (down, back).  Down swaps the arguments of the comparison (symlex, revlex);
 # back decides at the last differing index rather than the first (colex,
-# revlex).  The slice walk of multi_index reads the same flags.
+# revlex).  The comparators and their sort keys below, and the slice walk of
+# multi_index, read these flags.
 SCHEMES = {
     "lex": (False, False),
     "colex": (False, True),
@@ -147,79 +149,53 @@ def is_strict_less(r: Relation, eq: Predicate = operator.eq) -> bool:
     return r.apply is operator.lt and not r.declared_reflexive and eq is operator.eq
 
 
-def _reversed(a: Family) -> Family:
-    return a[::-1]
-
-
-def _negated(a: Family) -> Family:
-    return tuple(map(operator.neg, a))
-
-
-def _reversed_negated(a: Family) -> Family:
-    return tuple(map(operator.neg, reversed(a)))
-
-
-def lex(r: Relation, eq: Predicate = operator.eq) -> VectorRelation:
-    """Lexicographic extension of a scalar relation.
-
-    The scalar relation decides at the first index where the items differ
-    (under the supplied equality, not the relation); if no index differs the
-    result is the declared reflexivity of the scalar relation.
-    """
+def _lexicographic(name: str, r: Relation, eq: Predicate) -> VectorRelation:
+    """The lexicographic order of SCHEMES[name] over r: r decides at the
+    first index (the last when back) where the items differ under eq, with
+    the arguments swapped when down; if no index differs the result is the
+    declared reflexivity of r.  Under the strict ``<`` the key is the family,
+    reversed when back and negated when down."""
+    down, back = SCHEMES[name]
     rapply = r.apply
     base = r.declared_reflexive
 
     def apply(x: Family, y: Family) -> bool:
         check_same_length(x, y)
-        for a, b in zip(x, y):
-            if not eq(a, b):
-                return rapply(a, b)
-        return base
-
-    key = tuple if is_strict_less(r, eq) else None
-    return VectorRelation(apply, name=f"lex({r.name})", key=key)
-
-
-def colex(r: Relation, eq: Predicate = operator.eq) -> VectorRelation:
-    """Colexicographic order: the last differing index decides.
-
-    Extensionally equal to reverse_rel(lex(r)); implemented as a right-to-left
-    scan to avoid copying.
-    """
-    rapply = r.apply
-    base = r.declared_reflexive
-
-    def apply(x: Family, y: Family) -> bool:
-        check_same_length(x, y)
-        for i in range(len(x) - 1, -1, -1):
+        if down:
+            x, y = y, x
+        for i in range(len(x) - 1, -1, -1) if back else range(len(x)):
             if not eq(x[i], y[i]):
                 return rapply(x[i], y[i])
         return base
 
-    key = _reversed if is_strict_less(r, eq) else None
-    return VectorRelation(apply, name=f"colex({r.name})", key=key)
+    key = None
+    if is_strict_less(r, eq):
+        key = itemgetter(slice(None, None, -1)) if back else tuple
+        if down:
+            key = (lambda a: tuple(map(neg, reversed(a)))) if back else (lambda a: tuple(map(neg, a)))
+    return VectorRelation(apply, name=f"{name}({r.name})", key=key)
+
+
+def lex(r: Relation, eq: Predicate = operator.eq) -> VectorRelation:
+    """Lexicographic extension of a scalar relation: it decides at the first
+    index where the items differ under eq."""
+    return _lexicographic("lex", r, eq)
+
+
+def colex(r: Relation, eq: Predicate = operator.eq) -> VectorRelation:
+    """Colexicographic order: the last differing index decides.  Extensionally
+    equal to reverse_rel(lex(r))."""
+    return _lexicographic("colex", r, eq)
 
 
 def symlex(r: Relation, eq: Predicate = operator.eq) -> VectorRelation:
     """Argument-swapped lex: symlex(r)(x, y) iff lex(r)(y, x)."""
-    inner = lex(r, eq)
-
-    def apply(x: Family, y: Family) -> bool:
-        return inner.apply(y, x)
-
-    key = _negated if is_strict_less(r, eq) else None
-    return VectorRelation(apply, name=f"symlex({r.name})", key=key)
+    return _lexicographic("symlex", r, eq)
 
 
 def revlex(r: Relation, eq: Predicate = operator.eq) -> VectorRelation:
     """Argument-swapped colex: revlex(r)(x, y) iff colex(r)(y, x)."""
-    inner = colex(r, eq)
-
-    def apply(x: Family, y: Family) -> bool:
-        return inner.apply(y, x)
-
-    key = _reversed_negated if is_strict_less(r, eq) else None
-    return VectorRelation(apply, name=f"revlex({r.name})", key=key)
+    return _lexicographic("revlex", r, eq)
 
 
 def reverse_rel(rn: VectorRelation) -> VectorRelation:

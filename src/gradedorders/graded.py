@@ -85,27 +85,6 @@ def graded(scalar: Relation, vector: VectorRelation, monoid: Monoid = NAT_ADD) -
     return VectorRelation(apply, name=f"graded({scalar.name},{vector.name})", key=key)
 
 
-def _grade(name: str, vector, r: Relation, monoid: Monoid, eq: Predicate) -> VectorRelation:
-    v = graded(r, vector(r, eq), monoid)
-    return VectorRelation(v.apply, name=f"{name}({r.name})", key=v.key)
-
-
-def grlex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
-    return _grade("grlex", families.lex, r, monoid, eq)
-
-
-def grcolex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
-    return _grade("grcolex", families.colex, r, monoid, eq)
-
-
-def grsymlex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
-    return _grade("grsymlex", families.symlex, r, monoid, eq)
-
-
-def grevlex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
-    return _grade("grevlex", families.revlex, r, monoid, eq)
-
-
 # name -> (slice scheme, graded): the eight named orders are the four
 # lexicographic orders of families.SCHEMES and their gradings.  Each name is
 # spelled out, since "gr" + "revlex" is "grrevlex", not "grevlex".
@@ -119,6 +98,28 @@ NAMED_ORDERS = {
     "grsymlex": ("symlex", True),
     "grevlex": ("revlex", True),
 }
+
+
+def _grade(name: str, r: Relation, monoid: Monoid, eq: Predicate) -> VectorRelation:
+    """The graded order `name`: r on the sums, then its scheme's builder on families."""
+    v = graded(r, getattr(families, NAMED_ORDERS[name][0])(r, eq), monoid)
+    return VectorRelation(v.apply, name=f"{name}({r.name})", key=v.key)
+
+
+def grlex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
+    return _grade("grlex", r, monoid, eq)
+
+
+def grcolex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
+    return _grade("grcolex", r, monoid, eq)
+
+
+def grsymlex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
+    return _grade("grsymlex", r, monoid, eq)
+
+
+def grevlex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
+    return _grade("grevlex", r, monoid, eq)
 
 
 def named_builder(name: str) -> Callable[..., VectorRelation]:

@@ -15,6 +15,7 @@ aliases X, Y, Z stand for X0, X1, X2.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -90,6 +91,14 @@ def _tokenize(text: str):
     return tokens
 
 
+def _int(digits: str, pos: int) -> int:
+    """int(digits), or a PolyParseError at pos past sys.get_int_max_str_digits()."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PolyParseError(f"number of more than {sys.get_int_max_str_digits()} digits", pos) from None
+
+
 def _var_index(token: str, dimension: int, pos: int) -> int:
     if token in _ALIASES:
         if dimension > 3:
@@ -98,7 +107,7 @@ def _var_index(token: str, dimension: int, pos: int) -> int:
             )
         index = _ALIASES[token]
     else:
-        index = int(token[1:])
+        index = _int(token[1:], pos)
     if index >= dimension:
         raise PolyParseError(
             f"variable X{index} exceeds declared dimension {dimension}", pos
@@ -144,12 +153,12 @@ def _parse_term(tokens, i: int, dimension: int):
         if kind == "number":
             numerator, slash, denominator = value.partition("/")
             if slash:
-                denominator = int(denominator)
+                denominator = _int(denominator, pos)
                 if denominator == 0:
                     raise PolyParseError("zero denominator", pos)
-                coefficient *= Fraction(int(numerator), denominator)
+                coefficient *= Fraction(_int(numerator, pos), denominator)
             else:
-                coefficient *= int(numerator)
+                coefficient *= _int(numerator, pos)
             i += 1
         elif kind == "var":
             index = _var_index(value, dimension, pos)
@@ -160,7 +169,7 @@ def _parse_term(tokens, i: int, dimension: int):
                 if i >= len(tokens) or tokens[i][0] != "number" or "/" in tokens[i][1]:
                     bad = tokens[i] if i < len(tokens) else (None, "end of input", pos)
                     raise PolyParseError(f"expected a natural exponent, got {bad[1]!r}", bad[2])
-                exponent = int(tokens[i][1])
+                exponent = _int(tokens[i][1], tokens[i][2])
                 i += 1
             exponents[index] += exponent
         else:

@@ -390,6 +390,40 @@ def test_sort_terms_zero_denominator_is_a_usage_error(runner):
     assert "Traceback" not in result.output
 
 
+def _one_error_line(result, message):
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1
+    assert message in errors[0]
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "text", ["{}*X", "1/{}*X", "X^{}"], ids=["coefficient", "denominator", "exponent"]
+)
+def test_sort_terms_number_past_the_int_digit_limit_is_a_usage_error(runner, text):
+    result = runner.invoke(main, ["sort-terms", "--d", "1"], input=text.format("9" * 5000))
+    _one_error_line(result, "digits (at position ")
+
+
+def test_sort_terms_result_past_the_int_digit_limit_is_a_usage_error(runner):
+    # each coefficient parses; their product has too many digits to print
+    result = runner.invoke(main, ["sort-terms", "--d", "1"], input="{0}*{0}*X".format("9" * 3000))
+    _one_error_line(result, "the result has a number of more than")
+
+
+def test_sort_terms_non_utf8_stdin_is_a_usage_error(runner):
+    result = runner.invoke(main, ["sort-terms", "--d", "1"], input=b"X\xff")
+    _one_error_line(result, "cannot read <stdin>: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_sort_terms_non_utf8_file_is_a_usage_error(runner, tmp_path):
+    path = tmp_path / "p.txt"
+    path.write_bytes(b"X\xff")
+    result = runner.invoke(main, ["sort-terms", "--d", "1", str(path)])
+    _one_error_line(result, f"cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_sort_terms_from_file(runner, tmp_path):
     path = tmp_path / "p.txt"
     path.write_text("X1^2 + X0^3")

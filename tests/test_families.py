@@ -1,12 +1,14 @@
 import operator
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import box, family_carrier, matrix_relation, sort_under
 
 from gradedorders import (
     EmptyFamilyError,
+    GE,
+    GT,
     LE,
     LT,
     LengthMismatchError,
@@ -192,6 +194,36 @@ def test_symlex_revlex_are_argument_swaps(pair):
     x, y = pair
     assert SYMLEX_LT.apply(x, y) == LEX_LT.apply(y, x)
     assert REVLEX_LT.apply(x, y) == COLEX_LT.apply(y, x)
+
+
+# (builder, down, back), spelled out rather than read from families.SCHEMES,
+# the table the builders read
+LEX_FAMILY = [
+    (lex, False, False),
+    (colex, False, True),
+    (symlex, True, False),
+    (revlex, True, True),
+]
+
+
+def _eq_mod_3(a, b):
+    return a % 3 == b % 3
+
+
+@given(family_pairs())
+@example(((), ()))
+def test_lex_family_matches_the_literal_recursion_under_its_flags(pair):
+    # each comparator is lex_recursive on the families reversed when back,
+    # with the arguments swapped when down, for strict and nonstrict scalar
+    # relations of either direction and under a custom equality
+    x, y = pair
+    for builder, down, back in LEX_FAMILY:
+        fx, fy = (x[::-1], y[::-1]) if back else (x, y)
+        if down:
+            fx, fy = fy, fx
+        for r in (LT, LE, GT, GE):
+            for eq in (operator.eq, _eq_mod_3):
+                assert builder(r, eq).apply(x, y) == lex_recursive(r, fx, fy, eq)
 
 
 @given(family_pairs())

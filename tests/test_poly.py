@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,20 @@ def test_parse_zero_denominator_is_a_parse_error():
             parse_poly(text, 2)
         assert err.value.position == position
         assert "zero denominator" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("X + {}*Y", 4), ("X + {}/2*Y", 4), ("X + 3/{}*Y", 4), ("X + Y^{}", 6), ("X + X{}", 4)],
+    ids=["coefficient", "numerator", "denominator", "exponent", "variable"],
+)
+def test_parse_numbers_past_the_int_digit_limit_are_parse_errors(text, position):
+    # int() refuses more than sys.get_int_max_str_digits() digits (4300 by
+    # default)
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(text.format("9" * 5000), 2)
+    assert err.value.position == position
+    assert f"number of more than {sys.get_int_max_str_digits()} digits" in str(err.value)
 
 
 def test_term_rejects_zero_coefficient():
