@@ -210,6 +210,8 @@ def monomial_mul(p: SparsePoly, gamma: Sequence[int]) -> SparsePoly:
         raise LengthMismatchError(
             f"shift of length {len(gamma)} in dimension {p.dimension}"
         )
+    if any(g < 0 for g in gamma):
+        raise ValueError(f"negative shift {gamma}: exponents are naturals")
     return SparsePoly.from_pairs(
         p.dimension,
         ((tuple(e + g for e, g in zip(exponents, gamma)), c) for exponents, c in p.terms.items()),

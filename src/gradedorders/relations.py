@@ -6,24 +6,29 @@ flag is metadata, not something inferred: it drives the empty-family base case
 of the lexicographic comparators, where the result on two empty families is
 exactly "is the scalar relation reflexive".
 
-The deciders ask the relation about each ordered pair of carrier elements at
-most once: at most n^2 calls on an n-element carrier, also for a conjunctive
-property, whose conjuncts share one table of the relation.  The quantifiers
-then run as mask arithmetic over the table's rows: transitivity costs one
-mask operation per related pair and no further calls.  The witness is the
-first counterexample of the definitional loop over x, y (and z) in carrier
-order.  Deciders read whole rows, so pairs after the first witness in a row
-may be evaluated: a relation must be a total predicate on the carrier,
-defined and without side effects on every pair.
+Every property, elementary or conjunctive, is decided one way: as a tuple of
+conjuncts, decided in order on one table of the relation; an elementary
+property is its own single conjunct.  The table asks the relation about each
+ordered pair of carrier elements at most once, n^2 calls on an n-element
+carrier.  It builds its rows on first use and holds each row twice, as bytes
+and as an int mask, so the quantifiers run as mask arithmetic: transitivity
+costs one mask operation per related pair and no further calls.  Before any
+row is built, a lone diagonal or pair property asks the relation one x at a
+time and stops at the first witness; a conjunction starts with a conjunct
+that reads the rows, and its other conjuncts then read them too.  The
+witness is the first counterexample of the definitional loop over x, y (and
+z) in carrier order.  Deciders read whole rows, so pairs after the first
+witness in a row may be evaluated: a relation must be a total predicate on
+the carrier, defined and without side effects on every pair.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import compress, islice, repeat
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
 
 Predicate = Callable[[Any, Any], bool]
 
@@ -177,50 +182,49 @@ def _first(mask: int) -> int:
 
 
 class _Table:
-    """The relation asked once about every pair of carrier elements."""
+    """The relation asked once about every pair of carrier elements.
 
-    def __init__(self, r: Relation, c: Carrier):
-        ap = r.apply
-        self.elements = els = c.elements
-        self.n = len(els)
-        self.rows = [_row(ap, x, els) for x in els]
-        self.cells = b"".join(self.rows)
-        self.masks = [_mask(row) for row in self.rows]
-
-    def pair(self, i: int) -> Tuple[bytes, bytes]:
-        """r(x, y) and r(y, x) for x = c[i] and y = c[i], c[i+1], ..."""
-        n = self.n
-        k = i * n + i
-        return self.cells[k : k - i + n], self.cells[k::n]
-
-    def diagonal(self) -> bytes:
-        return self.cells[:: self.n + 1]
-
-
-class _Pairs:
-    """The rows of ``_Table.pair`` asked of the relation one x at a time, so
-    that a witness for an early x ends the work early."""
+    The rows and their masks are built on first use and kept.  Until then
+    ``pair`` and ``diagonal`` ask the relation one x at a time, so that a
+    witness for an early x ends the work early."""
 
     def __init__(self, r: Relation, c: Carrier):
         self.apply = r.apply
         self.elements = c.elements
         self.n = len(c.elements)
 
+    @cached_property
+    def rows(self) -> list:
+        ap, els = self.apply, self.elements
+        return [_row(ap, x, els) for x in els]
+
+    @cached_property
+    def masks(self) -> list:
+        return [_mask(row) for row in self.rows]
+
     def pair(self, i: int) -> Tuple[bytes, bytes]:
+        """r(x, y) and r(y, x) for x = c[i] and y = c[i], c[i+1], ..."""
+        if "rows" in self.__dict__:
+            rows = self.rows
+            return rows[i][i:], bytes(map(operator.itemgetter(i), islice(rows, i, None)))
         ap, els = self.apply, self.elements
         x = els[i]
         xy = _row(ap, x, islice(els, i, None))
         return xy, xy[:1] + bytes(map(_truth, map(ap, islice(els, i + 1, None), repeat(x))))
 
+    def diagonal(self) -> Iterator:
+        """r(x, x) for each x in carrier order, asked as it is read."""
+        if "rows" in self.__dict__:
+            return map(operator.getitem, self.rows, range(self.n))
+        return map(self.apply, self.elements, self.elements)
+
 
 # ---------------------------------------------------------------------------
 # elementary property deciders
 #
-# Each decider has a *_witness companion returning the first counterexample
-# tuple of the definitional loop over x, y (and z) in carrier order, or None.
-# On the empty carrier every universally quantified property holds
-# vacuously.  The private forms read a _Table (or a _Pairs, for the five
-# pair properties), which a conjunction builds once for all its conjuncts.
+# Each decider reads a _Table and returns the first counterexample tuple of
+# the definitional loop over x, y (and z) in carrier order, or None.  On the
+# empty carrier every universally quantified property holds vacuously.
 
 
 def _transitive(t: _Table) -> Optional[tuple]:
@@ -245,16 +249,18 @@ def _negatively_transitive(t: _Table) -> Optional[tuple]:
 
 
 def _reflexive(t: _Table) -> Optional[tuple]:
-    i = t.diagonal().find(0)
-    return None if i < 0 else (t.elements[i],)
+    for x in compress(t.elements, map(operator.not_, t.diagonal())):
+        return (x,)
+    return None
 
 
 def _irreflexive(t: _Table) -> Optional[tuple]:
-    i = t.diagonal().find(1)
-    return None if i < 0 else (t.elements[i],)
+    for x in compress(t.elements, t.diagonal()):
+        return (x,)
+    return None
 
 
-def _pair_witness(t, fails) -> Optional[tuple]:
+def _pair_witness(t: _Table, fails) -> Optional[tuple]:
     """First (x, y) failing a property that is symmetric in x and y.
 
     Since (y, x) fails whenever (x, y) does, the first failing pair in row
@@ -282,62 +288,7 @@ _PAIR_FAILS = {
     "trichotomous": lambda xy, yx, ones: ((ones ^ xy ^ yx) & ~1) | ((xy | yx) & 1),
 }
 
-
-def transitive_witness(r: Relation, c: Carrier) -> Optional[tuple]:
-    return _transitive(_Table(r, c))
-
-
-def negatively_transitive_witness(r: Relation, c: Carrier) -> Optional[tuple]:
-    return _negatively_transitive(_Table(r, c))
-
-
-def reflexive_witness(r: Relation, c: Carrier) -> Optional[tuple]:
-    for x in c.elements:
-        if not r.apply(x, x):
-            return (x,)
-    return None
-
-
-def irreflexive_witness(r: Relation, c: Carrier) -> Optional[tuple]:
-    for x in c.elements:
-        if r.apply(x, x):
-            return (x,)
-    return None
-
-
-def antisymmetric_witness(r: Relation, c: Carrier) -> Optional[tuple]:
-    return _pair_witness(_Pairs(r, c), _PAIR_FAILS["antisymmetric"])
-
-
-def asymmetric_witness(r: Relation, c: Carrier) -> Optional[tuple]:
-    return _pair_witness(_Pairs(r, c), _PAIR_FAILS["asymmetric"])
-
-
-def connected_witness(r: Relation, c: Carrier) -> Optional[tuple]:
-    return _pair_witness(_Pairs(r, c), _PAIR_FAILS["connected"])
-
-
-def strongly_connected_witness(r: Relation, c: Carrier) -> Optional[tuple]:
-    return _pair_witness(_Pairs(r, c), _PAIR_FAILS["strongly_connected"])
-
-
-def trichotomous_witness(r: Relation, c: Carrier) -> Optional[tuple]:
-    return _pair_witness(_Pairs(r, c), _PAIR_FAILS["trichotomous"])
-
-
-ELEMENTARY_WITNESSES = {
-    "transitive": transitive_witness,
-    "negatively_transitive": negatively_transitive_witness,
-    "reflexive": reflexive_witness,
-    "irreflexive": irreflexive_witness,
-    "antisymmetric": antisymmetric_witness,
-    "asymmetric": asymmetric_witness,
-    "connected": connected_witness,
-    "strongly_connected": strongly_connected_witness,
-    "trichotomous": trichotomous_witness,
-}
-
-_ON_TABLE = {
+_DECIDERS = {
     "transitive": _transitive,
     "negatively_transitive": _negatively_transitive,
     "reflexive": _reflexive,
@@ -345,48 +296,19 @@ _ON_TABLE = {
     **{name: partial(_pair_witness, fails=fails) for name, fails in _PAIR_FAILS.items()},
 }
 
-
-def is_transitive(r, c):
-    return transitive_witness(r, c) is None
-
-
-def is_negatively_transitive(r, c):
-    return negatively_transitive_witness(r, c) is None
-
-
-def is_reflexive(r, c):
-    return reflexive_witness(r, c) is None
-
-
-def is_irreflexive(r, c):
-    return irreflexive_witness(r, c) is None
-
-
-def is_antisymmetric(r, c):
-    return antisymmetric_witness(r, c) is None
-
-
-def is_asymmetric(r, c):
-    return asymmetric_witness(r, c) is None
-
-
-def is_connected(r, c):
-    return connected_witness(r, c) is None
-
-
-def is_strongly_connected(r, c):
-    return strongly_connected_witness(r, c) is None
-
-
-def is_trichotomous(r, c):
-    return trichotomous_witness(r, c) is None
+# each decider on a table of its own: the witness, or None, for (r, c)
+ELEMENTARY_WITNESSES = {
+    name: lambda r, c, decide=decide: decide(_Table(r, c)) for name, decide in _DECIDERS.items()
+}
 
 
 # ---------------------------------------------------------------------------
 # conjunctive properties
 #
 # Deliberately the long, redundant conjunctions; the equivalence lemmas with
-# fewer conjuncts are what the test suite then certifies.
+# fewer conjuncts are what the test suite then certifies.  Each starts with a
+# conjunct that reads the rows, so its pair and diagonal conjuncts read them
+# too and the relation is asked at most n^2 times.
 
 CONJUNCTIVE_PARTS = {
     "total_order": (
@@ -418,44 +340,71 @@ CONJUNCTIVE_PARTS = {
     "partial_order": ("transitive", "reflexive", "antisymmetric"),
 }
 
+# every property as its conjuncts; an elementary property is its own one
+_PARTS = {**{name: (name,) for name in _DECIDERS}, **CONJUNCTIVE_PARTS}
 
-def conjunctive_witness(name: str, r: Relation, c: Carrier) -> Optional[Tuple[str, tuple]]:
-    """First failing conjunct of a named conjunctive property, with its
-    counterexample, or None when the property holds."""
-    parts = CONJUNCTIVE_PARTS[name]
-    return _conjunctive_witness(parts, _Table(r, c))
+PROPERTY_NAMES = tuple(_PARTS)
 
 
 def _conjunctive_witness(parts: Sequence[str], t: _Table) -> Optional[Tuple[str, tuple]]:
+    """First failing conjunct, with its counterexample, or None."""
     for part in parts:
-        w = _ON_TABLE[part](t)
+        w = _DECIDERS[part](t)
         if w is not None:
             return (part, w)
     return None
 
 
-def is_total_order(r, c):
-    return conjunctive_witness("total_order", r, c) is None
-
-
-def is_strict_total_order(r, c):
-    return conjunctive_witness("strict_total_order", r, c) is None
-
-
-def is_strict_weak_order(r, c):
-    return conjunctive_witness("strict_weak_order", r, c) is None
-
-
 def property_witness(name: str, r: Relation, c: Carrier):
     """Uniform lookup used by the CLI: returns None on PASS, otherwise a
     (conjunct_name, counterexample) pair (elementary properties report
-    themselves as the conjunct)."""
-    if name in ELEMENTARY_WITNESSES:
-        w = ELEMENTARY_WITNESSES[name](r, c)
-        return None if w is None else (name, w)
-    if name in CONJUNCTIVE_PARTS:
-        return conjunctive_witness(name, r, c)
-    raise KeyError(name)
+    themselves as the conjunct).  KeyError for an unknown name."""
+    return _conjunctive_witness(_PARTS[name], _Table(r, c))
 
 
-PROPERTY_NAMES = tuple(ELEMENTARY_WITNESSES) + tuple(CONJUNCTIVE_PARTS)
+def is_transitive(r, c):
+    return property_witness("transitive", r, c) is None
+
+
+def is_negatively_transitive(r, c):
+    return property_witness("negatively_transitive", r, c) is None
+
+
+def is_reflexive(r, c):
+    return property_witness("reflexive", r, c) is None
+
+
+def is_irreflexive(r, c):
+    return property_witness("irreflexive", r, c) is None
+
+
+def is_antisymmetric(r, c):
+    return property_witness("antisymmetric", r, c) is None
+
+
+def is_asymmetric(r, c):
+    return property_witness("asymmetric", r, c) is None
+
+
+def is_connected(r, c):
+    return property_witness("connected", r, c) is None
+
+
+def is_strongly_connected(r, c):
+    return property_witness("strongly_connected", r, c) is None
+
+
+def is_trichotomous(r, c):
+    return property_witness("trichotomous", r, c) is None
+
+
+def is_total_order(r, c):
+    return property_witness("total_order", r, c) is None
+
+
+def is_strict_total_order(r, c):
+    return property_witness("strict_total_order", r, c) is None
+
+
+def is_strict_weak_order(r, c):
+    return property_witness("strict_weak_order", r, c) is None

@@ -325,7 +325,26 @@ def test_transitive_and_total_order_bound():
         assert calls[0] <= 1600
 
 
-def test_early_failure_stays_early():
-    counted, calls = _counted(LE)
-    assert property_witness("asymmetric", counted, carrier_range(0, 599)) == ("asymmetric", (0, 0))
-    assert calls[0] <= 2 * 600
+FULL = Relation(lambda x, y: True, declared_reflexive=True, name="full")
+
+EARLY_FAILURES = [
+    # property, relation, witness, calls per carrier element
+    ("asymmetric", LE, (0, 0), 2),
+    ("trichotomous", LE, (0, 0), 2),
+    ("strongly_connected", EMPTY, (0, 0), 2),
+    ("connected", EMPTY, (0, 1), 2),
+    ("antisymmetric", FULL, (0, 1), 2),
+    ("reflexive", LT, (0,), 1),
+    ("irreflexive", LE, (0,), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "name, r, witness, calls_per_element",
+    EARLY_FAILURES,
+    ids=[f"{name}-{r.name}" for name, r, _, _ in EARLY_FAILURES],
+)
+def test_early_failure_stays_early(name, r, witness, calls_per_element):
+    counted, calls = _counted(r)
+    assert property_witness(name, counted, carrier_range(0, 599)) == (name, witness)
+    assert calls[0] <= calls_per_element * 600

@@ -159,6 +159,8 @@ def test_monomial_mul():
     assert q.terms == {(2, 1): 1, (1, 3): 1}
     with pytest.raises(LengthMismatchError):
         monomial_mul(p, (1,))
+    with pytest.raises(ValueError, match="negative"):
+        monomial_mul(parse_poly("X*Y + 2*Y", 2), (-3, 0))
 
 
 def test_leading_term_morphism_sample():
