@@ -175,14 +175,14 @@ def cmd_compare(order_name, a, b):
     """Print LT / GT / EQ / INCOMPARABLE for two multi-indices."""
     x = _parse_index(a)
     y = _parse_index(b)
-    if len(x) != len(y):
-        raise click.UsageError(f"length mismatch: {len(x)} vs {len(y)}")
     strict = resolve_order(order_name)
-    if strict.arity is not None and strict.arity != len(x):
-        raise click.UsageError(f"expected families of length {strict.arity}, got {len(x)}")
+    try:
+        less = strict.apply(x, y)
+    except LengthMismatchError as exc:
+        raise click.UsageError(str(exc))
     if x == y:
         verdict = "EQ"
-    elif strict.apply(x, y):
+    elif less:
         verdict = "LT"
     elif strict.apply(y, x):
         verdict = "GT"

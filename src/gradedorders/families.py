@@ -94,9 +94,6 @@ def reverse_family(a: Family) -> Family:
 class VectorRelation:
     """A binary predicate over pairs of equal-length families.
 
-    ``arity`` is None for length-generic comparators (the usual case here);
-    when set, it records the single family length the relation compares.
-
     ``key``, when set, compiles the relation to a sort key: for any two
     families x, y of the same length, ``apply(x, y) == (key(x) < key(y))``.
     The builders attach one only where that holds by construction (strict
@@ -106,7 +103,6 @@ class VectorRelation:
 
     apply: Callable[[Family, Family], bool]
     name: str = ""
-    arity: Optional[int] = None
     key: Optional[Callable[[Family], Any]] = None
 
     def __call__(self, x: Family, y: Family) -> bool:
@@ -205,7 +201,7 @@ def reverse_rel(rn: VectorRelation) -> VectorRelation:
         check_same_length(x, y)
         return rn.apply(reverse_family(x), reverse_family(y))
 
-    return VectorRelation(apply, name=f"reverse({rn.name})", arity=rn.arity)
+    return VectorRelation(apply, name=f"reverse({rn.name})")
 
 
 def converse_rel(rn: VectorRelation) -> VectorRelation:
@@ -214,7 +210,7 @@ def converse_rel(rn: VectorRelation) -> VectorRelation:
     def apply(x: Family, y: Family) -> bool:
         return rn.apply(y, x)
 
-    return VectorRelation(apply, name=f"converse({rn.name})", arity=rn.arity)
+    return VectorRelation(apply, name=f"converse({rn.name})")
 
 
 def or_eq_rel(rn: VectorRelation) -> VectorRelation:
@@ -224,4 +220,4 @@ def or_eq_rel(rn: VectorRelation) -> VectorRelation:
         check_same_length(x, y)
         return tuple(x) == tuple(y) or rn.apply(x, y)
 
-    return VectorRelation(apply, name=f"or_eq({rn.name})", arity=rn.arity)
+    return VectorRelation(apply, name=f"or_eq({rn.name})")

@@ -7,10 +7,13 @@ sums fall through to the vector relation.  The four graded orders are the
 gradings of lex/colex/symlex/revlex with the same scalar relation, and
 NAMED_ORDERS lists all eight named orders by slice scheme and grading bit.
 
-The simplified recursive forms of grsymlex and grevlex are provided as
-independent variants; they must agree with the graded compositions whenever
-the scalar relation is a monomial order and the monoid is right-cancellative,
-and the test suite checks exactly that.
+Five recursive forms are provided as independent variants, all from one
+recursion over the (down, back) flags of SCHEMES: the inlined grlex, grcolex
+and grsymlex recursions, which compare components after the sums, and the
+simplified grsymlex and grevlex recursions, which compare only sums.  They
+agree with the graded compositions, strict and nonstrict, whenever the scalar
+relation is a monomial order and the monoid is right-cancellative, and the
+test suite checks exactly that.
 """
 
 from __future__ import annotations
@@ -133,10 +136,19 @@ def named_builder(name: str) -> Callable[..., VectorRelation]:
 # recursive variants, for cross-checking against the graded compositions
 
 
-def _sum_rec(name: str, back: bool, r: Relation, monoid: Monoid) -> VectorRelation:
-    """grsymlex_rec, or grevlex_rec when back."""
-    base = r.declared_reflexive
+def _graded_rec(
+    name: str, scheme: str, by_sums: bool, r: Relation, monoid: Monoid, eq: Predicate
+) -> VectorRelation:
+    """The recursion of a graded order over the (down, back) flags of
+    SCHEMES[scheme]: differing sums decide with r.  Unless by_sums, the
+    component at index 0 (-1 when back) decides next, with r and the
+    arguments swapped when down, if it differs under eq.  The family without
+    that index is then compared the same way while its length is at least 2;
+    otherwise the result is the declared reflexivity of r."""
+    down, back = families.SCHEMES[scheme]
+    i = -1 if back else 0
     rest = slice(None, -1) if back else slice(1, None)
+    base = r.declared_reflexive
 
     def apply(x: Family, y: Family) -> bool:
         check_same_length(x, y)
@@ -144,6 +156,8 @@ def _sum_rec(name: str, back: bool, r: Relation, monoid: Monoid) -> VectorRelati
         sy = family_sum(y, monoid)
         if not monoid.eq(sx, sy):
             return r.apply(sx, sy)
+        if x and not by_sums and not eq(x[i], y[i]):
+            return r.apply(y[i], x[i]) if down else r.apply(x[i], y[i])
         if len(x) >= 2:
             return apply(x[rest], y[rest])
         return base
@@ -151,75 +165,35 @@ def _sum_rec(name: str, back: bool, r: Relation, monoid: Monoid) -> VectorRelati
     return VectorRelation(apply, name=f"{name}({r.name})")
 
 
-def grsymlex_rec(r: Relation, monoid: Monoid = NAT_ADD) -> VectorRelation:
-    """Simplified recursion for grsymlex: compare sums, on equal sums drop the
-    first component and recurse.  Base case (length < 2 with equal sums) is
-    the declared reflexivity of the scalar relation, so the variant matches
-    the composition in both strict and nonstrict modes."""
-    return _sum_rec("grsymlex_rec", False, r, monoid)
+def grlex_rec(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
+    """Inlined recursion for grlex: compare sums, then the first components,
+    then recurse on the tails."""
+    return _graded_rec("grlex_rec", "lex", False, r, monoid, eq)
 
 
-def grevlex_rec(r: Relation, monoid: Monoid = NAT_ADD) -> VectorRelation:
-    """Simplified recursion for grevlex: as grsymlex_rec but dropping the
-    last component."""
-    return _sum_rec("grevlex_rec", True, r, monoid)
+def grcolex_rec(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
+    """Inlined recursion for grcolex: compare sums, then the last components,
+    then recurse on the initial segments."""
+    return _graded_rec("grcolex_rec", "colex", False, r, monoid, eq)
 
 
 def grsymlex_full_rec(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
     """Unsimplified recursion for grsymlex: on equal sums, differing first
     components are decided by the scalar relation with swapped arguments,
     equal first components recurse on the tails."""
-    base = r.declared_reflexive
-
-    def apply(x: Family, y: Family) -> bool:
-        check_same_length(x, y)
-        sx = family_sum(x, monoid)
-        sy = family_sum(y, monoid)
-        if not monoid.eq(sx, sy):
-            return r.apply(sx, sy)
-        if not x:
-            return base
-        if not eq(x[0], y[0]):
-            return r.apply(y[0], x[0])
-        if len(x) >= 2:
-            return apply(x[1:], y[1:])
-        return base
-
-    return VectorRelation(apply, name=f"grsymlex_full_rec({r.name})")
+    return _graded_rec("grsymlex_full_rec", "symlex", False, r, monoid, eq)
 
 
-def _component_rec(name: str, back: bool, r: Relation, monoid: Monoid, eq: Predicate) -> VectorRelation:
-    """grlex_rec, or grcolex_rec when back."""
-    i = -1 if back else 0
-    rest = slice(None, -1) if back else slice(1, None)
-
-    def apply(x: Family, y: Family) -> bool:
-        check_same_length(x, y)
-        sx = family_sum(x, monoid)
-        sy = family_sum(y, monoid)
-        if not monoid.eq(sx, sy):
-            return r.apply(sx, sy)
-        if not x:
-            return False
-        if not eq(x[i], y[i]):
-            return r.apply(x[i], y[i])
-        if len(x) >= 2:
-            return apply(x[rest], y[rest])
-        return False
-
-    return VectorRelation(apply, name=f"{name}({r.name})")
+def grsymlex_rec(r: Relation, monoid: Monoid = NAT_ADD) -> VectorRelation:
+    """Simplified recursion for grsymlex: compare sums, on equal sums drop the
+    first component and recurse."""
+    return _graded_rec("grsymlex_rec", "symlex", True, r, monoid, operator.eq)
 
 
-def grlex_rec(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
-    """Inlined recursion for grlex, strict scalar orders only: compare sums,
-    then the first components, then recurse on the tails."""
-    return _component_rec("grlex_rec", False, r, monoid, eq)
-
-
-def grcolex_rec(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
-    """Inlined recursion for grcolex, strict scalar orders only: compare sums,
-    then the last components, then recurse on the initial segments."""
-    return _component_rec("grcolex_rec", True, r, monoid, eq)
+def grevlex_rec(r: Relation, monoid: Monoid = NAT_ADD) -> VectorRelation:
+    """Simplified recursion for grevlex: as grsymlex_rec but dropping the
+    last component."""
+    return _graded_rec("grevlex_rec", "revlex", True, r, monoid, operator.eq)
 
 
 # ---------------------------------------------------------------------------

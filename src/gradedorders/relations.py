@@ -10,8 +10,9 @@ Every property, elementary or conjunctive, is decided one way: as a tuple of
 conjuncts, decided in order on one table of the relation; an elementary
 property is its own single conjunct.  The table asks the relation about each
 ordered pair of carrier elements at most once, n^2 calls on an n-element
-carrier.  It builds its rows on first use and holds each row twice, as bytes
-and as an int mask, so the quantifiers run as mask arithmetic: transitivity
+carrier.  It builds its rows on first use and holds the table twice: as one
+buffer of bytes, row after row, whose strided slices are its columns, and as
+an int mask per row, so the quantifiers run as mask arithmetic: transitivity
 costs one mask operation per related pair and no further calls.  Before any
 row is built, a lone diagonal or pair property asks the relation one x at a
 time and stops at the first witness; a conjunction starts with a conjunct
@@ -184,7 +185,8 @@ def _first(mask: int) -> int:
 class _Table:
     """The relation asked once about every pair of carrier elements.
 
-    The rows and their masks are built on first use and kept.  Until then
+    Once built, the table is one buffer of n^2 cells, row after row, with the
+    rows as views of it and a mask per row; all are kept.  Until then
     ``pair`` and ``diagonal`` ask the relation one x at a time, so that a
     witness for an early x ends the work early."""
 
@@ -194,9 +196,14 @@ class _Table:
         self.n = len(c.elements)
 
     @cached_property
-    def rows(self) -> list:
+    def cells(self) -> bytes:
         ap, els = self.apply, self.elements
-        return [_row(ap, x, els) for x in els]
+        return b"".join([_row(ap, x, els) for x in els])
+
+    @cached_property
+    def rows(self) -> list:
+        view, n = memoryview(self.cells), self.n
+        return [view[i * n : i * n + n] for i in range(n)]
 
     @cached_property
     def masks(self) -> list:
@@ -204,9 +211,9 @@ class _Table:
 
     def pair(self, i: int) -> Tuple[bytes, bytes]:
         """r(x, y) and r(y, x) for x = c[i] and y = c[i], c[i+1], ..."""
-        if "rows" in self.__dict__:
-            rows = self.rows
-            return rows[i][i:], bytes(map(operator.itemgetter(i), islice(rows, i, None)))
+        if "cells" in self.__dict__:
+            cells, n = self.cells, self.n
+            return cells[i * n + i : i * n + n], cells[i * n + i :: n]
         ap, els = self.apply, self.elements
         x = els[i]
         xy = _row(ap, x, islice(els, i, None))
@@ -214,8 +221,8 @@ class _Table:
 
     def diagonal(self) -> Iterator:
         """r(x, x) for each x in carrier order, asked as it is read."""
-        if "rows" in self.__dict__:
-            return map(operator.getitem, self.rows, range(self.n))
+        if "cells" in self.__dict__:
+            return iter(self.cells[:: self.n + 1])
         return map(self.apply, self.elements, self.elements)
 
 
@@ -241,7 +248,7 @@ def _transitive(t: _Table) -> Optional[tuple]:
 def _negatively_transitive(t: _Table) -> Optional[tuple]:
     els, masks = t.elements, t.masks
     for i, row in enumerate(masks):
-        for j in compress(range(t.n), t.rows[i].translate(_NOT)):
+        for j in compress(range(t.n), bytes(t.rows[i]).translate(_NOT)):
             bad = row & ~masks[j]  # z with not r(y, z) and r(x, z)
             if bad:
                 return (els[i], els[j], els[_first(bad)])

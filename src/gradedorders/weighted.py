@@ -111,7 +111,7 @@ def weighted_relation(w: WeightMatrix, k_lt: Relation = LT) -> VectorRelation:
                 raise LengthMismatchError(f"expected families of length {d}, got {len(a)}")
             return tuple([sum(map(mul, a, column)) for column in columns])
 
-    return VectorRelation(apply, name=f"weighted[{w.d}x{w.m}]", arity=w.d, key=key)
+    return VectorRelation(apply, name=f"weighted[{w.d}x{w.m}]", key=key)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from conftest import box, family_carrier, matrix_relation, sort_under
 
 from gradedorders import (
     Carrier,
+    GE,
     GT,
     LE,
     LT,
@@ -165,6 +166,26 @@ def test_grsymlex_full_rec_agrees():
 def test_inlined_strict_variants():
     assert agree_on_box(grlex_rec(LT), GRLEX_LT, 3, 3)
     assert agree_on_box(grcolex_rec(LT), GRCOLEX_LT, 3, 3)
+    assert agree_on_box(grlex_rec(LE), grlex(LE), 3, 2)
+    assert agree_on_box(grcolex_rec(LE), grcolex(LE), 3, 2)
+
+
+@pytest.mark.parametrize("r", [LT, LE, GT, GE], ids=lambda r: r.name)
+@pytest.mark.parametrize(
+    "rec, composed",
+    [
+        (grlex_rec, grlex),
+        (grcolex_rec, grcolex),
+        (grsymlex_full_rec, grsymlex),
+        (grsymlex_rec, grsymlex),
+        (grevlex_rec, grevlex),
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_recursive_forms_equal_their_compositions(rec, composed, r):
+    # d = 0 is the pair of empty families
+    for d in range(5):
+        assert agree_on_box(rec(r), composed(r), d, 2), d
 
 
 # ---------------------------------------------------------------------------
