@@ -14,7 +14,7 @@ from itertools import chain, count, islice
 import click
 
 from . import multi_index, poly, weighted
-from .families import IncomparableError, LengthMismatchError, VectorRelation, sorted_total
+from .families import IncomparableError, LengthMismatchError, sorted_total
 from .graded import NAMED_ORDERS, named_builder
 from .relations import (
     DIVIDES,
@@ -35,7 +35,7 @@ CLI_RELATIONS = {"lt": LT, "le": LE, "gt": GT, "ge": GE, "divides": DIVIDES}
 CHUNK_LINES = 4096
 
 
-def resolve_order(name: str) -> VectorRelation:
+def resolve_order(name: str) -> Relation:
     """Strict vector relation for an order name; 'weighted:FILE' loads a
     weight matrix fixture."""
     if name.startswith("weighted:"):

@@ -1,8 +1,9 @@
 """Fixed-length families and the four lexicographic comparators.
 
-Families are plain tuples.  A vector relation compares two families of the
-same length; mismatched lengths are a usage error and raise, never silently
-return False.
+Families are plain tuples.  An order on families is a Relation whose
+arguments are two families of the same length; mismatched lengths are a
+usage error and raise, never silently return False.  Each builder declares
+the reflexivity its own definition gives on two equal families.
 
 All four comparators share one base case: on two empty families the result is
 the declared reflexivity of the scalar relation.  This is what lets a single
@@ -18,13 +19,12 @@ The literal structural recursion is kept as a test oracle in the test suite.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import pairwise
 from operator import itemgetter, neg
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Sequence, Tuple
 
-from .relations import Predicate, Relation
+from .relations import Predicate, Relation, converse
 
 Family = Tuple[Any, ...]
 
@@ -90,26 +90,11 @@ def reverse_family(a: Family) -> Family:
     return tuple(reversed(a))
 
 
-@dataclass(frozen=True)
-class VectorRelation:
-    """A binary predicate over pairs of equal-length families.
-
-    ``key``, when set, compiles the relation to a sort key: for any two
-    families x, y of the same length, ``apply(x, y) == (key(x) < key(y))``.
-    The builders attach one only where that holds by construction (strict
-    ``<`` on numbers, structural equality, natural-number sums); ``apply``
-    stays the reference definition.
-    """
-
-    apply: Callable[[Family, Family], bool]
-    name: str = ""
-    key: Optional[Callable[[Family], Any]] = None
-
-    def __call__(self, x: Family, y: Family) -> bool:
-        return self.apply(x, y)
+# An order on families is a Relation; the name is kept for callers.
+VectorRelation = Relation
 
 
-def sort_key(order: VectorRelation) -> Callable[[Family], Any]:
+def sort_key(order: Relation) -> Callable[[Family], Any]:
     """Key for sorted/max under a strict vector order: the compiled key, or
     else a comparator that calls ``apply`` both ways."""
     if order.key is not None:
@@ -125,7 +110,7 @@ def sort_key(order: VectorRelation) -> Callable[[Family], Any]:
     return cmp_to_key(compare)
 
 
-def sorted_total(items: Iterable[Family], order: VectorRelation) -> List[Family]:
+def sorted_total(items: Iterable[Family], order: Relation) -> List[Family]:
     """Families ascending under a strict total order, each key computed once.
 
     Raises IncomparableError naming the first two neighbours of the result
@@ -145,7 +130,7 @@ def is_strict_less(r: Relation, eq: Predicate = operator.eq) -> bool:
     return r.apply is operator.lt and not r.declared_reflexive and eq is operator.eq
 
 
-def _lexicographic(name: str, r: Relation, eq: Predicate) -> VectorRelation:
+def _lexicographic(name: str, r: Relation, eq: Predicate) -> Relation:
     """The lexicographic order of SCHEMES[name] over r: r decides at the
     first index (the last when back) where the items differ under eq, with
     the arguments swapped when down; if no index differs the result is the
@@ -169,55 +154,51 @@ def _lexicographic(name: str, r: Relation, eq: Predicate) -> VectorRelation:
         key = itemgetter(slice(None, None, -1)) if back else tuple
         if down:
             key = (lambda a: tuple(map(neg, reversed(a)))) if back else (lambda a: tuple(map(neg, a)))
-    return VectorRelation(apply, name=f"{name}({r.name})", key=key)
+    return Relation(apply, declared_reflexive=base, name=f"{name}({r.name})", key=key)
 
 
-def lex(r: Relation, eq: Predicate = operator.eq) -> VectorRelation:
+def lex(r: Relation, eq: Predicate = operator.eq) -> Relation:
     """Lexicographic extension of a scalar relation: it decides at the first
     index where the items differ under eq."""
     return _lexicographic("lex", r, eq)
 
 
-def colex(r: Relation, eq: Predicate = operator.eq) -> VectorRelation:
+def colex(r: Relation, eq: Predicate = operator.eq) -> Relation:
     """Colexicographic order: the last differing index decides.  Extensionally
     equal to reverse_rel(lex(r))."""
     return _lexicographic("colex", r, eq)
 
 
-def symlex(r: Relation, eq: Predicate = operator.eq) -> VectorRelation:
+def symlex(r: Relation, eq: Predicate = operator.eq) -> Relation:
     """Argument-swapped lex: symlex(r)(x, y) iff lex(r)(y, x)."""
     return _lexicographic("symlex", r, eq)
 
 
-def revlex(r: Relation, eq: Predicate = operator.eq) -> VectorRelation:
+def revlex(r: Relation, eq: Predicate = operator.eq) -> Relation:
     """Argument-swapped colex: revlex(r)(x, y) iff colex(r)(y, x)."""
     return _lexicographic("revlex", r, eq)
 
 
-def reverse_rel(rn: VectorRelation) -> VectorRelation:
+def reverse_rel(rn: Relation) -> Relation:
     """Apply a vector relation to the reversed families."""
 
     def apply(x: Family, y: Family) -> bool:
         check_same_length(x, y)
         return rn.apply(reverse_family(x), reverse_family(y))
 
-    return VectorRelation(apply, name=f"reverse({rn.name})")
+    return Relation(apply, declared_reflexive=rn.declared_reflexive, name=f"reverse({rn.name})")
 
 
-def converse_rel(rn: VectorRelation) -> VectorRelation:
-    """Swap the arguments of a vector relation."""
-
-    def apply(x: Family, y: Family) -> bool:
-        return rn.apply(y, x)
-
-    return VectorRelation(apply, name=f"converse({rn.name})")
+# Swap the arguments of a vector relation: the scalar converse, which keeps
+# the declared reflexivity.
+converse_rel = converse
 
 
-def or_eq_rel(rn: VectorRelation) -> VectorRelation:
+def or_eq_rel(rn: Relation) -> Relation:
     """Reflexive closure of a vector relation (componentwise equality)."""
 
     def apply(x: Family, y: Family) -> bool:
         check_same_length(x, y)
         return tuple(x) == tuple(y) or rn.apply(x, y)
 
-    return VectorRelation(apply, name=f"or_eq({rn.name})")
+    return Relation(apply, declared_reflexive=True, name=f"or_eq({rn.name})")

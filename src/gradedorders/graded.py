@@ -19,13 +19,13 @@ test suite checks exactly that.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import compress, repeat
 from typing import Any, Callable
 
 from . import families
-from .families import Family, VectorRelation, check_same_length, is_strict_less
+from .families import Family, check_same_length, is_strict_less
 from .relations import (
     CONJUNCTIVE_PARTS,
     Carrier,
@@ -62,7 +62,7 @@ def family_add(x: Family, y: Family, monoid: Monoid = NAT_ADD) -> Family:
     return tuple(monoid.op(a, b) for a, b in zip(x, y))
 
 
-def graded(scalar: Relation, vector: VectorRelation, monoid: Monoid = NAT_ADD) -> VectorRelation:
+def graded(scalar: Relation, vector: Relation, monoid: Monoid = NAT_ADD) -> Relation:
     """Compare family sums with the scalar relation; on equal sums defer to
     the vector relation.
 
@@ -85,7 +85,8 @@ def graded(scalar: Relation, vector: VectorRelation, monoid: Monoid = NAT_ADD) -
         def key(a: Family):
             return (sum(a), vector_key(a))
 
-    return VectorRelation(apply, name=f"graded({scalar.name},{vector.name})", key=key)
+    name = f"graded({scalar.name},{vector.name})"
+    return Relation(apply, declared_reflexive=vector.declared_reflexive, name=name, key=key)
 
 
 # name -> (slice scheme, graded): the eight named orders are the four
@@ -103,29 +104,29 @@ NAMED_ORDERS = {
 }
 
 
-def _grade(name: str, r: Relation, monoid: Monoid, eq: Predicate) -> VectorRelation:
+def _grade(name: str, r: Relation, monoid: Monoid, eq: Predicate) -> Relation:
     """The graded order `name`: r on the sums, then its scheme's builder on families."""
     v = graded(r, getattr(families, NAMED_ORDERS[name][0])(r, eq), monoid)
-    return VectorRelation(v.apply, name=f"{name}({r.name})", key=v.key)
+    return replace(v, name=f"{name}({r.name})")
 
 
-def grlex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
+def grlex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> Relation:
     return _grade("grlex", r, monoid, eq)
 
 
-def grcolex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
+def grcolex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> Relation:
     return _grade("grcolex", r, monoid, eq)
 
 
-def grsymlex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
+def grsymlex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> Relation:
     return _grade("grsymlex", r, monoid, eq)
 
 
-def grevlex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
+def grevlex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> Relation:
     return _grade("grevlex", r, monoid, eq)
 
 
-def named_builder(name: str) -> Callable[..., VectorRelation]:
+def named_builder(name: str) -> Callable[..., Relation]:
     """The builder of a named order (KeyError for an unknown name).  It is
     looked up on its module at each call, so a builder replaced there after
     import is the one returned."""
@@ -138,7 +139,7 @@ def named_builder(name: str) -> Callable[..., VectorRelation]:
 
 def _graded_rec(
     name: str, scheme: str, by_sums: bool, r: Relation, monoid: Monoid, eq: Predicate
-) -> VectorRelation:
+) -> Relation:
     """The recursion of a graded order over the (down, back) flags of
     SCHEMES[scheme]: differing sums decide with r.  Unless by_sums, the
     component at index 0 (-1 when back) decides next, with r and the
@@ -162,35 +163,35 @@ def _graded_rec(
             return apply(x[rest], y[rest])
         return base
 
-    return VectorRelation(apply, name=f"{name}({r.name})")
+    return Relation(apply, declared_reflexive=base, name=f"{name}({r.name})")
 
 
-def grlex_rec(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
+def grlex_rec(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> Relation:
     """Inlined recursion for grlex: compare sums, then the first components,
     then recurse on the tails."""
     return _graded_rec("grlex_rec", "lex", False, r, monoid, eq)
 
 
-def grcolex_rec(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
+def grcolex_rec(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> Relation:
     """Inlined recursion for grcolex: compare sums, then the last components,
     then recurse on the initial segments."""
     return _graded_rec("grcolex_rec", "colex", False, r, monoid, eq)
 
 
-def grsymlex_full_rec(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> VectorRelation:
+def grsymlex_full_rec(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> Relation:
     """Unsimplified recursion for grsymlex: on equal sums, differing first
     components are decided by the scalar relation with swapped arguments,
     equal first components recurse on the tails."""
     return _graded_rec("grsymlex_full_rec", "symlex", False, r, monoid, eq)
 
 
-def grsymlex_rec(r: Relation, monoid: Monoid = NAT_ADD) -> VectorRelation:
+def grsymlex_rec(r: Relation, monoid: Monoid = NAT_ADD) -> Relation:
     """Simplified recursion for grsymlex: compare sums, on equal sums drop the
     first component and recurse."""
     return _graded_rec("grsymlex_rec", "symlex", True, r, monoid, operator.eq)
 
 
-def grevlex_rec(r: Relation, monoid: Monoid = NAT_ADD) -> VectorRelation:
+def grevlex_rec(r: Relation, monoid: Monoid = NAT_ADD) -> Relation:
     """Simplified recursion for grevlex: as grsymlex_rec but dropping the
     last component."""
     return _graded_rec("grevlex_rec", "revlex", True, r, monoid, operator.eq)

@@ -20,15 +20,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .families import Family, LengthMismatchError, VectorRelation, sort_key, sorted_total
+from .families import Family, LengthMismatchError, sort_key, sorted_total
+from .relations import Relation
 
 _ALIASES = {"X": 0, "Y": 1, "Z": 2}
 
+# each token after optional whitespace; any other character is a bad token,
+# and trailing whitespace matches with no group
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<number>\d+(?:\s*/\s*\d+)?)
-      | (?P<var>X\d+|[XYZ])
-      | (?P<op>[\^*+-])
+    r"""\s*(?: (?P<number>\d+(?:\s*/\s*\d+)?)
+          | (?P<var>X\d+|[XYZ])
+          | (?P<op>[\^*+-])
+          | (?P<bad>\S)
+          | \Z )
     """,
     re.VERBOSE,
 )
@@ -79,15 +83,16 @@ class SparsePoly:
 
 
 def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise PolyParseError(f"unexpected character {text[pos]!r}", pos)
-        if match.lastgroup != "ws":
-            tokens.append((match.lastgroup, match.group(), pos))
-        pos = match.end()
+    """(kind, value, position) of each token, in one scan of the text; an
+    unexpected character anywhere wins over any grammar error."""
+    tokens = [
+        (m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+        for m in _TOKEN_RE.finditer(text)
+        if m.lastgroup
+    ]
+    for kind, value, pos in tokens:
+        if kind == "bad":
+            raise PolyParseError(f"unexpected character {value!r}", pos)
     return tokens
 
 
@@ -144,7 +149,6 @@ def parse_poly(text: str, dimension: int) -> SparsePoly:
 def _parse_term(tokens, i: int, dimension: int):
     exponents = [0] * dimension
     coefficient = 1  # an int until a p/q factor makes it a Fraction
-    seen_factor = False
     while True:
         if i >= len(tokens):
             pos = tokens[-1][2] if tokens else 0
@@ -174,13 +178,10 @@ def _parse_term(tokens, i: int, dimension: int):
             exponents[index] += exponent
         else:
             raise PolyParseError(f"expected a coefficient or a variable, got {value!r}", pos)
-        seen_factor = True
         if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "*":
             i += 1
             continue
         break
-    if not seen_factor:
-        raise PolyParseError("empty term", tokens[i][2] if i < len(tokens) else 0)
     return i, tuple(exponents), coefficient
 
 
@@ -188,14 +189,14 @@ def _parse_term(tokens, i: int, dimension: int):
 # ordering
 
 
-def sort_terms(p: SparsePoly, order: VectorRelation) -> List[Term]:
+def sort_terms(p: SparsePoly, order: Relation) -> List[Term]:
     """Terms in ascending order under a strict total vector order; raises
     IncomparableError when the order ties two of the exponents."""
     terms = p.terms
     return [Term(e, terms[e]) for e in sorted_total(terms, order)]
 
 
-def leading_term(p: SparsePoly, order: VectorRelation) -> Optional[Term]:
+def leading_term(p: SparsePoly, order: Relation) -> Optional[Term]:
     """Maximum term under the order; None for the zero polynomial."""
     if not p.terms:
         return None

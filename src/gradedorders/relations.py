@@ -1,10 +1,13 @@
 """Binary relations as values, operators on them, and exhaustive property
 deciders over explicit finite carriers.
 
-A relation is a pure binary predicate plus a declared reflexivity flag.  The
-flag is metadata, not something inferred: it drives the empty-family base case
-of the lexicographic comparators, where the result on two empty families is
-exactly "is the scalar relation reflexive".
+A relation is a pure binary predicate plus a declared reflexivity flag, and
+may carry a sort key.  The flag is metadata, not something inferred: it
+drives the empty-family base case of the lexicographic comparators, where the
+result on two empty families is exactly "is the scalar relation reflexive".
+Scalar relations and the orders on families built from them are one type, so
+an order on families is again a relation that the comparators, the deciders
+and the monomial-order checks take as it is.
 
 Every property, elementary or conjunctive, is decided one way: as a tuple of
 conjuncts, decided in order on one table of the relation; an elementary
@@ -42,11 +45,18 @@ class Relation:
     fact (reflexivity is undecidable over infinite types).  On any finite
     carrier used in tests the flag must agree with the predicate; a violation
     is a test failure, not a runtime error.
+
+    ``key``, when set, compiles the relation to a sort key: for any two
+    arguments x, y (families of the same length, for an order on families)
+    ``apply(x, y) == (key(x) < key(y))``.  The builders attach one only where
+    that holds by construction (strict ``<`` on numbers, structural equality,
+    natural-number sums); ``apply`` stays the reference definition.
     """
 
     apply: Predicate
     declared_reflexive: bool = False
     name: str = ""
+    key: Optional[Callable[[Any], Any]] = None
 
     def __call__(self, x, y) -> bool:
         return self.apply(x, y)
@@ -234,22 +244,19 @@ class _Table:
 # empty carrier every universally quantified property holds vacuously.
 
 
-def _transitive(t: _Table) -> Optional[tuple]:
-    els, masks = t.elements, t.masks
-    for i, row in enumerate(masks):
+def _transitive(t: _Table, negated: bool = False) -> Optional[tuple]:
+    """First (x, y, z) with r(x, y), r(y, z) and not r(x, z).  Negated, the
+    same scan runs on the complemented table and finds the witness of
+    negative transitivity: not r(x, y), not r(y, z) and r(x, z)."""
+    els, masks, rows = t.elements, t.masks, t.rows
+    if negated:
+        ones = _mask(b"\1" * t.n)
+        masks = [ones ^ mask for mask in masks]
+        rows = (bytes(row).translate(_NOT) for row in rows)
+    for i, (row, related) in enumerate(zip(masks, rows)):
         outside = ~row
-        for j in compress(range(t.n), t.rows[i]):
+        for j in compress(range(t.n), related):
             bad = masks[j] & outside  # z with r(y, z) and not r(x, z)
-            if bad:
-                return (els[i], els[j], els[_first(bad)])
-    return None
-
-
-def _negatively_transitive(t: _Table) -> Optional[tuple]:
-    els, masks = t.elements, t.masks
-    for i, row in enumerate(masks):
-        for j in compress(range(t.n), bytes(t.rows[i]).translate(_NOT)):
-            bad = row & ~masks[j]  # z with not r(y, z) and r(x, z)
             if bad:
                 return (els[i], els[j], els[_first(bad)])
     return None
@@ -297,7 +304,7 @@ _PAIR_FAILS = {
 
 _DECIDERS = {
     "transitive": _transitive,
-    "negatively_transitive": _negatively_transitive,
+    "negatively_transitive": partial(_transitive, negated=True),
     "reflexive": _reflexive,
     "irreflexive": _irreflexive,
     **{name: partial(_pair_witness, fails=fails) for name, fails in _PAIR_FAILS.items()},

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence, Tuple
 
-from .families import SCHEMES, Family, LengthMismatchError, VectorRelation, is_strict_less
+from .families import SCHEMES, Family, LengthMismatchError, is_strict_less
 from .graded import NAMED_ORDERS, named_builder
 from .relations import LT, Relation
 
@@ -93,7 +93,7 @@ def weighted_lt(w: WeightMatrix, k_lt: Relation, x: Family, y: Family) -> bool:
     return False
 
 
-def weighted_relation(w: WeightMatrix, k_lt: Relation = LT) -> VectorRelation:
+def weighted_relation(w: WeightMatrix, k_lt: Relation = LT) -> Relation:
     """The matrix order as a vector relation; under the strict ``<`` its key
     is the tuple of column dot products."""
 
@@ -111,7 +111,8 @@ def weighted_relation(w: WeightMatrix, k_lt: Relation = LT) -> VectorRelation:
                 raise LengthMismatchError(f"expected families of length {d}, got {len(a)}")
             return tuple([sum(map(mul, a, column)) for column in columns])
 
-    return VectorRelation(apply, name=f"weighted[{w.d}x{w.m}]", key=key)
+    # running out of columns gives False, so two equal families are unrelated
+    return Relation(apply, declared_reflexive=False, name=f"weighted[{w.d}x{w.m}]", key=key)
 
 
 # ---------------------------------------------------------------------------

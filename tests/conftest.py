@@ -1,9 +1,10 @@
 """Shared helpers for the test suite."""
 
+import re
 from functools import cmp_to_key
 from itertools import product
 
-from gradedorders import Carrier, Relation
+from gradedorders import Carrier, PolyParseError, Relation
 
 
 def box(d, bound):
@@ -37,13 +38,6 @@ def all_relations(elements):
         yield frozenset(p for i, p in enumerate(all_pairs) if mask >> i & 1)
 
 
-def matrix_relation(order, items):
-    """Precompute a vector order on a finite set of families as a lookup
-    table, so the cubic property deciders stay fast."""
-    table = {(a, b): order.apply(a, b) for a in items for b in items}
-    return Relation(lambda x, y: table[(x, y)], name=f"table({order.name})")
-
-
 def family_carrier(items):
     return Carrier(tuple(items))
 
@@ -67,6 +61,32 @@ def reference_slice(d, l, scheme):
         for i in range(l + 1):
             for rest in reference_slice(d - 1, i, scheme):
                 yield (l - i,) + rest
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<number>\d+(?:\s*/\s*\d+)?)
+      | (?P<var>X\d+|[XYZ])
+      | (?P<op>[\^*+-])
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(text):
+    """The polynomial tokens by one anchored match per token, stopping at the
+    first character that starts none: the loop that the one-scan tokenizer
+    replaces."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _REFERENCE_TOKEN_RE.match(text, pos)
+        if match is None:
+            raise PolyParseError(f"unexpected character {text[pos]!r}", pos)
+        if match.lastgroup != "ws":
+            tokens.append((match.lastgroup, match.group(), pos))
+        pos = match.end()
+    return tokens
 
 
 def _unit(d, i, sign=1):

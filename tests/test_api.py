@@ -25,3 +25,8 @@ PUBLIC_NAMES = [
 def test_public_names():
     assert len(PUBLIC_NAMES) == 88
     assert sorted(gradedorders.__all__) == PUBLIC_NAMES
+
+
+def test_one_relation_type():
+    assert gradedorders.VectorRelation is gradedorders.Relation
+    assert gradedorders.converse_rel is gradedorders.converse

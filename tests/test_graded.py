@@ -2,7 +2,7 @@ import operator
 
 import pytest
 
-from conftest import box, family_carrier, matrix_relation, sort_under
+from conftest import box, family_carrier, sort_under
 
 from gradedorders import (
     Carrier,
@@ -260,4 +260,4 @@ def test_graded_orders_are_strict_total_orders_on_boxes():
     for order in ALL_GRADED.values():
         from gradedorders import is_strict_total_order
 
-        assert is_strict_total_order(matrix_relation(order, items), family_carrier(items))
+        assert is_strict_total_order(order, family_carrier(items))

@@ -3,7 +3,9 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from conftest import reference_tokenize
 from gradedorders import (
     LT,
     IncomparableError,
@@ -25,6 +27,7 @@ from gradedorders import (
     sort_terms,
     weighted_relation,
 )
+from gradedorders.poly import _tokenize
 
 TABLE_INPUT = "Z^3 + Y^3 + X*Y*Z + X*Y^2 + X^3"
 
@@ -74,6 +77,31 @@ def test_parse_errors_carry_position():
         parse_poly("", 2)
     with pytest.raises(PolyParseError):
         parse_poly("X", 4)
+
+
+POLY_PIECES = ["X", "Y", "Z", "X0", "X12", "3", "45", "2/3", " / ", "^", "*", "+", "-", " ", "\t", "\n", "?", "\u0663"]
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except PolyParseError as err:
+        return (str(err), err.position)
+
+
+@given(
+    st.one_of(
+        st.text(alphabet="XYZ0123456789/^*+- \t?\u0663", max_size=30),
+        st.lists(st.sampled_from(POLY_PIECES), max_size=12).map("".join),
+    )
+)
+@example("")
+@example("   \t ")
+@example("X0 + Y^2   ")
+@example("X0 + ^ ?")
+@example("1 /\t2*X?")
+def test_tokenizer_matches_the_reference(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(reference_tokenize, text)
 
 
 def test_parse_zero_denominator_is_a_parse_error():
