@@ -8,8 +8,9 @@ and multiplying by a single monomial.
 
 Grammar for parse_poly: terms joined by '+'/'-'; a term is an optional
 integer or rational coefficient and '*'-separated factors "Xi" or "Xi^e"
-with e a natural.  Whitespace is ignored.  For up to three variables, the
-aliases X, Y, Z stand for X0, X1, X2.
+with e a natural.  Whitespace may separate tokens but never splits one:
+"X ^ 2" and "1 / 2*X" parse, "X 1" and "1 2" do not.  For up to three
+variables, the aliases X, Y, Z stand for X0, X1, X2.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .families import Family, LengthMismatchError, sort_key, sorted_total
+from .families import Family, IncomparableError, LengthMismatchError, sort_key, sorted_total
 from .relations import Relation
 
 _ALIASES = {"X": 0, "Y": 1, "Z": 2}
@@ -36,6 +37,14 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+# the fast path: the text splits at its signs and each term at '*'; a factor,
+# with the whitespace around it, is a number ("p" or "p/q") or a variable with
+# an optional exponent, in the character classes of _TOKEN_RE.  The split
+# takes the bare sign: a leading \s* in it would rescan each run of blanks
+# from every position, quadratic in the run's length
+_SIGN_RE = re.compile(r"([+-])")
+_FACTOR_RE = re.compile(r"\s*(?:(\d+)(?:\s*/\s*(\d+))?|(X\d+|[XYZ])(?:\s*\^\s*(\d+))?)\s*")
 
 
 class PolyParseError(ValueError):
@@ -121,8 +130,16 @@ def _var_index(token: str, dimension: int, pos: int) -> int:
 
 
 def parse_poly(text: str, dimension: int) -> SparsePoly:
+    """The polynomial a text writes in the given dimension.
+
+    Well-formed text is parsed term by term, each distinct factor text once
+    per call; any other input goes to the tokenizer parse, which raises the
+    PolyParseError that names the first fault and its position."""
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
+    poly = _parse_by_term(text, dimension)
+    if poly is not None:
+        return poly
     tokens = _tokenize(text)
     if not tokens:
         raise PolyParseError("empty polynomial text", 0)
@@ -144,6 +161,61 @@ def parse_poly(text: str, dimension: int) -> SparsePoly:
         sign = -1 if value == "-" else 1
         i += 1
     return SparsePoly.from_pairs(dimension, pairs)
+
+
+def _parse_by_term(text: str, dimension: int) -> Optional[SparsePoly]:
+    """parse_poly of well-formed text, or None for the tokenizer parse to
+    report the fault: a factor that does not match (an empty term too), a
+    zero denominator, an alias past dimension 3, an index past the
+    dimension or a number past the int digit limit."""
+    pieces = _SIGN_RE.split(text)
+    if len(pieces) > 1 and not pieces[0].strip():
+        del pieces[0]  # the optional leading sign
+    else:
+        pieces.insert(0, "+")
+    factors: Dict[str, object] = {}
+    pairs = []
+    for sign, term in zip(pieces[::2], pieces[1::2]):
+        exponents = [0] * dimension
+        coefficient = -1 if sign == "-" else 1
+        for piece in term.split("*"):
+            factor = factors.get(piece)
+            if factor is None:
+                factor = factors[piece] = _factor(piece, dimension)
+                if factor is None:
+                    return None
+            if type(factor) is tuple:
+                exponents[factor[0]] += factor[1]
+            else:
+                coefficient *= factor
+        pairs.append((exponents, coefficient))
+    return SparsePoly.from_pairs(dimension, pairs)
+
+
+def _factor(text: str, dimension: int):
+    """An (index, exponent) pair or a coefficient (int or Fraction) for one
+    factor's text, or None where the tokenizer parse must decide."""
+    match = _FACTOR_RE.fullmatch(text)
+    if match is None:
+        return None
+    numerator, denominator, var, exponent = match.groups()
+    try:
+        if var is None:
+            if denominator is None:
+                return int(numerator)
+            denominator = int(denominator)
+            return Fraction(int(numerator), denominator) if denominator else None
+        if var in _ALIASES:
+            if dimension > 3:
+                return None
+            index = _ALIASES[var]
+        else:
+            index = int(var[1:])
+        if index >= dimension:
+            return None
+        return index, 1 if exponent is None else int(exponent)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return None
 
 
 def _parse_term(tokens, i: int, dimension: int):
@@ -197,11 +269,17 @@ def sort_terms(p: SparsePoly, order: Relation) -> List[Term]:
 
 
 def leading_term(p: SparsePoly, order: Relation) -> Optional[Term]:
-    """Maximum term under the order; None for the zero polynomial."""
+    """Maximum term under a strict total vector order; None for the zero
+    polynomial.  Raises IncomparableError when the order ties another term
+    with the maximum."""
     if not p.terms:
         return None
-    lead = max(p.terms, key=sort_key(order))
-    return Term(lead, p.terms[lead])
+    exponents = list(p.terms)
+    keys = list(map(sort_key(order), exponents))
+    top = keys.index(max(keys))
+    if keys.count(keys[top]) > 1:
+        raise IncomparableError(exponents[top], exponents[keys.index(keys[top], top + 1)])
+    return Term(exponents[top], p.terms[exponents[top]])
 
 
 def monomial_mul(p: SparsePoly, gamma: Sequence[int]) -> SparsePoly:

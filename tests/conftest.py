@@ -1,10 +1,12 @@
 """Shared helpers for the test suite."""
 
 import re
+import sys
+from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product
 
-from gradedorders import Carrier, PolyParseError, Relation
+from gradedorders import Carrier, PolyParseError, Relation, SparsePoly
 
 
 def box(d, bound):
@@ -87,6 +89,81 @@ def reference_tokenize(text):
             tokens.append((match.lastgroup, match.group(), pos))
         pos = match.end()
     return tokens
+
+
+def _reference_int(digits, pos):
+    try:
+        return int(digits)
+    except ValueError:
+        raise PolyParseError(f"number of more than {sys.get_int_max_str_digits()} digits", pos) from None
+
+
+def _reference_term(tokens, i, d):
+    exponents = [0] * d
+    coefficient = 1
+    while True:
+        if i >= len(tokens):
+            raise PolyParseError("expected a coefficient or a variable", tokens[-1][2] if tokens else 0)
+        kind, value, pos = tokens[i]
+        if kind == "number":
+            numerator, slash, denominator = value.partition("/")
+            if slash:
+                denominator = _reference_int(denominator, pos)
+                if denominator == 0:
+                    raise PolyParseError("zero denominator", pos)
+                coefficient *= Fraction(_reference_int(numerator, pos), denominator)
+            else:
+                coefficient *= _reference_int(numerator, pos)
+            i += 1
+        elif kind == "var":
+            if value in "XYZ":
+                if d > 3:
+                    raise PolyParseError(f"alias {value!r} is only available for dimension <= 3", pos)
+                index = "XYZ".index(value)
+            else:
+                index = _reference_int(value[1:], pos)
+            if index >= d:
+                raise PolyParseError(f"variable X{index} exceeds declared dimension {d}", pos)
+            exponent = 1
+            i += 1
+            if i < len(tokens) and tokens[i][:2] == ("op", "^"):
+                i += 1
+                if i >= len(tokens) or tokens[i][0] != "number" or "/" in tokens[i][1]:
+                    bad = tokens[i] if i < len(tokens) else (None, "end of input", pos)
+                    raise PolyParseError(f"expected a natural exponent, got {bad[1]!r}", bad[2])
+                exponent = _reference_int(tokens[i][1], tokens[i][2])
+                i += 1
+            exponents[index] += exponent
+        else:
+            raise PolyParseError(f"expected a coefficient or a variable, got {value!r}", pos)
+        if i < len(tokens) and tokens[i][:2] == ("op", "*"):
+            i += 1
+            continue
+        return i, tuple(exponents), coefficient
+
+
+def reference_parse_poly(text, d):
+    """The polynomial by the tokenizer parse alone, token after token: the
+    parse that the term-by-term fast path defers to on every fault."""
+    tokens = reference_tokenize(text)
+    if not tokens:
+        raise PolyParseError("empty polynomial text", 0)
+    pairs = []
+    i = 0
+    sign = 1
+    if tokens[0][0] == "op" and tokens[0][1] in "+-":
+        sign = -1 if tokens[0][1] == "-" else 1
+        i = 1
+    while True:
+        i, exponents, coefficient = _reference_term(tokens, i, d)
+        pairs.append((exponents, sign * coefficient))
+        if i == len(tokens):
+            return SparsePoly.from_pairs(d, pairs)
+        kind, value, pos = tokens[i]
+        if kind != "op" or value not in "+-":
+            raise PolyParseError(f"expected '+' or '-', got {value!r}", pos)
+        sign = -1 if value == "-" else 1
+        i += 1
 
 
 def _unit(d, i, sign=1):

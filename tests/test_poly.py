@@ -3,9 +3,9 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import reference_tokenize
+from conftest import reference_parse_poly, reference_tokenize
 from gradedorders import (
     LT,
     IncomparableError,
@@ -27,6 +27,8 @@ from gradedorders import (
     sort_terms,
     weighted_relation,
 )
+from gradedorders import poly
+from gradedorders.graded import NAMED_ORDERS, named_builder
 from gradedorders.poly import _tokenize
 
 TABLE_INPUT = "Z^3 + Y^3 + X*Y*Z + X*Y^2 + X^3"
@@ -82,9 +84,9 @@ def test_parse_errors_carry_position():
 POLY_PIECES = ["X", "Y", "Z", "X0", "X12", "3", "45", "2/3", " / ", "^", "*", "+", "-", " ", "\t", "\n", "?", "\u0663"]
 
 
-def _tokens_or_error(tokenize, text):
+def _result_or_error(f, *args):
     try:
-        return tokenize(text)
+        return f(*args)
     except PolyParseError as err:
         return (str(err), err.position)
 
@@ -101,7 +103,121 @@ def _tokens_or_error(tokenize, text):
 @example("X0 + ^ ?")
 @example("1 /\t2*X?")
 def test_tokenizer_matches_the_reference(text):
-    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(reference_tokenize, text)
+    assert _result_or_error(_tokenize, text) == _result_or_error(reference_tokenize, text)
+
+
+@pytest.mark.parametrize(
+    "text, position, got",
+    [("1 2", 2, "2"), ("X1 2", 3, "2"), ("X 1", 2, "1")],
+)
+def test_whitespace_never_splits_a_token(text, position, got):
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(text, 2)
+    assert str(err.value) == f"expected '+' or '-', got {got!r} (at position {position})"
+
+
+def test_whitespace_may_separate_tokens():
+    assert parse_poly("1 / 2*X", 2).terms == {(1, 0): Fraction(1, 2)}
+    assert parse_poly("X ^ 2", 2).terms == {(2, 0): 1}
+
+
+HUGE = "9" * 5000  # past the default int digit limit of 4300
+
+
+@st.composite
+def poly_texts(draw):
+    """(text, d): terms of factors as the grammar writes them, with random
+    whitespace between tokens, and numbers, indices and aliases that may be
+    out of range for d."""
+    d = draw(st.sampled_from([1, 3, 4, 11, 13]))
+
+    def ws():
+        return draw(st.sampled_from(["", "", " ", "\t", "  "]))
+
+    def number():
+        n = draw(st.integers(0, 40))
+        return HUGE if n == 40 else "\u0663" if n == 39 else str(n)
+
+    def factor():
+        kind = draw(st.sampled_from(["coefficient", "rational", "alias", "index"]))
+        if kind == "coefficient":
+            return number()
+        if kind == "rational":
+            return number() + ws() + "/" + ws() + number()
+        if kind == "alias":
+            name = draw(st.sampled_from("XYZ"))
+        else:
+            i = draw(st.integers(0, d + 1))
+            name = "X" + (HUGE if i == d + 1 and draw(st.booleans()) else str(i))
+        if draw(st.booleans()):
+            name += ws() + "^" + ws() + number()
+        return name
+
+    terms = [
+        (ws() + "*" + ws()).join(factor() for _ in range(draw(st.integers(1, 3))))
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    text = ws() + draw(st.sampled_from(["", "", "-", "+"])) + ws() + terms[0]
+    for term in terms[1:]:
+        text += ws() + draw(st.sampled_from("+-")) + ws() + term
+    return text + ws(), d
+
+
+@st.composite
+def mutated_poly_texts(draw):
+    """poly_texts with signs, '*', '^', '/', tabs, U+0663 or '?' inserted and
+    characters dropped."""
+    text, d = draw(poly_texts())
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:pos] + draw(st.sampled_from(["+", "-", "*", "^", "/", "\t", "?", "\u0663"])) + text[pos:]
+        else:
+            text = text[:pos] + text[pos + 1:]
+    return text, d
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(poly_texts(), mutated_poly_texts()))
+@example(("", 3))
+@example(("- \t", 1))
+@example(("X + - Y", 3))
+@example(("X**Y", 3))
+@example(("\t-X^2", 3))
+@example((HUGE + "*X", 1))
+@example(("X" + HUGE, 13))
+@example(("X^" + HUGE, 3))
+@example(("3/0*X", 3))
+@example(("X0^1/2", 4))
+def test_parse_matches_the_reference(case):
+    text, d = case
+    assert _result_or_error(parse_poly, text, d) == _result_or_error(reference_parse_poly, text, d)
+
+
+WELL_FORMED = [
+    ("X*Y^2*Z - 3*X + 1/2", 3),
+    ("X0^2*X12 + X7 - X0*X0^3 + X12^10", 13),
+    ("-X*X^2 + 7", 1),
+    ("  - 2 / 3 * X0 ^ 4  +  5  ", 2),
+    ("1/2*Y - 4/6 + 2*3", 2),
+    ("+X1^0", 2),
+    ("0", 1),
+    ("X0 - X0", 2),
+    ("X\t*\tY ^ 2 -\tY", 2),
+    ("\u0663*X\u0663", 4),
+]
+
+
+def test_well_formed_text_never_reaches_the_tokenizer(monkeypatch):
+    expected = [reference_parse_poly(text, d) for text, d in WELL_FORMED]
+
+    def refuse(text):
+        raise AssertionError(f"the tokenizer ran on {text!r}")
+
+    monkeypatch.setattr(poly, "_tokenize", refuse)
+    assert [parse_poly(text, d) for text, d in WELL_FORMED] == expected
+    with pytest.raises(AssertionError, match="the tokenizer ran"):
+        parse_poly("X +", 2)
 
 
 def test_parse_zero_denominator_is_a_parse_error():
@@ -179,6 +295,30 @@ def test_leading_term_examples():
     assert leading_term(p, lex(LT)).exponents == (1, 2)
     assert leading_term(p, grlex(LT)).exponents == (0, 8)
     assert leading_term(SparsePoly(2, {}), grlex(LT)) is None
+
+
+def test_leading_term_refuses_a_tied_maximum():
+    flat = weighted_relation(WeightMatrix(((1,), (2,))))  # X^2 and Y both weigh 2
+    for text, pair in [("X^2 + Y", ((2, 0), (0, 1))), ("Y + X^2", ((0, 1), (2, 0)))]:
+        p = parse_poly(text, 2)
+        with pytest.raises(IncomparableError) as excinfo:
+            leading_term(p, flat)
+        assert excinfo.value.pair == pair
+        with pytest.raises(IncomparableError):
+            sort_terms(p, flat)
+        assert leading_term(p, grlex(LT)).exponents == (2, 0)
+    assert leading_term(parse_poly("X + 3*Y", 2), flat) == Term((0, 1), 3)
+
+
+def test_leading_term_is_the_last_sorted_term():
+    rng = random.Random(11)
+    for _ in range(60):
+        d = rng.randint(1, 4)
+        p = SparsePoly.from_pairs(d, [(tuple(rng.randint(0, 4) for _ in range(d)), rng.randint(1, 9)) for _ in range(8)])
+        # upper triangular with a nonzero diagonal: a total order
+        full_rank = WeightMatrix(tuple(tuple(rng.randint(1, 3) if i == j else rng.randint(0, 2) * (i < j) for j in range(d)) for i in range(d)))
+        for order in [named_builder(name)(LT) for name in NAMED_ORDERS] + [weighted_relation(full_rank)]:
+            assert leading_term(p, order) == sort_terms(p, order)[-1]
 
 
 def test_monomial_mul():
