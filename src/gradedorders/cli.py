@@ -2,8 +2,8 @@
 polynomial terms, and check relation properties on finite carriers.
 
 Exit codes: 0 success / property PASS, 1 property FAIL, 2 usage or parse
-error, 3 requested capability unavailable (e.g. an order without a slice
-scheme when --allow-sort-fallback is not given).
+error, 3 requested capability unavailable (e.g. enumerate under a weighted:
+order, which has no slice scheme, when --allow-sort-fallback is not given).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from itertools import chain, count, islice
 import click
 
 from . import multi_index, poly, weighted
-from .families import IncomparableError, LengthMismatchError, sorted_total
+from .families import SCHEMES, IncomparableError, LengthMismatchError, sorted_total
 from .graded import NAMED_ORDERS, named_builder
 from .relations import (
     DIVIDES,
@@ -86,7 +86,7 @@ def main():
 @click.option(
     "--allow-sort-fallback",
     is_flag=True,
-    help="Permit generate-then-sort for orders without a slice scheme.",
+    help="Permit generate-then-sort for orders without a slice scheme (weighted: orders only).",
 )
 def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
     """List the multi-indices of dimension D with sum <= K, ascending."""
@@ -94,9 +94,10 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
         raise click.UsageError(f"--d must be >= 1, got {d}")
     if k < 0:
         raise click.UsageError(f"--k must be >= 0, got {k}")
-    # the graded orders stream from the slice walk of their scheme
-    scheme, streams = NAMED_ORDERS.get(order_name, (None, False))
-    if not streams:
+    # the named orders stream from the slice walk of their scheme
+    if order_name in NAMED_ORDERS:
+        lines = _slice_lines(d, k, *NAMED_ORDERS[order_name], fmt)
+    else:
         order = resolve_order(order_name)
         if not allow_sort_fallback:
             click.echo(
@@ -112,10 +113,6 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
         except IncomparableError as exc:
             raise _not_total(order_name, exc)
         lines = _lines(entries, fmt)
-    elif d == 1:
-        lines = _lines(multi_index.iter_multi_index_set(d, k, scheme), fmt)
-    else:
-        lines = _slice_lines(d, k, scheme, fmt)
 
     # lines are made lazily and written CHUNK_LINES at a time
     if fmt == "csv":
@@ -136,23 +133,43 @@ _FRAMES = {
 }
 
 
-def _slice_lines(d, k, scheme, fmt):
-    """The lines of the set (d >= 2) from the slice walk.  The components a
-    run fixes come as text, written once per run; the sum is the slice's l
-    and the rank a running count."""
+def _slice_lines(d, k, scheme, graded, fmt):
+    """The lines of the set under a named order, from the slice walk.  A
+    graded order walks the slices l = 0..k of dimension d, and a line's sum
+    is its slice's l.  An order that is not graded walks the one slice k of
+    dimension d + 1 and drops the slack from each line (see multi_index);
+    the sum is k minus the slack.  The components a run fixes come as text,
+    written once per run; the rank is a running count."""
     sep, opening, before_sum, before_rank, closing = _FRAMES[fmt]
     ranked = fmt != "plain"
-    runs = chain.from_iterable(
-        multi_index._text_runs(d, l, scheme, sep, opening, f"{before_sum}{l}{before_rank}" if ranked else "")
-        for l in range(k + 1)
-    )
-    if not ranked:
-        return (f"{h}{a}{sep}{b}{t}" for h, (firsts, seconds), t in runs for a, b in zip(firsts, seconds))
     ranks = count()
+    if graded and d == 1:  # a graded order of N^1 is lex(<), which needs no slices
+        scheme, graded = "lex", False
+    if graded:
+        runs = chain.from_iterable(
+            multi_index._text_runs(d, l, scheme, sep, opening, f"{before_sum}{l}{before_rank}" if ranked else "")
+            for l in range(k + 1)
+        )
+        if not ranked:
+            return (f"{h}{a}{sep}{b}{t}" for h, (firsts, seconds), t in runs for a, b in zip(firsts, seconds))
+        return (
+            f"{h}{a}{sep}{b}{t}{r}{closing}"
+            for h, (firsts, seconds), t in runs
+            for a, b, r in zip(firsts, seconds, ranks)
+        )
+    runs = multi_index._text_runs(d + 1, k, scheme, sep, opening, "")
+    if SCHEMES[scheme][1]:  # a back scheme: the slack is the first of the pair
+        runs = ((h, (seconds, firsts), t) for h, (firsts, seconds), t in runs)
+    if not ranked:
+        return (f"{h}{a}{t}" for h, (firsts, _), t in runs for a in firsts)
+    # the text between the index and the rank, by slack (text, or an int when d = 1)
+    sums = {}
+    for s in range(k + 1):
+        sums[s] = sums[str(s)] = f"{before_sum}{k - s}{before_rank}"
     return (
-        f"{h}{a}{sep}{b}{t}{r}{closing}"
-        for h, (firsts, seconds), t in runs
-        for a, b, r in zip(firsts, seconds, ranks)
+        f"{h}{a}{t}{sums[s]}{r}{closing}"
+        for h, (firsts, slacks), t in runs
+        for a, s, r in zip(firsts, slacks, ranks)
     )
 
 

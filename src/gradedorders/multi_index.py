@@ -17,6 +17,17 @@ under the corresponding graded order with no sorting step:
 The symlex scheme lists monomial exponents by decreasing exponents on the
 successive variables within each degree.
 
+The same walk lists the set under the lexicographic orders themselves.  The
+map a -> (a, k - |a|) is a bijection from the set of sum <= k in dimension d
+onto the slice of sum k in dimension d + 1; the extra component is the
+slack.  It goes last for the front schemes (lex, symlex) and first for the
+back schemes (colex, revlex): the end the comparison reaches last.  Two
+distinct entries differ in a component of a before that, so the slack, a
+function of a, never decides.  The scheme's walk of that one slice,
+with the slack dropped, is therefore the set sorted by lex(<), colex(<),
+symlex(<) or revlex(<) (Cox, Little and O'Shea, Ideals, Varieties, and
+Algorithms, ch. 2 §2).
+
 The walk keeps an explicit stack, one level per fixed component, so d is
 not bounded by Python's recursion limit.  It yields runs: the components it
 fixed, joined once per level, and the two sequences the last two components

@@ -327,13 +327,30 @@ def format_term(term: Term, dimension: int, alias: Optional[bool] = None) -> str
 
 
 def format_poly(terms: Sequence[Term], dimension: int, alias: Optional[bool] = None) -> str:
+    """The terms as format_term renders them, each after its sign; the first
+    term's sign shows only when it is negative.  Each factor's text is made
+    once per call, and a coefficient's text from its numerator and
+    denominator, with no Fraction arithmetic."""
     if not terms:
         return "0"
+    if alias is None:
+        alias = dimension <= 3
+    powers = {}  # (index, exponent) -> the factor's text
     parts = []
-    for i, term in enumerate(terms):
-        body = format_term(term, dimension, alias)
-        if i == 0:
-            parts.append(body if term.coefficient > 0 else f"-{body}")
-        else:
-            parts.append(f"{'+' if term.coefficient > 0 else '-'} {body}")
-    return " ".join(parts)
+    for term in terms:
+        factors = []
+        for index, exponent in enumerate(term.exponents):
+            if exponent:
+                text = powers.get((index, exponent))
+                if text is None:
+                    name = _variable_name(index, dimension, alias)
+                    text = powers[index, exponent] = name if exponent == 1 else f"{name}^{exponent}"
+                factors.append(text)
+        n, q = term.coefficient.numerator, term.coefficient.denominator
+        if q != 1:
+            factors.insert(0, f"{abs(n)}/{q}")
+        elif abs(n) != 1 or not factors:
+            factors.insert(0, str(abs(n)))
+        parts.append(("+ " if n > 0 else "- ") + "*".join(factors))
+    line = " ".join(parts)
+    return line[2:] if line[0] == "+" else "-" + line[2:]

@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product
 
-from gradedorders import Carrier, PolyParseError, Relation, SparsePoly
+from gradedorders import Carrier, PolyParseError, Relation, SparsePoly, format_term
 
 
 def box(d, bound):
@@ -164,6 +164,21 @@ def reference_parse_poly(text, d):
             raise PolyParseError(f"expected '+' or '-', got {value!r}", pos)
         sign = -1 if value == "-" else 1
         i += 1
+
+
+def reference_format_poly(terms, dimension, alias=None):
+    """The polynomial joined term by term from format_term: the joiner that
+    format_poly's per-call factor table replaces."""
+    if not terms:
+        return "0"
+    parts = []
+    for i, term in enumerate(terms):
+        body = format_term(term, dimension, alias)
+        if i == 0:
+            parts.append(body if term.coefficient > 0 else f"-{body}")
+        else:
+            parts.append(f"{'+' if term.coefficient > 0 else '-'} {body}")
+    return " ".join(parts)
 
 
 def _unit(d, i, sign=1):

@@ -8,10 +8,23 @@ import pytest
 from click.testing import CliRunner
 from conftest import box, sort_under
 
-from gradedorders import LT, format_matrix, grcolex, grevlex, grlex, grsymlex, lex, matrix_for
+from gradedorders import (
+    LT,
+    colex,
+    format_matrix,
+    grcolex,
+    grevlex,
+    grlex,
+    grsymlex,
+    lex,
+    matrix_for,
+    revlex,
+    symlex,
+)
 from gradedorders import cli
 from gradedorders.cli import main
-from gradedorders.graded import NAMED_ORDERS
+from gradedorders.families import sorted_total
+from gradedorders.graded import NAMED_ORDERS, named_builder
 
 
 @pytest.fixture
@@ -51,17 +64,19 @@ def test_enumerate_invalid_args(runner):
     assert runner.invoke(main, ["enumerate", "--d", "x", "--k", "1"]).exit_code == 2
 
 
-def test_enumerate_fallback_requires_flag(runner):
-    result = runner.invoke(main, ["enumerate", "--d", "2", "--k", "2", "--order", "lex"])
+def test_enumerate_fallback_requires_flag(runner, tmp_path):
+    path = tmp_path / "grlex2.txt"
+    path.write_text(format_matrix(matrix_for("grlex", 2)))
+    result = runner.invoke(main, ["enumerate", "--d", "2", "--k", "2", "--order", f"weighted:{path}"])
     assert result.exit_code == 3
-    result = runner.invoke(
-        main,
-        ["enumerate", "--d", "2", "--k", "3", "--order", "lex", "--allow-sort-fallback"],
-    )
-    assert result.exit_code == 0
-    assert result.stdout.splitlines() == [
-        "0,0", "0,1", "0,2", "0,3", "1,0", "1,1", "1,2", "2,0", "2,1", "3,0",
-    ]
+    assert result.stdout == ""
+    # lex streams: the flag is accepted and changes nothing
+    expected = ["0,0", "0,1", "0,2", "0,3", "1,0", "1,1", "1,2", "2,0", "2,1", "3,0"]
+    for flag in ([], ["--allow-sort-fallback"]):
+        result = runner.invoke(main, ["enumerate", "--d", "2", "--k", "3", "--order", "lex"] + flag)
+        assert result.exit_code == 0
+        assert result.stdout.splitlines() == expected
+        assert "fallback" not in result.output
 
 
 def test_enumerate_grevlex_ignores_the_fallback_flag_and_equals_grlex_in_2d(runner):
@@ -128,6 +143,9 @@ REFERENCE_ORDERS = {
     "grsymlex": grsymlex,
     "grevlex": grevlex,
     "lex": lex,
+    "colex": colex,
+    "symlex": symlex,
+    "revlex": revlex,
     "weighted:grevlex": grevlex,
 }
 
@@ -157,11 +175,12 @@ def _reference_output(order_name, d, k, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["plain", "csv", "jsonl"])
-@pytest.mark.parametrize("order_name", ["grlex", "grcolex", "grsymlex", "grevlex", "lex", "weighted:grevlex"])
+@pytest.mark.parametrize("order_name", list(REFERENCE_ORDERS))
 def test_enumerate_output_matches_csv_and_json_rendering(runner, tmp_path, order_name, fmt):
-    # d = 1, d = 2 and deeper take different base cases of the slice walk;
-    # lex and a grevlex matrix take the sort fallback, which renders tuples
-    fallback = [] if NAMED_ORDERS.get(order_name, (None, False))[1] else ["--allow-sort-fallback"]
+    # d = 1, d = 2 and deeper take different base cases of the slice walk,
+    # which a lexicographic order runs in d + 1; a grevlex matrix takes the
+    # sort fallback, which renders tuples
+    fallback = [] if order_name in NAMED_ORDERS else ["--allow-sort-fallback"]
     for d in range(1, 9):
         order = order_name
         if order_name == "weighted:grevlex":
@@ -237,14 +256,52 @@ def test_enumerate_cuts_a_slice_longer_than_a_chunk(monkeypatch, fmt):
     assert finished == [k]
 
 
+@pytest.mark.parametrize("fmt", ["plain", "csv", "jsonl"])
+@pytest.mark.parametrize("order_name", ["lex", "colex", "symlex", "revlex"])
+def test_enumerate_lexicographic_set_is_written_in_chunks(monkeypatch, order_name, fmt):
+    # The set of d = 3, k = 30 has 5456 entries, more than a chunk, and a
+    # lexicographic order walks it as the one slice k = 30 of dimension 4.
+    walk = cli.multi_index._text_runs
+    finished, writes = [], []
+
+    def watched(*args):
+        yield from walk(*args)
+        finished.append(args[:2])
+
+    monkeypatch.setattr(cli.multi_index, "_text_runs", watched)
+    monkeypatch.setattr(sys, "stdout", _WriteCounter(lambda lines: writes.append((lines, list(finished)))))
+    main.main(["enumerate", "--d", "3", "--k", "30", "--order", order_name, "--format", fmt], standalone_mode=False)
+    header = 1 if fmt == "csv" else 0
+    body = [lines for lines, _ in writes[header:]]
+    assert sum(body) == 5456
+    assert max(body) <= cli.CHUNK_LINES
+    assert writes[header] == (cli.CHUNK_LINES, [])  # written before the walk is exhausted
+    assert finished == [(4, 30)]
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "jsonl"])
+def test_enumerate_never_sorts_a_named_order(runner, monkeypatch, fmt):
+    def refuse(*args):
+        raise AssertionError("sorted_total called")
+
+    monkeypatch.setattr(cli, "sorted_total", refuse)
+    for order_name in NAMED_ORDERS:
+        for d, k in [(1, 3), (2, 3), (4, 2)]:
+            argv = ["enumerate", "--d", str(d), "--k", str(k), "--order", order_name, "--format", fmt]
+            result = runner.invoke(main, argv + ["--allow-sort-fallback"])
+            assert result.exit_code == 0, (argv, result.output)
+            assert result.stdout == _reference_output(order_name, d, k, fmt), argv
+            assert result.stderr == ""
+
+
 @lru_cache(maxsize=None)
 def _deep_entries(order_name, d):
-    entries = tuple(cli.multi_index.iter_multi_index_set(d, 1, NAMED_ORDERS[order_name][0]))
+    entries = tuple(sorted_total(cli.multi_index.iter_multi_index_set(d, 1, "lex"), named_builder(order_name)(LT)))
     return entries, [",".join(map(str, e)) for e in entries]
 
 
 @pytest.mark.parametrize("fmt", ["plain", "csv", "jsonl"])
-@pytest.mark.parametrize("order_name", ["grlex", "grcolex", "grsymlex", "grevlex"])
+@pytest.mark.parametrize("order_name", list(NAMED_ORDERS))
 def test_enumerate_deep_dimension(runner, order_name, fmt):
     d = 1100
     result = runner.invoke(main, ["enumerate", "--d", str(d), "--k", "1", "--order", order_name, "--format", fmt])
@@ -255,11 +312,11 @@ def test_enumerate_deep_dimension(runner, order_name, fmt):
     if fmt == "plain":
         assert lines == plain
     elif fmt == "csv":
-        assert lines[1:] == [f"{p},{int(r > 0)},{r}" for r, p in enumerate(plain)]
+        assert lines[1:] == [f"{p},{sum(e)},{r}" for r, (p, e) in enumerate(zip(plain, entries))]
     else:
         records = [json.loads(line) for line in lines]
         assert tuple(tuple(rec["index"]) for rec in records) == entries
-        assert [(rec["sum"], rec["rank"]) for rec in records] == [(int(r > 0), r) for r in range(d + 1)]
+        assert [(rec["sum"], rec["rank"]) for rec in records] == [(sum(e), r) for r, e in enumerate(entries)]
 
 
 def test_enumerate_grevlex_streams(runner):

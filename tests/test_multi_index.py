@@ -16,6 +16,8 @@ from gradedorders import (
     iter_slice,
     multi_index_set,
 )
+from gradedorders import families
+from gradedorders.families import SCHEMES as SCHEME_FLAGS, sorted_total
 
 GRADED_FOR_SCHEME = {
     "lex": grlex(LT),
@@ -24,6 +26,7 @@ GRADED_FOR_SCHEME = {
     "revlex": grevlex(LT),
 }
 SCHEMES = tuple(GRADED_FOR_SCHEME)
+LEXICOGRAPHIC_FOR_SCHEME = {scheme: getattr(families, scheme)(LT) for scheme in SCHEMES}
 
 
 def brute_set(d, k):
@@ -138,6 +141,19 @@ def test_slice_walk_matches_its_definitions(scheme, d):
         expected_set += by_sort
     assert list(iter_multi_index_set(d, k, scheme)) == expected_set
     assert multi_index_set(d, k, scheme).entries == tuple(expected_set)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("d", range(1, 6))
+def test_slice_with_slack_dropped_is_the_set_sorted_by_the_scheme(scheme, d):
+    # a -> (a, k - |a|) maps the set onto the slice k of dimension d + 1; the
+    # slack goes last for a front scheme and first for a back scheme
+    order = LEXICOGRAPHIC_FOR_SCHEME[scheme]
+    drop = slice(1, None) if SCHEME_FLAGS[scheme][1] else slice(None, -1)
+    for k in range(7):
+        walked = [e[drop] for e in iter_slice(d + 1, k, scheme)]
+        assert walked == sorted_total(brute_set(d, k), order)
+        assert len(walked) == comb(d + k, d)
 
 
 def unit_vectors(d):

@@ -1,11 +1,12 @@
 import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import reference_parse_poly, reference_tokenize
+from conftest import reference_format_poly, reference_parse_poly, reference_tokenize
 from gradedorders import (
     LT,
     IncomparableError,
@@ -364,6 +365,36 @@ def test_format_poly():
     terms = sort_terms(p, grlex(LT))
     assert format_poly(terms, 2) == "-3 + 2*Y - X"
     assert format_poly([], 2) == "0"
+
+
+@st.composite
+def term_lists(draw):
+    """(terms, d, alias): up to 8 terms of dimension d, repeats allowed, with
+    integer and rational coefficients of either sign and zero.  Term refuses
+    a zero coefficient, so a zero rides on a stand-in with the same fields."""
+    d = draw(st.sampled_from([1, 3, 4, 13]))
+    exponent = st.sampled_from([0, 0, 0, 1, 1, 2, 3, 10, 123])
+    coefficient = st.builds(
+        Fraction, st.one_of(st.integers(-12, 12), st.integers(-(10**30), 10**30)), st.sampled_from([1, 1, 2, 3, 7, 10])
+    )
+
+    def term():
+        exponents = tuple(draw(exponent) for _ in range(d))
+        c = draw(coefficient)
+        return Term(exponents, c) if c else SimpleNamespace(exponents=exponents, coefficient=c)
+
+    return [term() for _ in range(draw(st.integers(0, 8)))], d, draw(st.sampled_from([None, True, False]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(term_lists())
+@example(([], 3, None))
+@example(([Term((0, 0, 0), -1)], 3, None))
+@example(([Term((0, 0, 0), 1), Term((1, 0, 0), -1), Term((0, 2, 0), Fraction(-1, 2))], 3, False))
+@example(([SimpleNamespace(exponents=(1,), coefficient=Fraction(0)), Term((0,), 5)], 1, None))
+def test_format_poly_matches_the_reference(case):
+    terms, d, alias = case
+    assert format_poly(terms, d, alias) == reference_format_poly(terms, d, alias)
 
 
 def test_parse_format_roundtrip():
