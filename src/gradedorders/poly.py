@@ -38,7 +38,7 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-# the fast path: the text splits at its signs and each term at '*'; a factor,
+# the term parse: the text splits at its signs and each term at '*'; a factor,
 # with the whitespace around it, is a number ("p" or "p/q") or a variable with
 # an optional exponent, in the character classes of _TOKEN_RE.  The split
 # takes the bare sign: a leading \s* in it would rescan each run of blanks
@@ -73,7 +73,9 @@ class SparsePoly:
 
     @classmethod
     def from_pairs(cls, dimension: int, pairs) -> "SparsePoly":
-        """Build a canonical polynomial: like terms combined, zeros dropped."""
+        """Build a canonical polynomial: like terms combined, zeros dropped.
+        Ints and Fractions are summed as they come, any other number as the
+        Fraction it equals, so that every sum is exact."""
         acc: Dict[Tuple[int, ...], Fraction] = {}
         for exponents, coefficient in pairs:
             exponents = tuple(exponents)
@@ -81,11 +83,13 @@ class SparsePoly:
                 raise LengthMismatchError(
                     f"exponent family of length {len(exponents)} in dimension {dimension}"
                 )
+            if not isinstance(coefficient, (int, Fraction)):
+                coefficient = Fraction(coefficient)
             if exponents in acc:
-                acc[exponents] += Fraction(coefficient)
+                acc[exponents] += coefficient
             else:
-                acc[exponents] = Fraction(coefficient)
-        return cls(dimension, {e: c for e, c in acc.items() if c != 0})
+                acc[exponents] = coefficient
+        return cls(dimension, {e: c if type(c) is Fraction else Fraction(c) for e, c in acc.items() if c})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -113,28 +117,12 @@ def _int(digits: str, pos: int) -> int:
         raise PolyParseError(f"number of more than {sys.get_int_max_str_digits()} digits", pos) from None
 
 
-def _var_index(token: str, dimension: int, pos: int) -> int:
-    if token in _ALIASES:
-        if dimension > 3:
-            raise PolyParseError(
-                f"alias {token!r} is only available for dimension <= 3", pos
-            )
-        index = _ALIASES[token]
-    else:
-        index = _int(token[1:], pos)
-    if index >= dimension:
-        raise PolyParseError(
-            f"variable X{index} exceeds declared dimension {dimension}", pos
-        )
-    return index
-
-
 def parse_poly(text: str, dimension: int) -> SparsePoly:
     """The polynomial a text writes in the given dimension.
 
-    Well-formed text is parsed term by term, each distinct factor text once
-    per call; any other input goes to the tokenizer parse, which raises the
-    PolyParseError that names the first fault and its position."""
+    The term parse builds every polynomial, reading each distinct factor
+    text once per call.  On malformed text the tokens are read in order up
+    to the first fault, and the PolyParseError names it and its position."""
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
     poly = _parse_by_term(text, dimension)
@@ -143,31 +131,35 @@ def parse_poly(text: str, dimension: int) -> SparsePoly:
     tokens = _tokenize(text)
     if not tokens:
         raise PolyParseError("empty polynomial text", 0)
-    pairs = []
-    i = 0
-    sign = 1
-    # optional leading sign
-    if tokens[i][0] == "op" and tokens[i][1] in "+-":
-        sign = -1 if tokens[i][1] == "-" else 1
-        i += 1
-    while True:
-        i, exponents, coefficient = _parse_term(tokens, i, dimension)
-        pairs.append((exponents, sign * coefficient))
-        if i == len(tokens):
-            break
+    n = len(tokens)
+    i = 1 if tokens[0][0] == "op" and tokens[0][1] in "+-" else 0
+    while True:  # a factor, then '*', '+' or '-'
+        if i == n:
+            raise PolyParseError("expected a coefficient or a variable", tokens[-1][2])
         kind, value, pos = tokens[i]
-        if kind != "op" or value not in "+-":
-            raise PolyParseError(f"expected '+' or '-', got {value!r}", pos)
-        sign = -1 if value == "-" else 1
+        if kind == "op":
+            raise PolyParseError(f"expected a coefficient or a variable, got {value!r}", pos)
+        _factor(value, dimension, pos)
         i += 1
-    return SparsePoly.from_pairs(dimension, pairs)
+        if kind == "var" and i < n and tokens[i][1] == "^":
+            i += 1
+            if i == n or tokens[i][0] != "number" or "/" in tokens[i][1]:
+                got, at = tokens[i][1:] if i < n else ("end of input", pos)
+                raise PolyParseError(f"expected a natural exponent, got {got!r}", at)
+            _factor(tokens[i][1], dimension, tokens[i][2])
+            i += 1
+        if i == n:
+            raise AssertionError(f"the term parse refused well-formed text {text!r}")
+        value, pos = tokens[i][1:]
+        if value not in ("*", "+", "-"):
+            raise PolyParseError(f"expected '+' or '-', got {value!r}", pos)
+        i += 1
 
 
 def _parse_by_term(text: str, dimension: int) -> Optional[SparsePoly]:
-    """parse_poly of well-formed text, or None for the tokenizer parse to
-    report the fault: a factor that does not match (an empty term too), a
-    zero denominator, an alias past dimension 3, an index past the
-    dimension or a number past the int digit limit."""
+    """parse_poly of well-formed text, or None for parse_poly to name the
+    fault: a factor that does not match (an empty term too) or one that
+    _factor refuses."""
     pieces = _SIGN_RE.split(text)
     if len(pieces) > 1 and not pieces[0].strip():
         del pieces[0]  # the optional leading sign
@@ -175,86 +167,54 @@ def _parse_by_term(text: str, dimension: int) -> Optional[SparsePoly]:
         pieces.insert(0, "+")
     factors: Dict[str, object] = {}
     pairs = []
-    for sign, term in zip(pieces[::2], pieces[1::2]):
-        exponents = [0] * dimension
-        coefficient = -1 if sign == "-" else 1
-        for piece in term.split("*"):
-            factor = factors.get(piece)
-            if factor is None:
-                factor = factors[piece] = _factor(piece, dimension)
+    try:
+        for sign, term in zip(pieces[::2], pieces[1::2]):
+            exponents = [0] * dimension
+            coefficient = -1 if sign == "-" else 1
+            for piece in term.split("*"):
+                factor = factors.get(piece)
                 if factor is None:
-                    return None
-            if type(factor) is tuple:
-                exponents[factor[0]] += factor[1]
-            else:
-                coefficient *= factor
-        pairs.append((exponents, coefficient))
+                    factor = factors[piece] = _factor(piece, dimension)
+                    if factor is None:
+                        return None
+                if type(factor) is tuple:
+                    exponents[factor[0]] += factor[1]
+                else:
+                    coefficient *= factor
+            pairs.append((exponents, coefficient))
+    except PolyParseError:
+        return None
     return SparsePoly.from_pairs(dimension, pairs)
 
 
-def _factor(text: str, dimension: int):
+def _factor(text: str, dimension: int, pos: int = 0):
     """An (index, exponent) pair or a coefficient (int or Fraction) for one
-    factor's text, or None where the tokenizer parse must decide."""
+    factor's text, or None for text that is no factor.  A fault raises a
+    PolyParseError at pos plus the offset of the faulty token: a number past
+    the int digit limit, a zero denominator, an alias past dimension 3 or an
+    index past the dimension."""
     match = _FACTOR_RE.fullmatch(text)
     if match is None:
         return None
     numerator, denominator, var, exponent = match.groups()
-    try:
-        if var is None:
-            if denominator is None:
-                return int(numerator)
-            denominator = int(denominator)
-            return Fraction(int(numerator), denominator) if denominator else None
-        if var in _ALIASES:
-            if dimension > 3:
-                return None
-            index = _ALIASES[var]
-        else:
-            index = int(var[1:])
-        if index >= dimension:
-            return None
-        return index, 1 if exponent is None else int(exponent)
-    except ValueError:  # past sys.get_int_max_str_digits()
-        return None
-
-
-def _parse_term(tokens, i: int, dimension: int):
-    exponents = [0] * dimension
-    coefficient = 1  # an int until a p/q factor makes it a Fraction
-    while True:
-        if i >= len(tokens):
-            pos = tokens[-1][2] if tokens else 0
-            raise PolyParseError("expected a coefficient or a variable", pos)
-        kind, value, pos = tokens[i]
-        if kind == "number":
-            numerator, slash, denominator = value.partition("/")
-            if slash:
-                denominator = _int(denominator, pos)
-                if denominator == 0:
-                    raise PolyParseError("zero denominator", pos)
-                coefficient *= Fraction(_int(numerator, pos), denominator)
-            else:
-                coefficient *= _int(numerator, pos)
-            i += 1
-        elif kind == "var":
-            index = _var_index(value, dimension, pos)
-            exponent = 1
-            i += 1
-            if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "^":
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "number" or "/" in tokens[i][1]:
-                    bad = tokens[i] if i < len(tokens) else (None, "end of input", pos)
-                    raise PolyParseError(f"expected a natural exponent, got {bad[1]!r}", bad[2])
-                exponent = _int(tokens[i][1], tokens[i][2])
-                i += 1
-            exponents[index] += exponent
-        else:
-            raise PolyParseError(f"expected a coefficient or a variable, got {value!r}", pos)
-        if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "*":
-            i += 1
-            continue
-        break
-    return i, tuple(exponents), coefficient
+    if var is None:
+        at = pos + match.start(1)
+        if denominator is None:
+            return _int(numerator, at)
+        denominator = _int(denominator, at)
+        if not denominator:
+            raise PolyParseError("zero denominator", at)
+        return Fraction(_int(numerator, at), denominator)
+    at = pos + match.start(3)
+    if var in _ALIASES:
+        if dimension > 3:
+            raise PolyParseError(f"alias {var!r} is only available for dimension <= 3", at)
+        index = _ALIASES[var]
+    else:
+        index = _int(var[1:], at)
+    if index >= dimension:
+        raise PolyParseError(f"variable X{index} exceeds declared dimension {dimension}", at)
+    return index, 1 if exponent is None else _int(exponent, pos + match.start(4))
 
 
 # ---------------------------------------------------------------------------

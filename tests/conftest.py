@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product
 
-from gradedorders import Carrier, PolyParseError, Relation, SparsePoly, format_term
+from gradedorders import Carrier, LengthMismatchError, PolyParseError, Relation, SparsePoly, format_term
 
 
 def box(d, bound):
@@ -164,6 +164,22 @@ def reference_parse_poly(text, d):
             raise PolyParseError(f"expected '+' or '-', got {value!r}", pos)
         sign = -1 if value == "-" else 1
         i += 1
+
+
+def reference_from_pairs(dimension, pairs):
+    """The terms of SparsePoly.from_pairs with every coefficient made a
+    Fraction before it is summed and zeros dropped in a second pass: the
+    body that the one-pass sum replaces."""
+    acc = {}
+    for exponents, coefficient in pairs:
+        exponents = tuple(exponents)
+        if len(exponents) != dimension:
+            raise LengthMismatchError(f"exponent family of length {len(exponents)} in dimension {dimension}")
+        if exponents in acc:
+            acc[exponents] += Fraction(coefficient)
+        else:
+            acc[exponents] = Fraction(coefficient)
+    return {e: c for e, c in acc.items() if c != 0}
 
 
 def reference_format_poly(terms, dimension, alias=None):

@@ -372,6 +372,9 @@ def test_compare_errors(runner):
     assert runner.invoke(main, ["compare", "0,1", "0,1,2"]).exit_code == 2
     assert runner.invoke(main, ["compare", "0,a", "0,1"]).exit_code == 2
     assert runner.invoke(main, ["compare", "--order", "nope", "0", "1"]).exit_code == 2
+    result = runner.invoke(main, ["compare", "--order", "grlex", "1,-2", "0,1"])
+    assert result.exit_code == 2
+    assert "multi-index components must be naturals" in result.output
 
 
 def test_compare_weighted_order(runner, tmp_path):
@@ -399,8 +402,11 @@ def test_mode_option_is_gone(runner):
     assert result.exit_code == 2
 
 
-def test_compare_missing_matrix_file(runner):
+def test_compare_missing_matrix_file(runner, tmp_path):
     assert runner.invoke(main, ["compare", "--order", "weighted:/no/such", "0", "1"]).exit_code == 2
+    path = tmp_path / "bad.txt"
+    path.write_text("2\n1\n1\n")
+    _one_error_line(runner.invoke(main, ["compare", "--order", f"weighted:{path}", "1,0", "0,1"]), "bad matrix header")
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +439,9 @@ def test_sort_terms_parse_error_reports_position(runner):
     result = runner.invoke(main, ["sort-terms", "--d", "2"], input="X0 + $")
     assert result.exit_code == 2
     assert "position" in result.output
+    result = runner.invoke(main, ["sort-terms", "--d", "0"], input="X")
+    assert result.exit_code == 2
+    assert "--d must be >= 1" in result.output
 
 
 def test_sort_terms_wrong_dimension_order_is_a_usage_error(runner, tmp_path):

@@ -1,18 +1,21 @@
 import random
+import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import reference_format_poly, reference_parse_poly, reference_tokenize
+from conftest import reference_format_poly, reference_from_pairs, reference_parse_poly, reference_tokenize
 from gradedorders import (
     LT,
     IncomparableError,
     LengthMismatchError,
     WeightMatrix,
     PolyParseError,
+    Relation,
     SparsePoly,
     Term,
     format_poly,
@@ -29,6 +32,7 @@ from gradedorders import (
     weighted_relation,
 )
 from gradedorders import poly
+from gradedorders.families import sorted_total
 from gradedorders.graded import NAMED_ORDERS, named_builder
 from gradedorders.poly import _tokenize
 
@@ -80,6 +84,8 @@ def test_parse_errors_carry_position():
         parse_poly("", 2)
     with pytest.raises(PolyParseError):
         parse_poly("X", 4)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        parse_poly("X", 0)
 
 
 POLY_PIECES = ["X", "Y", "Z", "X0", "X12", "3", "45", "2/3", " / ", "^", "*", "+", "-", " ", "\t", "\n", "?", "\u0663"]
@@ -190,9 +196,21 @@ def mutated_poly_texts(draw):
 @example(("X^" + HUGE, 3))
 @example(("3/0*X", 3))
 @example(("X0^1/2", 4))
+@example((HUGE + "/0*X", 3))
+@example(("1/" + HUGE, 3))
+@example(("X9 Y", 2))
+@example(("Y^2 ?", 4))
+@example(("X^", 2))
+@example(("X^ + 1", 2))
 def test_parse_matches_the_reference(case):
     text, d = case
     assert _result_or_error(parse_poly, text, d) == _result_or_error(reference_parse_poly, text, d)
+
+
+def test_a_fault_walk_that_finds_no_fault_is_an_error(monkeypatch):
+    monkeypatch.setattr(poly, "_parse_by_term", lambda text, dimension: None)
+    with pytest.raises(AssertionError, match=re.escape("'X + 1'")):
+        parse_poly("X + 1", 2)
 
 
 WELL_FORMED = [
@@ -243,6 +261,40 @@ def test_parse_numbers_past_the_int_digit_limit_are_parse_errors(text, position)
     assert f"number of more than {sys.get_int_max_str_digits()} digits" in str(err.value)
 
 
+@st.composite
+def coefficient_pairs(draw):
+    """(d, pairs): exponents drawn from a small box, so that they repeat, with
+    int, Fraction, float and Decimal coefficients, some of which cancel."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    coefficient = st.one_of(
+        st.integers(-3, 3),
+        st.integers(-(10**30), 10**30),
+        st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 6])),
+        st.sampled_from([0.5, -0.5, 0.1, -0.1, 0.0, 1e300, Decimal("0.1"), Decimal("-0.1")]),
+        st.floats(-10, 10),
+    )
+    pair = st.tuples(st.tuples(*[st.integers(0, 2)] * d), coefficient)
+    return d, draw(st.lists(pair, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficient_pairs())
+@example((2, [((1, 0), 1), ((1, 0), Fraction(-1, 2)), ((1, 0), -0.5), ((0, 1), 3)]))
+@example((1, [((0,), Fraction(2, 3)), ((0,), 1)]))
+@example((2, [((1,), 1)]))
+def test_from_pairs_matches_the_reference(case):
+    d, pairs = case
+    try:
+        expected = reference_from_pairs(d, pairs)
+    except LengthMismatchError:
+        with pytest.raises(LengthMismatchError):
+            SparsePoly.from_pairs(d, pairs)
+        return
+    terms = SparsePoly.from_pairs(d, pairs).terms
+    assert list(terms.items()) == list(expected.items())
+    assert all(type(c) is Fraction for c in terms.values())
+
+
 def test_term_rejects_zero_coefficient():
     with pytest.raises(ValueError):
         Term((1, 0), 0)
@@ -273,6 +325,9 @@ def test_sort_terms_refuses_tied_exponents():
         sort_terms(parse_poly("X + Y + X^2 + X*Y", 2), order)
     assert excinfo.value.pair == ((1, 0), (0, 1))
     assert [t.exponents for t in sort_terms(parse_poly("X + X^2", 2), order)] == [(1, 0), (2, 0)]
+    # a keyless order ties through the comparator
+    with pytest.raises(IncomparableError):
+        sorted_total([(0, 1), (1, 0)], Relation(lambda x, y: False))
 
 
 def test_sort_terms_single_term():

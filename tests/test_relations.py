@@ -18,6 +18,8 @@ from gradedorders import (
     converse,
     intersection,
     is_connected,
+    is_irreflexive,
+    is_negatively_transitive,
     is_reflexive,
     is_strict_total_order,
     is_strict_weak_order,
@@ -112,6 +114,10 @@ def test_connectivity_examples():
 
 def test_strict_total_order_on_lt():
     assert is_strict_total_order(LT, C3)
+    c = carrier_range(0, 4)
+    assert is_negatively_transitive(LT, c)
+    assert is_irreflexive(LT, c)
+    assert not is_irreflexive(LE, c)
 
 
 def test_divisibility_is_not_total_order():

@@ -75,6 +75,8 @@ def test_matrix_for_agrees_with_combinators(name, d):
 def test_matrix_for_unknown_name():
     with pytest.raises(ValueError):
         matrix_for("grwhatever", 2)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        matrix_for("grlex", 0)
 
 
 @pytest.mark.parametrize("name", ["colex", "symlex", "revlex"])
@@ -149,6 +151,10 @@ def test_all_ones_rank_one_witness_on_tiny_box():
 def test_rejects_float_entries():
     with pytest.raises(TypeError):
         WeightMatrix(((1.0, 0.0), (0.0, 1.0)))
+    with pytest.raises(ValueError, match="at least one row"):
+        WeightMatrix(())
+    with pytest.raises(ValueError, match="inconsistent lengths"):
+        WeightMatrix(((1, 0), (1,)))
 
 
 def test_fixture_format_roundtrip(tmp_path):
@@ -167,3 +173,5 @@ def test_fixture_format_errors():
         parse_matrix("2 2\n1 0\n")
     with pytest.raises(ValueError):
         parse_matrix("1 2\n1 2 3\n")
+    with pytest.raises(ValueError, match="bad matrix header"):
+        parse_matrix("2\n1\n1\n")
