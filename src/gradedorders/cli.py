@@ -28,7 +28,7 @@ from .relations import (
     property_witness,
 )
 
-CLI_RELATIONS = {"lt": LT, "le": LE, "gt": GT, "ge": GE, "divides": DIVIDES}
+CLI_RELATIONS = {r.name: r for r in (LT, LE, GT, GE, DIVIDES)}
 
 # lines per write of enumerate's output, which bounds its memory on the
 # slice path

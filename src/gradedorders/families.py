@@ -24,7 +24,7 @@ from itertools import pairwise
 from operator import itemgetter, neg
 from typing import Any, Callable, Iterable, List, Sequence, Tuple
 
-from .relations import Predicate, Relation, converse
+from .relations import Predicate, Relation, converse, or_eq
 
 Family = Tuple[Any, ...]
 
@@ -194,11 +194,11 @@ def reverse_rel(rn: Relation) -> Relation:
 converse_rel = converse
 
 
+def _same_family(x: Family, y: Family) -> bool:
+    check_same_length(x, y)
+    return tuple(x) == tuple(y)
+
+
 def or_eq_rel(rn: Relation) -> Relation:
     """Reflexive closure of a vector relation (componentwise equality)."""
-
-    def apply(x: Family, y: Family) -> bool:
-        check_same_length(x, y)
-        return tuple(x) == tuple(y) or rn.apply(x, y)
-
-    return Relation(apply, declared_reflexive=True, name=f"or_eq({rn.name})")
+    return or_eq(rn, _same_family)

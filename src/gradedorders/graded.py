@@ -13,7 +13,7 @@ and grsymlex recursions, which compare components after the sums, and the
 simplified grsymlex and grevlex recursions, which compare only sums.  They
 agree with the graded compositions, strict and nonstrict, whenever the scalar
 relation is a monomial order and the monoid is right-cancellative, and the
-test suite checks exactly that.
+test suite checks exactly that.  They take families of any length.
 """
 
 from __future__ import annotations
@@ -153,15 +153,16 @@ def _graded_rec(
 
     def apply(x: Family, y: Family) -> bool:
         check_same_length(x, y)
-        sx = family_sum(x, monoid)
-        sy = family_sum(y, monoid)
-        if not monoid.eq(sx, sy):
-            return r.apply(sx, sy)
-        if x and not by_sums and not eq(x[i], y[i]):
-            return r.apply(y[i], x[i]) if down else r.apply(x[i], y[i])
-        if len(x) >= 2:
-            return apply(x[rest], y[rest])
-        return base
+        while True:
+            sx = family_sum(x, monoid)
+            sy = family_sum(y, monoid)
+            if not monoid.eq(sx, sy):
+                return r.apply(sx, sy)
+            if x and not by_sums and not eq(x[i], y[i]):
+                return r.apply(y[i], x[i]) if down else r.apply(x[i], y[i])
+            if len(x) < 2:
+                return base
+            x, y = x[rest], y[rest]
 
     return Relation(apply, declared_reflexive=base, name=f"{name}({r.name})")
 

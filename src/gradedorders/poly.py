@@ -261,40 +261,21 @@ def monomial_mul(p: SparsePoly, gamma: Sequence[int]) -> SparsePoly:
 # formatting
 
 
-def _variable_name(index: int, dimension: int, alias: bool) -> str:
-    if alias and dimension <= 3:
-        return "XYZ"[index]
-    return f"X{index}"
-
-
 def format_term(term: Term, dimension: int, alias: Optional[bool] = None) -> str:
     """Canonical unsigned rendering of a term (the sign is handled by the
     polynomial joiner)."""
-    if alias is None:
-        alias = dimension <= 3
-    factors = []
-    for index, exponent in enumerate(term.exponents):
-        if exponent == 0:
-            continue
-        name = _variable_name(index, dimension, alias)
-        factors.append(name if exponent == 1 else f"{name}^{exponent}")
-    magnitude = abs(term.coefficient)
-    if not factors:
-        return str(magnitude)
-    if magnitude == 1:
-        return "*".join(factors)
-    return "*".join([str(magnitude)] + factors)
+    return format_poly([term], dimension, alias).lstrip("-")
 
 
 def format_poly(terms: Sequence[Term], dimension: int, alias: Optional[bool] = None) -> str:
-    """The terms as format_term renders them, each after its sign; the first
-    term's sign shows only when it is negative.  Each factor's text is made
-    once per call, and a coefficient's text from its numerator and
-    denominator, with no Fraction arithmetic."""
+    """Each term's coefficient and powers joined by ``*``, after its sign; the
+    first term's sign shows only when it is negative.  Variables are X, Y, Z
+    up to dimension 3 unless alias is false, else X0, X1, ...  Each factor's
+    text is made once per call, and a coefficient's text from its numerator
+    and denominator, with no Fraction arithmetic."""
     if not terms:
         return "0"
-    if alias is None:
-        alias = dimension <= 3
+    letters = dimension <= 3 and (alias or alias is None)
     powers = {}  # (index, exponent) -> the factor's text
     parts = []
     for term in terms:
@@ -303,7 +284,7 @@ def format_poly(terms: Sequence[Term], dimension: int, alias: Optional[bool] = N
             if exponent:
                 text = powers.get((index, exponent))
                 if text is None:
-                    name = _variable_name(index, dimension, alias)
+                    name = "XYZ"[index] if letters else f"X{index}"
                     text = powers[index, exponent] = name if exponent == 1 else f"{name}^{exponent}"
                 factors.append(text)
         n, q = term.coefficient.numerator, term.coefficient.denominator

@@ -262,14 +262,9 @@ def _transitive(t: _Table, negated: bool = False) -> Optional[tuple]:
     return None
 
 
-def _reflexive(t: _Table) -> Optional[tuple]:
-    for x in compress(t.elements, map(operator.not_, t.diagonal())):
-        return (x,)
-    return None
-
-
-def _irreflexive(t: _Table) -> Optional[tuple]:
-    for x in compress(t.elements, t.diagonal()):
+def _diagonal_witness(t: _Table, fails) -> Optional[tuple]:
+    """First (x,) whose r(x, x) ``fails`` maps to a true value."""
+    for x in compress(t.elements, map(fails, t.diagonal())):
         return (x,)
     return None
 
@@ -305,14 +300,9 @@ _PAIR_FAILS = {
 _DECIDERS = {
     "transitive": _transitive,
     "negatively_transitive": partial(_transitive, negated=True),
-    "reflexive": _reflexive,
-    "irreflexive": _irreflexive,
+    "reflexive": partial(_diagonal_witness, fails=operator.not_),
+    "irreflexive": partial(_diagonal_witness, fails=_truth),
     **{name: partial(_pair_witness, fails=fails) for name, fails in _PAIR_FAILS.items()},
-}
-
-# each decider on a table of its own: the witness, or None, for (r, c)
-ELEMENTARY_WITNESSES = {
-    name: lambda r, c, decide=decide: decide(_Table(r, c)) for name, decide in _DECIDERS.items()
 }
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product
 
-from gradedorders import Carrier, LengthMismatchError, PolyParseError, Relation, SparsePoly, format_term
+from gradedorders import Carrier, LengthMismatchError, PolyParseError, Relation, SparsePoly
 
 
 def box(d, bound):
@@ -182,14 +182,33 @@ def reference_from_pairs(dimension, pairs):
     return {e: c for e, c in acc.items() if c != 0}
 
 
+def reference_format_term(term, dimension, alias=None):
+    """The unsigned term written factor by factor with Fraction arithmetic:
+    the term writer that format_term's call of format_poly replaces."""
+    if alias is None:
+        alias = dimension <= 3
+    factors = []
+    for index, exponent in enumerate(term.exponents):
+        if exponent == 0:
+            continue
+        name = "XYZ"[index] if alias and dimension <= 3 else f"X{index}"
+        factors.append(name if exponent == 1 else f"{name}^{exponent}")
+    magnitude = abs(term.coefficient)
+    if not factors:
+        return str(magnitude)
+    if magnitude == 1:
+        return "*".join(factors)
+    return "*".join([str(magnitude)] + factors)
+
+
 def reference_format_poly(terms, dimension, alias=None):
-    """The polynomial joined term by term from format_term: the joiner that
-    format_poly's per-call factor table replaces."""
+    """The polynomial joined term by term from reference_format_term: the
+    joiner that format_poly's per-call factor table replaces."""
     if not terms:
         return "0"
     parts = []
     for i, term in enumerate(terms):
-        body = format_term(term, dimension, alias)
+        body = reference_format_term(term, dimension, alias)
         if i == 0:
             parts.append(body if term.coefficient > 0 else f"-{body}")
         else:

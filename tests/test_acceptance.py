@@ -54,7 +54,8 @@ from gradedorders import (
 )
 from gradedorders.cli import main as cli_main
 from gradedorders.relations import (
-    ELEMENTARY_WITNESSES,
+    CONJUNCTIVE_PARTS,
+    PROPERTY_NAMES,
     is_antisymmetric,
     is_asymmetric,
     is_connected,
@@ -62,6 +63,7 @@ from gradedorders.relations import (
     is_strict_weak_order,
     is_strongly_connected,
     is_total_order,
+    property_witness,
 )
 
 A32 = sorted(t for t in box(2, 3) if sum(t) <= 3)
@@ -170,8 +172,11 @@ def test_criterion_04_term_sorting_golden_rows():
     report("criterion 4: canonical term-sorting rows via sort-terms", started)
 
 
+ELEMENTARY_NAMES = [name for name in PROPERTY_NAMES if name not in CONJUNCTIVE_PARTS]
+
+
 def _elementary_profile(r, c):
-    return {name: w(r, c) is None for name, w in ELEMENTARY_WITNESSES.items()}
+    return {name: property_witness(name, r, c) is None for name in ELEMENTARY_NAMES}
 
 
 def _check_lemmas_on_carrier(elements):

@@ -170,22 +170,34 @@ def test_inlined_strict_variants():
     assert agree_on_box(grcolex_rec(LE), grcolex(LE), 3, 2)
 
 
+# each recursive form with the composition it agrees with
+RECURSIVE_FORMS = [
+    (grlex_rec, grlex),
+    (grcolex_rec, grcolex),
+    (grsymlex_full_rec, grsymlex),
+    (grsymlex_rec, grsymlex),
+    (grevlex_rec, grevlex),
+]
+
+
 @pytest.mark.parametrize("r", [LT, LE, GT, GE], ids=lambda r: r.name)
-@pytest.mark.parametrize(
-    "rec, composed",
-    [
-        (grlex_rec, grlex),
-        (grcolex_rec, grcolex),
-        (grsymlex_full_rec, grsymlex),
-        (grsymlex_rec, grsymlex),
-        (grevlex_rec, grevlex),
-    ],
-    ids=lambda f: f.__name__,
-)
+@pytest.mark.parametrize("rec, composed", RECURSIVE_FORMS, ids=lambda f: f.__name__)
 def test_recursive_forms_equal_their_compositions(rec, composed, r):
     # d = 0 is the pair of empty families
     for d in range(5):
         assert agree_on_box(rec(r), composed(r), d, 2), d
+
+
+@pytest.mark.parametrize("r", [LT, LE], ids=lambda r: r.name)
+@pytest.mark.parametrize("rec, composed", RECURSIVE_FORMS, ids=lambda f: f.__name__)
+def test_recursive_forms_take_families_past_the_recursion_limit(rec, composed, r):
+    # on equal families each form takes one step per component, past the
+    # default recursion limit of 1000; x and y differ in their last two only
+    n = 1100
+    zeros = (0,) * n
+    x, y = zeros[:-2] + (1, 0), zeros[:-2] + (0, 1)
+    for a, b in [(zeros, zeros), (x, x), (x, y), (y, x)]:
+        assert rec(r).apply(a, b) == composed(r).apply(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import reference_format_poly, reference_from_pairs, reference_parse_poly, reference_tokenize
+from conftest import reference_format_poly, reference_format_term, reference_from_pairs, reference_parse_poly, reference_tokenize
 from gradedorders import (
     LT,
     IncomparableError,
@@ -450,6 +450,8 @@ def term_lists(draw):
 def test_format_poly_matches_the_reference(case):
     terms, d, alias = case
     assert format_poly(terms, d, alias) == reference_format_poly(terms, d, alias)
+    for t in terms:
+        assert format_term(t, d, alias) == reference_format_term(t, d, alias)
 
 
 def test_parse_format_roundtrip():
