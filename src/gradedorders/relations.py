@@ -15,15 +15,18 @@ property is its own single conjunct.  The table asks the relation about each
 ordered pair of carrier elements at most once, n^2 calls on an n-element
 carrier.  It builds its rows on first use and holds the table twice: as one
 buffer of bytes, row after row, whose strided slices are its columns, and as
-an int mask per row, so the quantifiers run as mask arithmetic: transitivity
-costs one mask operation per related pair and no further calls.  Before any
-row is built, a lone diagonal or pair property asks the relation one x at a
-time and stops at the first witness; a conjunction starts with a conjunct
-that reads the rows, and its other conjuncts then read them too.  The
-witness is the first counterexample of the definitional loop over x, y (and
-z) in carrier order.  Deciders read whole rows, so pairs after the first
-witness in a row may be evaluated: a relation must be a total predicate on
-the carrier, defined and without side effects on every pair.
+an int mask per row, which the transitivity scans read: one mask operation
+per related pair and no further calls.  A pair property fails at (x, y)
+exactly when r(x, y) and r(y, x) are both one truth value, so for each x it
+reads r(x, y) for y from x onward, asks the converse r(y, x) only where
+r(x, y) leaves the pair open, and finds the first failing y in those bytes.
+Before any row is built, a lone diagonal or pair property asks the relation
+one x at a time and stops at the first witness; a conjunction starts with a
+conjunct that reads the rows, and its other conjuncts then read them too.
+The witness is the first counterexample of the definitional loop over x, y
+(and z) in carrier order.  Deciders read whole rows, so pairs after the
+first witness in a row may be evaluated: a relation must be a total
+predicate on the carrier, defined and without side effects on every pair.
 """
 
 from __future__ import annotations
@@ -51,6 +54,11 @@ class Relation:
     ``apply(x, y) == (key(x) < key(y))``.  The builders attach one only where
     that holds by construction (strict ``<`` on numbers, structural equality,
     natural-number sums); ``apply`` stays the reference definition.
+
+    The deciders read each answer of ``apply`` by its truth value.  Bool and
+    int answers are stored as they are, one byte each; an answer that
+    ``bytes`` takes as 0 or 1 through ``__index__`` is taken to have that
+    truth value, as every int does.
     """
 
     apply: Predicate
@@ -178,9 +186,23 @@ _truth = operator.truth
 _NOT = bytes.maketrans(b"\0\1", b"\1\0")  # complement of a row
 
 
+def _cells(answers) -> bytes:
+    """One byte per answer, 1 where the answer is true.  The answers are
+    stored once, so none is asked twice: bool and int answers of 0 and 1 are
+    the bytes as they are, and any other answer is read by its truth value."""
+    answers = list(answers)
+    try:
+        cells = bytes(answers)
+        if not cells.translate(None, b"\0\1"):
+            return cells
+    except (TypeError, ValueError):  # an answer that is no int in range(256)
+        pass
+    return bytes(map(_truth, answers))
+
+
 def _row(ap: Predicate, x, ys) -> bytes:
     """Byte k is truth(ap(x, y)) for the k-th y of ys."""
-    return bytes(map(_truth, map(ap, repeat(x), ys)))
+    return _cells(map(ap, repeat(x), ys))
 
 
 def _mask(row: bytes) -> int:
@@ -197,8 +219,8 @@ class _Table:
 
     Once built, the table is one buffer of n^2 cells, row after row, with the
     rows as views of it and a mask per row; all are kept.  Until then
-    ``pair`` and ``diagonal`` ask the relation one x at a time, so that a
-    witness for an early x ends the work early."""
+    ``row``, ``converse`` and ``diagonal`` ask the relation one x at a time,
+    so that a witness for an early x ends the work early."""
 
     def __init__(self, r: Relation, c: Carrier):
         self.apply = r.apply
@@ -219,15 +241,26 @@ class _Table:
     def masks(self) -> list:
         return [_mask(row) for row in self.rows]
 
-    def pair(self, i: int) -> Tuple[bytes, bytes]:
-        """r(x, y) and r(y, x) for x = c[i] and y = c[i], c[i+1], ..."""
+    def row(self, i: int) -> bytes:
+        """r(x, y) for x = c[i] and y = c[i], c[i+1], ..."""
         if "cells" in self.__dict__:
-            cells, n = self.cells, self.n
-            return cells[i * n + i : i * n + n], cells[i * n + i :: n]
-        ap, els = self.apply, self.elements
-        x = els[i]
-        xy = _row(ap, x, islice(els, i, None))
-        return xy, xy[:1] + bytes(map(_truth, map(ap, islice(els, i + 1, None), repeat(x))))
+            n = self.n
+            return self.cells[i * n + i : i * n + n]
+        return _row(self.apply, self.elements[i], islice(self.elements, i, None))
+
+    def converse(self, i: int, chosen: bytes) -> bytes:
+        """r(y, x) for x = c[i] and each y = c[i + 1 + k] with a nonzero
+        byte k in ``chosen``, in carrier order.  When every y is chosen the
+        whole column is read, which is faster than selecting all of it."""
+        every = b"\0" not in chosen
+        if "cells" in self.__dict__:
+            n = self.n
+            column = self.cells[i * n + i + n :: n]
+            return column if every else bytes(compress(column, chosen))
+        ys = islice(self.elements, i + 1, None)
+        if not every:
+            ys = compress(ys, chosen)
+        return _cells(map(self.apply, ys, repeat(self.elements[i])))
 
     def diagonal(self) -> Iterator:
         """r(x, x) for each x in carrier order, asked as it is read."""
@@ -273,28 +306,38 @@ def _pair_witness(t: _Table, fails) -> Optional[tuple]:
     """First (x, y) failing a property that is symmetric in x and y.
 
     Since (y, x) fails whenever (x, y) does, the first failing pair in row
-    order has y at or after x, so each x reads y from x onward only.  ``fails``
-    maps the masks of r(x, y) and of r(y, x) over those y, and the mask of all
-    of them, to the mask of the failing y.  Bit 0 is y = x: carrier elements
-    are pairwise distinct, so x = y only at the same position."""
-    els = t.elements
-    ones = _mask(b"\1" * t.n)
-    for i in range(t.n):
-        xy, yx = t.pair(i)
-        bad = fails(_mask(xy), _mask(yx), ones >> 8 * i)
-        if bad:
-            return (els[i], els[i + _first(bad)])
+    order has y at or after x, so each x reads y from x onward only.  The
+    pair fails when r(x, y) and r(y, x) both equal v, for one entry
+    (v, start) of ``fails`` and y at least ``start`` places after x; so
+    r(y, x) is asked only for the y with r(x, y) == v.  At y = x the converse
+    is r(x, x) itself: carrier elements are pairwise distinct, so x = y only
+    at the same position."""
+    els, n = t.elements, t.n
+    for i in range(n):
+        xy = t.row(i)
+        after = xy[1:]
+        found = []
+        for v, start in fails:
+            if start == 0 and xy[0] == v:
+                return (els[i], els[i])
+            chosen = after if v else after.translate(_NOT)
+            k = t.converse(i, chosen).find(v)
+            if k >= 0:  # the k-th chosen y
+                found.append(next(islice(compress(range(i + 1, n), chosen), k, None)))
+        if found:
+            return (els[i], els[min(found)])
     return None
 
 
-# the failing y of each pair property, from the masks _pair_witness passes
+# each pair property fails where r(x, y) == r(y, x) == v, for an entry
+# (v, start) and y at least start places after x
 _PAIR_FAILS = {
-    "antisymmetric": lambda xy, yx, ones: xy & yx & ~1,
-    "asymmetric": lambda xy, yx, ones: xy & yx,
-    "connected": lambda xy, yx, ones: (ones ^ (xy | yx)) & ~1,
-    "strongly_connected": lambda xy, yx, ones: ones ^ (xy | yx),
-    # exactly one of x = y, r(x, y), r(y, x)
-    "trichotomous": lambda xy, yx, ones: ((ones ^ xy ^ yx) & ~1) | ((xy | yx) & 1),
+    "antisymmetric": ((True, 1),),
+    "asymmetric": ((True, 0),),
+    "connected": ((False, 1),),
+    "strongly_connected": ((False, 0),),
+    # exactly one of x = y, r(x, y), r(y, x): asymmetric and connected
+    "trichotomous": ((True, 0), (False, 1)),
 }
 
 _DECIDERS = {

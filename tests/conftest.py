@@ -1,10 +1,11 @@
 """Shared helpers for the test suite."""
 
+import operator
 import re
 import sys
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import product
+from itertools import product, repeat
 
 from gradedorders import Carrier, LengthMismatchError, PolyParseError, Relation, SparsePoly
 
@@ -38,6 +39,38 @@ def all_relations(elements):
     all_pairs = [(x, y) for x in elements for y in elements]
     for mask in range(1 << len(all_pairs)):
         yield frozenset(p for i, p in enumerate(all_pairs) if mask >> i & 1)
+
+
+# the failing y of each pair property, from the masks of r(x, y), of r(y, x)
+# and of all y from x onward; bit 0 is y = x
+REFERENCE_PAIR_FAILS = {
+    "antisymmetric": lambda xy, yx, ones: xy & yx & ~1,
+    "asymmetric": lambda xy, yx, ones: xy & yx,
+    "connected": lambda xy, yx, ones: (ones ^ (xy | yx)) & ~1,
+    "strongly_connected": lambda xy, yx, ones: ones ^ (xy | yx),
+    # exactly one of x = y, r(x, y), r(y, x)
+    "trichotomous": lambda xy, yx, ones: ((ones ^ xy ^ yx) & ~1) | ((xy | yx) & 1),
+}
+
+
+def _reference_mask(answers):
+    return int.from_bytes(bytes(map(operator.truth, answers)), "little")
+
+
+def reference_pair_witness(name, r, c):
+    """The first failing (x, y) of a pair property from whole rows of r(x, y)
+    and r(y, x) for y from x onward, each answer through operator.truth, and
+    a mask of the failing y: the scan that asks r(y, x) only where r(x, y)
+    leaves the pair open replaces."""
+    fails, ap, els = REFERENCE_PAIR_FAILS[name], r.apply, c.elements
+    ones = _reference_mask([1] * len(els))
+    for i, x in enumerate(els):
+        xy = _reference_mask(map(ap, repeat(x), els[i:]))
+        yx = (xy & 1) | _reference_mask(map(ap, els[i + 1 :], repeat(x))) << 8
+        bad = fails(xy, yx, ones >> 8 * i)
+        if bad:
+            return (x, els[i + (((bad & -bad).bit_length() - 1) >> 3)])
+    return None
 
 
 def family_carrier(items):

@@ -3,11 +3,13 @@ replace, and the bound on how often they ask the relation."""
 
 import operator
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import all_relations, relation_from_pairs
+from conftest import REFERENCE_PAIR_FAILS, all_relations, reference_pair_witness, relation_from_pairs
 
 from gradedorders import (
     DIVIDES,
@@ -231,6 +233,57 @@ def test_relations_returning_non_bool_values():
         assert_same_witnesses(r, carrier_range(-2, 4))
 
 
+# answers of every type the deciders read: bools, ints 0 and 1, other ints,
+# and values that are no int at all
+ANSWERS = (False, True, 0, 1, 7, 300, None, [], [0])
+
+
+@st.composite
+def answered_carriers(draw):
+    """A carrier of 0-9 integers in shuffled order and an answer for each
+    ordered pair, drawn from a few of ANSWERS."""
+    elements = draw(st.lists(st.integers(-5, 20), unique=True, max_size=9))
+    kinds = draw(st.lists(st.sampled_from(ANSWERS), min_size=1, max_size=3))
+    n = len(elements)
+    cells = draw(st.lists(st.sampled_from(kinds), min_size=n * n, max_size=n * n))
+    pairs = [(x, y) for x in elements for y in elements]
+    return Carrier(tuple(elements)), dict(zip(pairs, cells))
+
+
+def _reference_pair_property_witness(name, r, c):
+    """The first failing conjunct and its witness, the pair conjuncts by the
+    whole-row scan of reference_pair_witness."""
+    for part in CONJUNCTIVE_PARTS.get(name, (name,)):
+        if part in REFERENCE_PAIR_FAILS:
+            w = reference_pair_witness(part, r, c)
+        else:
+            w = REF_ELEMENTARY[part](r, c)
+        if w is not None:
+            return (part, w)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(answered_carriers())
+def test_pair_deciders_match_the_whole_row_scan(case):
+    """Every property, lone (before the table is built) and in a conjunction
+    (after), gives the reference's verdict and witness and asks no pair
+    twice."""
+    c, answers = case
+    reference = Relation(lambda x, y: answers[x, y], name="answers")
+    for name in PROPERTY_NAMES:
+        asked = Counter()
+
+        def apply(x, y):
+            asked[x, y] += 1
+            return answers[x, y]
+
+        got = property_witness(name, Relation(apply, name="answers"), c)
+        assert got == _reference_pair_property_witness(name, reference, c), name
+        assert sum(asked.values()) <= len(c.elements) ** 2, name
+        assert max(asked.values(), default=0) <= 1, name
+
+
 # ---------------------------------------------------------------------------
 # differential tests of the monomial and matrix checks
 
@@ -316,6 +369,27 @@ def test_every_decider_asks_each_pair_at_most_once(r):
         counted, calls = _counted(r)
         property_witness(name, counted, c)
         assert calls[0] <= 40 * 40, name
+
+
+HALF = 600 * 601 // 2
+
+PAIR_CALL_BOUNDS = [
+    # property, relation, calls on 0..599: a pair whose r(x, y) settles it
+    # is never asked the other way round
+    ("antisymmetric", GT, HALF),
+    ("connected", LT, HALF),
+    ("antisymmetric", LT, 600 * 600),
+    ("trichotomous", LT, 600 * 600),
+]
+
+
+@pytest.mark.parametrize(
+    "name, r, bound", PAIR_CALL_BOUNDS, ids=[f"{name}-{r.name}" for name, r, _ in PAIR_CALL_BOUNDS]
+)
+def test_pair_property_asks_the_converse_only_where_it_can_fail(name, r, bound):
+    counted, calls = _counted(r)
+    assert property_witness(name, counted, carrier_range(0, 599)) is None
+    assert calls[0] <= bound
 
 
 def test_transitive_and_total_order_bound():
