@@ -34,6 +34,10 @@ CLI_RELATIONS = {r.name: r for r in (LT, LE, GT, GE, DIVIDES)}
 # slice path
 CHUNK_LINES = 4096
 
+# what CPython raises, before it allocates, for a tuple, list or string
+# longer than it can hold: the CLI's answer to a --d or carrier of that size
+TOO_LARGE = (OverflowError, MemoryError)
+
 
 def resolve_order(name: str) -> Relation:
     """Strict vector relation for an order name; 'weighted:FILE' loads a
@@ -72,17 +76,22 @@ def main():
     """Lexicographic and graded monomial orders on multi-indices."""
 
 
+# The lines of enumerate are those csv.writer and json.dumps would give.
+# Per format: the separator of the components, and the text that opens a
+# line, comes before its sum, before its rank and closes it.  A plain line
+# is the components alone.
+_FRAMES = {
+    "plain": (",", "", "", "", ""),
+    "csv": (",", "", ",", ",", ""),
+    "jsonl": (", ", '{"index": [', '], "sum": ', ', "rank": ', "}"),
+}
+
+
 @main.command("enumerate")
 @click.option("--d", "d", type=int, required=True, help="Dimension (>= 1).")
 @click.option("--k", "k", type=int, required=True, help="Maximum component sum (>= 0).")
 @click.option("--order", "order_name", default="grsymlex", show_default=True)
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["plain", "csv", "jsonl"]),
-    default="plain",
-    show_default=True,
-)
+@click.option("--format", "fmt", type=click.Choice(tuple(_FRAMES)), default="plain", show_default=True)
 @click.option(
     "--allow-sort-fallback",
     is_flag=True,
@@ -112,25 +121,22 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
             raise click.UsageError(str(exc))
         except IncomparableError as exc:
             raise _not_total(order_name, exc)
+        except TOO_LARGE:
+            raise click.UsageError(f"--d {d} is too large")
         lines = _lines(entries, fmt)
 
-    # lines are made lazily and written CHUNK_LINES at a time
+    # lines are made lazily and written CHUNK_LINES at a time; the first
+    # chunk comes before the csv header, which is d long too
+    try:
+        chunk = list(islice(lines, CHUNK_LINES))
+    except TOO_LARGE:
+        raise click.UsageError(f"--d {d} is too large")
     if fmt == "csv":
         click.echo(",".join([f"i{j}" for j in range(d)] + ["sum", "rank"]))
-    while chunk := list(islice(lines, CHUNK_LINES)):
+    while chunk:
         chunk.append("")
         click.echo("\n".join(chunk), nl=False)
-
-
-# The lines of enumerate are those csv.writer and json.dumps would give.
-# Per format: the separator of the components, and the text that opens a
-# line, comes before its sum, before its rank and closes it.  A plain line
-# is the components alone.
-_FRAMES = {
-    "plain": (",", "", "", "", ""),
-    "csv": (",", "", ",", ",", ""),
-    "jsonl": (", ", '{"index": [', '], "sum": ', ', "rank": ', "}"),
-}
+        chunk = list(islice(lines, CHUNK_LINES))
 
 
 def _slice_lines(d, k, scheme, graded, fmt):
@@ -228,6 +234,8 @@ def cmd_sort_terms(d, order_name, source):
         raise click.UsageError(str(exc))
     except IncomparableError as exc:
         raise _not_total(order_name, exc)
+    except TOO_LARGE:
+        raise click.UsageError(f"--d {d} is too large")
     try:
         line = poly.format_poly(terms, d)
     except ValueError:  # str() of an int past the limit, which a product of coefficients can reach
@@ -236,16 +244,11 @@ def cmd_sort_terms(d, order_name, source):
 
 
 @main.command("check")
-@click.option("--property", "property_name", required=True)
-@click.option("--relation", "relation_name", required=True)
+@click.option("--property", "property_name", type=click.Choice(PROPERTY_NAMES), required=True)
+@click.option("--relation", "relation_name", type=click.Choice(tuple(CLI_RELATIONS)), required=True)
 @click.option("--carrier", "carrier_spec", required=True, help="Integer range 'a..b'.")
 def cmd_check(property_name, relation_name, carrier_spec):
     """Decide a relation property by brute force over a finite carrier."""
-    if property_name not in PROPERTY_NAMES:
-        raise click.UsageError(f"unknown property {property_name!r}")
-    relation = CLI_RELATIONS.get(relation_name)
-    if relation is None:
-        raise click.UsageError(f"unknown relation {relation_name!r}")
     try:
         lo_text, hi_text = carrier_spec.split("..")
         lo, hi = int(lo_text), int(hi_text)
@@ -253,8 +256,11 @@ def cmd_check(property_name, relation_name, carrier_spec):
         raise click.UsageError(f"cannot parse carrier {carrier_spec!r}; expected 'a..b'")
     if lo > hi:
         raise click.UsageError(f"empty carrier {carrier_spec!r}; expected 'a..b' with a <= b")
-    carrier = carrier_range(lo, hi)
-    failure = property_witness(property_name, relation, carrier)
+    try:
+        carrier = carrier_range(lo, hi)
+    except TOO_LARGE:
+        raise click.UsageError(f"carrier {carrier_spec!r} is too large")
+    failure = property_witness(property_name, CLI_RELATIONS[relation_name], carrier)
     if failure is None:
         click.echo(f"PASS {property_name}({relation_name}) on {carrier_spec}")
         return

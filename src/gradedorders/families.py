@@ -115,9 +115,15 @@ def sorted_total(items: Iterable[Family], order: Relation) -> List[Family]:
 
     Raises IncomparableError naming the first two neighbours of the result
     whose keys are equal, which a total order never gives two distinct
-    families."""
+    families, and LengthMismatchError on families of two lengths."""
     key = sort_key(order)
-    keyed = sorted([(key(x), x) for x in items], key=itemgetter(0))
+    keyed = [(key(x), x) for x in items]
+    # a key is defined on families of one length only (see Relation), yet
+    # keys of two lengths compare without error; a comparator raises itself
+    if order.key is not None and len(set(map(len, map(itemgetter(1), keyed)))) > 1:
+        for _, y in keyed:
+            check_same_length(keyed[0][1], y)
+    keyed.sort(key=itemgetter(0))
     for (kx, x), (ky, y) in pairwise(keyed):
         if kx == ky:
             raise IncomparableError(x, y)

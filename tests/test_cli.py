@@ -3,9 +3,11 @@ import io
 import json
 import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 from conftest import box, sort_under
 
 from gradedorders import (
@@ -25,6 +27,7 @@ from gradedorders import cli
 from gradedorders.cli import main
 from gradedorders.families import sorted_total
 from gradedorders.graded import NAMED_ORDERS, named_builder
+from gradedorders.relations import PROPERTY_NAMES
 
 
 @pytest.fixture
@@ -609,3 +612,101 @@ def test_check_unknown_names(runner):
         ).exit_code
         == 2
     )
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract
+
+
+# 10**19 is past a C ssize_t and 2**62 is past the length of any tuple; both
+# are refused before anything is allocated
+@pytest.mark.parametrize("size", ["10000000000000000000", str(2**62)])
+@pytest.mark.parametrize(
+    "argv, stdin, error",
+    [
+        (["enumerate", "--d", "{}", "--k", "0"], None, "--d {}"),
+        (["enumerate", "--d", "{}", "--k", "0", "--format", "csv"], None, "--d {}"),
+        (["sort-terms", "--d", "{}"], "X0", "--d {}"),
+        (["check", "--property", "reflexive", "--relation", "lt", "--carrier", "0..{}"], None, "carrier '0..{}'"),
+    ],
+    ids=["enumerate", "enumerate-csv", "sort-terms", "check"],
+)
+def test_sizes_no_tuple_can_hold_are_usage_errors(runner, argv, stdin, error, size):
+    result = runner.invoke(main, [arg.format(size) for arg in argv], input=stdin)
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == [f"Error: {error.format(size)} is too large"]
+    assert "Traceback" not in result.output
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+
+
+def _mostly(valid, *junk):
+    """A valid value, or in about one draw of eight a junk one."""
+    return st.integers(0, 7).flatmap(lambda i: valid if i else st.sampled_from(junk))
+
+
+# small sizes only: a large --k streams without end, a wide carrier costs n**3
+SIZES = _mostly(st.integers(0, 6).map(str), "-1", "-7", "x", "1.5", "", "--k")
+FIXTURE_ORDERS = [f"weighted:{FIXTURES / name}" for name in ("w2.txt", "flat2.txt", "w3.txt")]
+ORDERS = _mostly(
+    st.sampled_from([*NAMED_ORDERS, *FIXTURE_ORDERS]), "nope", "weighted:", f"weighted:{FIXTURES}/none.txt"
+)
+INDICES = _mostly(st.builds("{},{}".format, st.integers(0, 3), st.integers(0, 3)), "1,2,3", "-1,2", "x", "")
+CARRIERS = _mostly(
+    st.builds(lambda lo, n: f"{lo}..{lo + n}", st.integers(-3, 3), st.integers(0, 12)), "2..1", "bad", "1..", ""
+)
+POLYS = _mostly(
+    st.sampled_from(["X0 + X1^2", "3*X*Y - Y^2 + 1/2", "X^2 + Y^2 + X*Y", "7"]), "X0^", "1/0*X", "X9", "X + + Y", ""
+)
+# per command: its options (None for a flag) and a strategy for its arguments
+COMMANDS = {
+    "enumerate": (
+        {
+            "--d": SIZES,
+            "--k": SIZES,
+            "--order": ORDERS,
+            "--format": _mostly(st.sampled_from(["plain", "csv", "jsonl"]), "xml"),
+            "--allow-sort-fallback": None,
+        },
+        st.just([]),
+    ),
+    "compare": ({"--order": ORDERS}, st.lists(INDICES, min_size=2, max_size=2)),
+    "sort-terms": ({"--d": SIZES, "--order": ORDERS}, _mostly(st.just(["-"]), [f"{FIXTURES}/none.txt"])),
+    "check": (
+        {
+            "--property": _mostly(st.sampled_from(PROPERTY_NAMES), "nope"),
+            "--relation": _mostly(st.sampled_from(tuple(cli.CLI_RELATIONS)), "nope"),
+            "--carrier": CARRIERS,
+        },
+        st.just([]),
+    ),
+}
+
+
+@st.composite
+def cli_calls(draw):
+    """argv over the four commands, each option left out, given a value or
+    cut off at the end of argv, and a text for stdin."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    options, arguments = COMMANDS[command]
+    argv = [command]
+    for option, values in draw(st.permutations(list(options.items()))):
+        if values is None:  # a flag
+            argv += draw(st.sampled_from([[], [option]]))
+        elif draw(st.integers(0, 7)):  # most calls give most options
+            argv += [option, draw(values)]
+    argv += draw(arguments)
+    if draw(st.integers(0, 9)) == 0:
+        argv.pop()  # a missing value or argument
+    return argv, draw(POLYS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cli_calls())
+def test_every_call_keeps_the_exit_contract(call):
+    argv, stdin = call
+    result = CliRunner().invoke(main, argv, input=stdin)
+    assert result.exit_code in (0, 1, 2, 3), (argv, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (argv, result.exc_info)

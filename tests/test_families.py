@@ -18,13 +18,17 @@ from gradedorders import (
     is_strict_total_order,
     last,
     lex,
+    matrix_for,
     or_eq,
     reverse_family,
     reverse_rel,
     revlex,
     symlex,
     tail,
+    weighted_relation,
 )
+from gradedorders.families import sorted_total
+from gradedorders.graded import NAMED_ORDERS, named_builder
 
 LEX_LT = lex(LT)
 COLEX_LT = colex(LT)
@@ -239,3 +243,21 @@ def test_reversal_identities(pair):
 def test_lex_family_strict_total_orders_on_boxes(order, n):
     items = box(n, 2)
     assert is_strict_total_order(order, family_carrier(items))
+
+
+@pytest.mark.parametrize("scalar", [LT, LE], ids=["keyed", "keyless"])
+@pytest.mark.parametrize("name", NAMED_ORDERS)
+def test_sorted_total_refuses_mixed_lengths(name, scalar):
+    order = named_builder(name)(scalar)
+    for items in ([(1,), (0, 0)], [(0, 0), (1,)], [(2, 1), (0, 1), (1, 0, 0), (0, 2)]):
+        with pytest.raises(LengthMismatchError, match="family lengths differ"):
+            sorted_total(items, order)
+    items = [(2, 1), (0, 1), (1, 0), (0, 2)]
+    assert sorted_total(items, order) == sort_under(order, items)
+
+
+def test_sorted_total_refuses_mixed_lengths_under_a_matrix():
+    order = weighted_relation(matrix_for("grevlex", 2))
+    with pytest.raises(LengthMismatchError):
+        sorted_total([(1,), (0, 0)], order)
+    assert sorted_total([(1, 1), (0, 2), (2, 0)], order) == sort_under(order, [(1, 1), (0, 2), (2, 0)])
