@@ -168,10 +168,14 @@ def _slice_lines(d, k, scheme, graded, fmt):
         runs = ((h, (seconds, firsts), t) for h, (firsts, seconds), t in runs)
     if not ranked:
         return (f"{h}{a}{t}" for h, (firsts, _), t in runs for a in firsts)
-    # the text between the index and the rank, by slack (text, or an int when d = 1)
-    sums = {}
-    for s in range(k + 1):
-        sums[s] = sums[str(s)] = f"{before_sum}{k - s}{before_rank}"
+    if d == 1:  # one run of two ranges of ints: the sum is k - s, written per line
+        return (
+            f"{h}{a}{t}{before_sum}{k - s}{before_rank}{r}{closing}"
+            for h, (firsts, slacks), t in runs
+            for a, s, r in zip(firsts, slacks, ranks)
+        )
+    # the text between the index and the rank, by the slack's text
+    sums = {str(s): f"{before_sum}{k - s}{before_rank}" for s in range(k + 1)}
     return (
         f"{h}{a}{t}{sums[s]}{r}{closing}"
         for h, (firsts, slacks), t in runs

@@ -18,8 +18,13 @@ buffer of bytes, row after row, whose strided slices are its columns, and as
 an int mask per row, which the transitivity scans read: one mask operation
 per related pair and no further calls.  A pair property fails at (x, y)
 exactly when r(x, y) and r(y, x) are both one truth value, so for each x it
-reads r(x, y) for y from x onward, asks the converse r(y, x) only where
-r(x, y) leaves the pair open, and finds the first failing y in those bytes.
+reads one direction for the y after x, asks the other only where the first
+answer leaves the pair open, and finds the first failing y in those bytes;
+r(x, x) is asked once, and only by the properties that can fail there.  The
+next row reads first the direction this row would have asked less often, so
+a passing pair property costs about n(n + 1)/2 calls when one direction
+settles most pairs, as for every order and its converse; trichotomy, which
+asks both directions of every pair, costs n^2.
 Before any row is built, a lone diagonal or pair property asks the relation
 one x at a time and stops at the first witness; a conjunction starts with a
 conjunct that reads the rows, and its other conjuncts then read them too.
@@ -200,11 +205,6 @@ def _cells(answers) -> bytes:
     return bytes(map(_truth, answers))
 
 
-def _row(ap: Predicate, x, ys) -> bytes:
-    """Byte k is truth(ap(x, y)) for the k-th y of ys."""
-    return _cells(map(ap, repeat(x), ys))
-
-
 def _mask(row: bytes) -> int:
     return int.from_bytes(row, "little")
 
@@ -218,9 +218,11 @@ class _Table:
     """The relation asked once about every pair of carrier elements.
 
     Once built, the table is one buffer of n^2 cells, row after row, with the
-    rows as views of it and a mask per row; all are kept.  Until then
-    ``row``, ``converse`` and ``diagonal`` ask the relation one x at a time,
-    so that a witness for an early x ends the work early."""
+    rows as views of it and a mask per row; all are kept.  ``line`` reads
+    the part of row x or column x after x, for all y or for chosen y, and
+    ``diagonal`` reads r(x, x): from the cells once they are built, and
+    until then by asking the relation one x at a time, so that a witness
+    for an early x ends the work early."""
 
     def __init__(self, r: Relation, c: Carrier):
         self.apply = r.apply
@@ -230,7 +232,7 @@ class _Table:
     @cached_property
     def cells(self) -> bytes:
         ap, els = self.apply, self.elements
-        return b"".join([_row(ap, x, els) for x in els])
+        return b"".join([_cells(map(ap, repeat(x), els)) for x in els])
 
     @cached_property
     def rows(self) -> list:
@@ -241,26 +243,21 @@ class _Table:
     def masks(self) -> list:
         return [_mask(row) for row in self.rows]
 
-    def row(self, i: int) -> bytes:
-        """r(x, y) for x = c[i] and y = c[i], c[i+1], ..."""
+    def line(self, i: int, forward: bool, chosen: Optional[bytes] = None) -> bytes:
+        """r(x, y) if ``forward``, else r(y, x), for x = c[i] and each y
+        after x in carrier order; given ``chosen``, only for each y =
+        c[i + 1 + k] with a nonzero byte k in it.  When every y is chosen the
+        whole line is read, which is faster than selecting all of it."""
+        if chosen is not None and b"\0" not in chosen:
+            chosen = None
         if "cells" in self.__dict__:
-            n = self.n
-            return self.cells[i * n + i : i * n + n]
-        return _row(self.apply, self.elements[i], islice(self.elements, i, None))
-
-    def converse(self, i: int, chosen: bytes) -> bytes:
-        """r(y, x) for x = c[i] and each y = c[i + 1 + k] with a nonzero
-        byte k in ``chosen``, in carrier order.  When every y is chosen the
-        whole column is read, which is faster than selecting all of it."""
-        every = b"\0" not in chosen
-        if "cells" in self.__dict__:
-            n = self.n
-            column = self.cells[i * n + i + n :: n]
-            return column if every else bytes(compress(column, chosen))
-        ys = islice(self.elements, i + 1, None)
-        if not every:
+            n, at = self.n, i * self.n + i
+            line = self.cells[at + 1 : at + n - i] if forward else self.cells[at + n :: n]
+            return line if chosen is None else bytes(compress(line, chosen))
+        x, ys = repeat(self.elements[i]), islice(self.elements, i + 1, None)
+        if chosen is not None:
             ys = compress(ys, chosen)
-        return _cells(map(self.apply, ys, repeat(self.elements[i])))
+        return _cells(map(self.apply, x, ys) if forward else map(self.apply, ys, x))
 
     def diagonal(self) -> Iterator:
         """r(x, x) for each x in carrier order, asked as it is read."""
@@ -308,24 +305,37 @@ def _pair_witness(t: _Table, fails) -> Optional[tuple]:
     Since (y, x) fails whenever (x, y) does, the first failing pair in row
     order has y at or after x, so each x reads y from x onward only.  The
     pair fails when r(x, y) and r(y, x) both equal v, for one entry
-    (v, start) of ``fails`` and y at least ``start`` places after x; so
-    r(y, x) is asked only for the y with r(x, y) == v.  At y = x the converse
-    is r(x, x) itself: carrier elements are pairwise distinct, so x = y only
-    at the same position."""
+    (v, start) of ``fails`` and y at least ``start`` places after x.  At
+    y = x both are r(x, x), asked once and only when some entry starts at
+    0: carrier elements are pairwise distinct, so x = y only at the same
+    position.  For the y after x, each row reads one direction, r(x, y) or
+    r(y, x), and asks the other only for the y whose first answer is v.
+    Which y fail does not depend on the direction read first, so the next
+    row reads first the direction the current one would have asked less
+    often: it switches when more than half the y of the row were asked
+    twice.  A passing pair property then costs about n(n + 1)/2 calls on an
+    n-element carrier whenever one direction settles most pairs, and
+    trichotomy, which asks both directions of every pair, n^2."""
     els, n = t.elements, t.n
+    on_diagonal = [v for v, start in fails if start == 0]
+    diagonal = t.diagonal()
+    forward = True
     for i in range(n):
-        xy = t.row(i)
-        after = xy[1:]
-        found = []
-        for v, start in fails:
-            if start == 0 and xy[0] == v:
-                return (els[i], els[i])
-            chosen = after if v else after.translate(_NOT)
-            k = t.converse(i, chosen).find(v)
+        if on_diagonal and _truth(next(diagonal)) in on_diagonal:
+            return (els[i], els[i])
+        first = t.line(i, forward)
+        found, asked = [], 0
+        for v, _ in fails:
+            chosen = first if v else first.translate(_NOT)
+            if 1 not in chosen:
+                continue
+            asked += chosen.count(1)
+            k = t.line(i, not forward, chosen).find(v)
             if k >= 0:  # the k-th chosen y
                 found.append(next(islice(compress(range(i + 1, n), chosen), k, None)))
         if found:
             return (els[i], els[min(found)])
+        forward ^= 2 * asked > n - 1 - i
     return None
 
 

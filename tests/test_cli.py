@@ -2,7 +2,9 @@ import csv
 import io
 import json
 import sys
+import tracemalloc
 from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -280,6 +282,22 @@ def test_enumerate_lexicographic_set_is_written_in_chunks(monkeypatch, order_nam
     assert max(body) <= cli.CHUNK_LINES
     assert writes[header] == (cli.CHUNK_LINES, [])  # written before the walk is exhausted
     assert finished == [(4, 30)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("graded", [False, True])
+def test_first_chunk_of_a_d1_set_holds_no_table(fmt, graded):
+    # At d = 1 the walk's runs are ranges of ints, so the ranked lines write
+    # their sum from the slack: nothing of size k is made before the first line.
+    k = 10**6
+    tracemalloc.start()
+    try:
+        chunk = list(islice(cli._slice_lines(1, k, "lex", graded, fmt), cli.CHUNK_LINES))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(chunk) == cli.CHUNK_LINES
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("fmt", ["plain", "csv", "jsonl"])
