@@ -145,17 +145,25 @@ def _slice_lines(d, k, scheme, graded, fmt):
     is its slice's l.  An order that is not graded walks the one slice k of
     dimension d + 1 and drops the slack from each line (see multi_index);
     the sum is k minus the slack.  The components a run fixes come as text,
-    written once per run; the rank is a running count."""
+    written once per run, and the last ones from one table per call (see
+    multi_index._table), made when the first line is asked for; the rank
+    is a running count."""
     sep, opening, before_sum, before_rank, closing = _FRAMES[fmt]
     ranked = fmt != "plain"
     ranks = count()
     if graded and d == 1:  # a graded order of N^1 is lex(<), which needs no slices
         scheme, graded = "lex", False
+    # the dimension the walk runs in, and the sums of the slices it walks
+    dimension, slices = (d, range(k + 1)) if graded else (d + 1, (k,))
+
+    def walk():
+        table = multi_index._table(dimension, k, scheme, sep, CHUNK_LINES)
+        for l in slices:
+            tail = f"{before_sum}{l}{before_rank}" if graded and ranked else ""
+            yield multi_index._text_runs(dimension, l, scheme, sep, opening, tail, table)
+
+    runs = chain.from_iterable(walk())
     if graded:
-        runs = chain.from_iterable(
-            multi_index._text_runs(d, l, scheme, sep, opening, f"{before_sum}{l}{before_rank}" if ranked else "")
-            for l in range(k + 1)
-        )
         if not ranked:
             return (f"{h}{a}{sep}{b}{t}" for h, (firsts, seconds), t in runs for a, b in zip(firsts, seconds))
         return (
@@ -163,7 +171,6 @@ def _slice_lines(d, k, scheme, graded, fmt):
             for h, (firsts, seconds), t in runs
             for a, b, r in zip(firsts, seconds, ranks)
         )
-    runs = multi_index._text_runs(d + 1, k, scheme, sep, opening, "")
     if SCHEMES[scheme][1]:  # a back scheme: the slack is the first of the pair
         runs = ((h, (seconds, firsts), t) for h, (firsts, seconds), t in runs)
     if not ranked:
@@ -174,13 +181,25 @@ def _slice_lines(d, k, scheme, graded, fmt):
             for h, (firsts, slacks), t in runs
             for a, s, r in zip(firsts, slacks, ranks)
         )
-    # the text between the index and the rank, by the slack's text
-    sums = {str(s): f"{before_sum}{k - s}{before_rank}" for s in range(k + 1)}
+    sums = _Sums(k, before_sum, before_rank)
     return (
         f"{h}{a}{t}{sums[s]}{r}{closing}"
         for h, (firsts, slacks), t in runs
         for a, s, r in zip(firsts, slacks, ranks)
     )
+
+
+class _Sums(dict):
+    """The text between the index and the rank of a line of the slack walk,
+    by the slack's text.  Each is made at its first use, so no table of all
+    k + 1 sums comes before the first line."""
+
+    def __init__(self, k, before_sum, before_rank):
+        self.k, self.before_sum, self.before_rank = k, before_sum, before_rank
+
+    def __missing__(self, s):
+        text = self[s] = f"{self.before_sum}{self.k - int(s)}{self.before_rank}"
+        return text
 
 
 def _lines(entries, fmt):

@@ -1,13 +1,46 @@
 """Shared helpers for the test suite."""
 
+import functools
+import importlib.util
 import operator
 import re
+import statistics
 import sys
+import time
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product, repeat
+from pathlib import Path
 
 from gradedorders import Carrier, LengthMismatchError, PolyParseError, Relation, SparsePoly
+
+
+# the benchmark's clock, read from its own file
+_spec = importlib.util.spec_from_file_location("reference", Path(__file__).parents[1] / "perfbench" / "reference.py")
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
+
+
+def budget(seconds, name):
+    """Time the test and assert it ran within seconds at the benchmark's
+    nominal speed: its wall time scaled by NOMINAL_NS over the median time
+    of the reference work run just before and after it."""
+
+    def decorate(test):
+        @functools.wraps(test)
+        def timed(*args, **kwargs):
+            references = [reference.reference_ns() for _ in range(5)]
+            started = time.perf_counter()
+            test(*args, **kwargs)
+            elapsed = time.perf_counter() - started
+            references += [reference.reference_ns() for _ in range(5)]
+            nominal = elapsed * reference.NOMINAL_NS / statistics.median(references)
+            assert nominal < seconds, f"{name}: {nominal:.2f}s nominal ({elapsed:.2f}s measured), budget {seconds}s"
+            print(f"PASS {name} ({elapsed:.2f}s measured, {nominal:.2f}s nominal)")
+
+        return timed
+
+    return decorate
 
 
 def box(d, bound):

@@ -9,19 +9,15 @@ or a traced machine.  Each test prints one PASS line with both times once
 its assertions hold; run with `pytest -s tests/test_acceptance.py` to see them.
 """
 
-import functools
-import importlib.util
 import random
-import statistics
-import time
 from math import comb
-from pathlib import Path
 
 from click.testing import CliRunner
 
 from conftest import (
     all_relations,
     box,
+    budget,
     family_carrier,
     relation_from_pairs,
     sort_under,
@@ -113,32 +109,6 @@ GREVLEX_SUM3 = [
     (0, 0, 3), (0, 1, 2), (1, 0, 2), (0, 2, 1), (1, 1, 1),
     (2, 0, 1), (0, 3, 0), (1, 2, 0), (2, 1, 0), (3, 0, 0),
 ]
-
-
-# the benchmark's clock, read from its own file
-_spec = importlib.util.spec_from_file_location("reference", Path(__file__).parents[1] / "perfbench" / "reference.py")
-reference = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(reference)
-
-
-def budget(seconds, name):
-    """Time the criterion and assert it ran within seconds at nominal speed."""
-
-    def decorate(test):
-        @functools.wraps(test)
-        def timed():
-            references = [reference.reference_ns() for _ in range(5)]
-            started = time.perf_counter()
-            test()
-            elapsed = time.perf_counter() - started
-            references += [reference.reference_ns() for _ in range(5)]
-            nominal = elapsed * reference.NOMINAL_NS / statistics.median(references)
-            assert nominal < seconds, f"{name}: {nominal:.2f}s nominal ({elapsed:.2f}s measured), budget {seconds}s"
-            print(f"PASS {name} ({elapsed:.2f}s measured, {nominal:.2f}s nominal)")
-
-        return timed
-
-    return decorate
 
 
 @budget(1, "criterion 1: 2D lex/colex/symlex/revlex chains")

@@ -5,12 +5,13 @@ import sys
 import tracemalloc
 from functools import lru_cache
 from itertools import islice
+from math import comb
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
-from conftest import box, sort_under
+from conftest import box, budget, sort_under
 
 from gradedorders import (
     LT,
@@ -298,6 +299,115 @@ def test_first_chunk_of_a_d1_set_holds_no_table(fmt, graded):
         tracemalloc.stop()
     assert len(chunk) == cli.CHUNK_LINES
     assert peak < 4 * 2**20
+
+
+def _first_chunk_peak(d, k, scheme, graded, fmt):
+    """The tracemalloc peak while the first chunk of lines is made."""
+    tracemalloc.start()
+    try:
+        chunk = list(islice(cli._slice_lines(d, k, scheme, graded, fmt), cli.CHUNK_LINES))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(chunk) == cli.CHUNK_LINES
+    return peak
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("scheme", ["lex", "colex"])
+def test_first_chunk_of_a_ranked_slack_walk_costs_about_plain(scheme, fmt):
+    # At d = 2 the slack walk holds the numbers 0..k as text whatever the
+    # format; the sums that csv and jsonl write are made as lines use them,
+    # not for all k + 1 slacks before the first line.
+    k = 50_000
+    assert _first_chunk_peak(2, k, scheme, False, fmt) <= 1.5 * _first_chunk_peak(2, k, scheme, False, "plain")
+
+
+def _largest_k(m):
+    """The largest k at which the block walk takes m components from its table."""
+    k = 0
+    while m * comb(k + 1 + m, m) <= cli.CHUNK_LINES:
+        k += 1
+    return k
+
+
+# every set of at most 5000 entries with d >= 2, at d = 1 (where no block
+# is taken) the sums up to 98 and the largest, and for each m the largest k
+# that takes it, at the least d that walks m components by the table
+BLOCK_SHAPES = sorted(
+    {(d, k) for d in range(2, 13) for k in range(99) if comb(d + k, d) <= 5000}
+    | {(1, k) for k in [*range(99), 4999]}
+    | {(m + 1, _largest_k(m)) for m in [*range(3, 65), 4096]}
+)
+
+
+@pytest.mark.parametrize("order_name", list(NAMED_ORDERS))
+def test_block_walk_matches_the_sorted_set(order_name):
+    builder = named_builder(order_name)
+    for d, k in BLOCK_SHAPES:
+        entries = sorted_total(cli.multi_index.iter_multi_index_set(d, k, "lex"), builder(LT))
+        for fmt in ("plain", "csv", "jsonl"):
+            walked = list(cli._slice_lines(d, k, *NAMED_ORDERS[order_name], fmt))
+            assert walked == list(cli._lines(entries, fmt)), (d, k, fmt)
+
+
+def test_block_shapes_take_every_m():
+    taken = {m for m in range(3, 65) if cli.multi_index._table(m + 1, _largest_k(m), "lex", ",", cli.CHUNK_LINES)[0] == m}
+    assert taken == set(range(3, 65))
+    assert cli.multi_index._table(4097, 0, "lex", ",", cli.CHUNK_LINES)[0] == 4096
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(0, 60),
+    st.sampled_from(list(NAMED_ORDERS)),
+    st.sampled_from(list(cli._FRAMES)),
+)
+def test_block_table_holds_at_most_a_chunk_and_is_built_once(d, k, order_name, fmt):
+    scheme, graded = NAMED_ORDERS[order_name]
+    dimension = d if graded else d + 1
+    tables, used = [], []
+    table, text_runs = cli.multi_index._table, cli.multi_index._text_runs
+
+    def recorded(*args):
+        tables.append(table(*args))
+        return tables[-1]
+
+    def watched(d, l, scheme, sep, head, tail, table=None):
+        if d == dimension:  # not the walk at dimension m that builds the table
+            used.append(table)
+        return text_runs(d, l, scheme, sep, head, tail, table)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli.multi_index, "_table", recorded)
+        patch.setattr(cli.multi_index, "_text_runs", watched)
+        chunk = list(islice(cli._slice_lines(d, k, scheme, graded, fmt), cli.CHUNK_LINES))
+    with pytest.MonkeyPatch.context() as patch:  # the same lines with no table
+        patch.setattr(cli.multi_index, "_table", lambda *args: None)
+        assert chunk == list(islice(cli._slice_lines(d, k, scheme, graded, fmt), cli.CHUNK_LINES))
+    assert len(tables) == 1
+    assert all(t is tables[0] for t in used)
+    fits = [m for m in range(3, dimension) if m * comb(k + m, m) <= cli.CHUNK_LINES]
+    if tables[0] is None:
+        assert not fits
+        return
+    m, rows = tables[0]
+    assert m == max(fits)
+    assert len(rows) == k + 1
+    assert m * sum(len(firsts) for firsts, _ in rows) <= cli.CHUNK_LINES
+    assert all(len(firsts) == len(seconds) == comb(r + m - 1, m - 1) for r, (firsts, seconds) in enumerate(rows))
+
+
+@pytest.mark.parametrize("order_name", list(NAMED_ORDERS))
+@pytest.mark.parametrize("d, k", [(1100, 1), (5000, 0)])
+@budget(1, "enumerate at d = 1100, k = 1 or d = 5000, k = 0")
+def test_deep_enumerate_within_a_second(runner, d, k, order_name):
+    # a table bounded in entries alone, or built one component level at a
+    # time, takes far longer here
+    result = runner.invoke(main, ["enumerate", "--d", str(d), "--k", str(k), "--order", order_name])
+    assert result.exit_code == 0
+    assert len(result.stdout.splitlines()) == d + 1 if k else 1
 
 
 @pytest.mark.parametrize("fmt", ["plain", "csv", "jsonl"])
