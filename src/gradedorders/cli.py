@@ -144,10 +144,9 @@ def _slice_lines(d, k, scheme, graded, fmt):
     graded order walks the slices l = 0..k of dimension d, and a line's sum
     is its slice's l.  An order that is not graded walks the one slice k of
     dimension d + 1 and drops the slack from each line (see multi_index);
-    the sum is k minus the slack.  The components a run fixes come as text,
-    written once per run, and the last ones from one table per call (see
-    multi_index._table), made when the first line is asked for; the rank
-    is a running count."""
+    the sum is k minus the slack.  The runs come as text from one
+    multi_index._text_walk per call, made when the first line is asked
+    for; the rank is a running count."""
     sep, opening, before_sum, before_rank, closing = _FRAMES[fmt]
     ranked = fmt != "plain"
     ranks = count()
@@ -157,10 +156,13 @@ def _slice_lines(d, k, scheme, graded, fmt):
     dimension, slices = (d, range(k + 1)) if graded else (d + 1, (k,))
 
     def walk():
-        table = multi_index._table(dimension, k, scheme, sep, CHUNK_LINES)
+        runs = multi_index._text_walk(dimension, k, scheme, sep, CHUNK_LINES)
         for l in slices:
             tail = f"{before_sum}{l}{before_rank}" if graded and ranked else ""
-            yield multi_index._text_runs(dimension, l, scheme, sep, opening, tail, table)
+            try:  # runs makes the slice's numbers, k + 1 of them in the slack walk
+                yield runs(l, opening, tail)
+            except TOO_LARGE:
+                raise click.UsageError(f"--k {k} is too large")
 
     runs = chain.from_iterable(walk())
     if graded:

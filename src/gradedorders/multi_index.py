@@ -29,25 +29,22 @@ symlex(<) or revlex(<) (Cox, Little and O'Shea, Ideals, Varieties, and
 Algorithms, ch. 2 §2).
 
 The walk keeps an explicit stack, one level per fixed component, so d is
-not bounded by Python's recursion limit.  It yields runs: the components it
-fixed, joined once per level, and the two sequences that list the m
-components left.  The tuple API below turns runs into tuples with m = 2, the
-last two components as ranges.  `_text_runs` joins the fixed components as
-text, which lets a caller render every entry of a run with one
-comprehension; given a table from `_table`, it fixes only d - m components
-and takes the last m of each run from the table's row for the sum left.
+not bounded by Python's recursion limit.  It fixes d - m components and
+yields runs: the components it fixed, joined once per level, and a block of
+the m components left, as two sequences.  The tuple API below takes m = 2,
+the last two components as ranges.  `_text_walk`, made once per call,
+writes the fixed components as text, which lets a caller render every entry
+of a run with one comprehension, and takes m >= 3 where a table of the last
+m components fits in a given number of components.
 
-Memory: the walk holds its stack of d - m levels and, for d >= 3, a list of
-the l + 1 numbers of the slice as text, which has at least
-(l + 1)(l + 2) / 2 entries; with m = 2 a run is two slices of that list
-(ranges for the tuple API and for d = 2).  The table lists the slices of
-dimension m and sums 0..k, C(k + m, m) entries of m components, made once
-per call by the same walk at dimension m.  m is the largest m < d whose
-table holds at most a given number of components (the CLI gives its chunk
-size, 4096); when no m >= 3 fits, m = 2 and there is no table.  Nothing
-holds a whole slice, so a consumer that takes entries in chunks, as the CLI
-does, stays bounded by one chunk, plus a table of at most one chunk's
-components, however large the set or its largest slice.
+Memory: the walk holds its stack of d - m levels, each with the joined
+prefix of the components fixed so far, so up to about d * d / 2 components
+when the sum left stays above 0 (k >= 1); for d >= 3, the l + 1 numbers of
+the slice as text, while the slice has at least (l + 1)(l + 2) / 2
+entries; and the table, at most a given number of components (the CLI
+gives its chunk size, 4096).  Nothing holds a whole slice, so a consumer
+that takes entries in chunks, as the CLI does, stays bounded by one chunk
+beyond these, however large the set or its largest slice.
 
 Generators are the primary interface; callers may consume a prefix without
 materializing the whole set, which grows as binomial(d + k, d).
@@ -83,36 +80,18 @@ def _check_args(d: int, scheme: str) -> None:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {tuple(SCHEMES)}")
 
 
-def _runs(d, l, scheme, cells, piece, head, tail, table=None):
-    """The slice (d >= 2, l >= 0) as runs (head, (firsts, seconds), tail).
-    cells[i] stands for the number i, for i in 0..l.  The walk fixes d - m
-    components and joins each fixed component c onto head (front schemes)
-    or tail (back schemes) as piece(cells[c]).  (firsts, seconds) lists the
-    m components left, in the scheme's order, when their sum is r, each
-    entry split in two: the entries of a run are head, a, b and tail for
-    (a, b) in zip(firsts, seconds).  With no table m = 2, and firsts and
-    seconds are slices of cells; a table (m, rows) from `_table`, whose k
-    is at least l, gives them as rows[r]."""
+def _runs(d, l, scheme, pieces, head, tail, m, block):
+    """The slice (d >= m >= 2, l >= 0) as runs (head, (firsts, seconds), tail).
+    The walk fixes d - m components and joins each fixed component c onto
+    head (front schemes) or tail (back schemes) as pieces[c].  block(r)
+    lists the m components left, in the scheme's order, when their sum is
+    r, each entry split in two, (firsts, seconds): the entries of a run are
+    head, a, b and tail for (a, b) in zip(firsts, seconds)."""
     down, back = SCHEMES[scheme]
-    if table is None:
-        m = 2
-        rev = cells[::-1]
-        # the first of the last two components is ascending exactly when
-        # down == back
-        if down == back:
-            def block(r):
-                return cells[: r + 1], rev[l - r :]
-        else:
-            def block(r):
-                return rev[l - r :], cells[: r + 1]
-    else:
-        m, rows = table
-        block = rows.__getitem__
     depth = d - m
     if depth == 0:
         yield head, block(l), tail
         return
-    pieces = list(map(piece, cells))
     # the component fixed next runs over values(r)
     values = (lambda r: range(r, -1, -1)) if down else (lambda r: range(r + 1))
     stack = [(tail if back else head, l, iter(values(l)))]
@@ -136,61 +115,68 @@ def _runs(d, l, scheme, cells, piece, head, tail, table=None):
             stack.pop()
 
 
+def _pairs(scheme, numbers):
+    """The block of m = 2 from numbers, whose entry i stands for the number
+    i: the last two components with sum r are two slices of it."""
+    down, back = SCHEMES[scheme]
+    # the first of the two is ascending exactly when down == back
+    if down == back:
+        return lambda r: (numbers[: r + 1], numbers[r::-1])
+    return lambda r: (numbers[r::-1], numbers[: r + 1])
+
+
 def _slice(d: int, l: int, scheme: str) -> Iterator[Family]:
     if d == 1:
         yield (l,)
         return
-    for head, (firsts, seconds), tail in _runs(d, l, scheme, range(l + 1), lambda c: (c,), (), ()):
+    cells = range(l + 1)
+    pieces = [(c,) for c in cells] if d > 2 else ()  # d = 2 fixes none, so nothing grows with l
+    for head, (firsts, seconds), tail in _runs(d, l, scheme, pieces, (), (), 2, _pairs(scheme, cells)):
         for pair in zip(firsts, seconds):
             yield head + pair + tail
 
 
-def _text_runs(d: int, l: int, scheme: str, sep: str, head: str, tail: str, table=None):
-    """The slice (d >= 2, l >= 0) as runs (head, (firsts, seconds), tail)
-    of text: its entries, in order, read f"{head}{a}{sep}{b}{tail}" for
-    (a, b) in zip(firsts, seconds).  The given head and tail open and close
-    every entry; the components the walk fixes are written once per run,
-    with sep between them.  For d >= 3 the numbers 0..l are written once
-    per slice, and a and b are text: slices of those numbers, or, with a
-    table from `_table(d, k, scheme, sep, limit)` (k >= l), the rows of the
-    last m components, so that a run holds an m-component slice.  A d = 2
-    slice is a single run, and there a and b are ints from ranges, so that
-    nothing grows with l."""
+def _text_walk(d: int, k: int, scheme: str, sep: str, limit: int):
+    """The slices of dimension d >= 2 and sum at most k as text, by one
+    function runs(l, head, tail): the slice of sum l <= k as runs (head,
+    (firsts, seconds), tail) whose entries, in order, read
+    f"{head}{a}{sep}{b}{tail}" for (a, b) in zip(firsts, seconds).  The
+    given head and tail open and close every entry; the fixed components
+    are written once per run, with sep between them.  m is the largest
+    m < d with m * C(k + m, m) <= limit, or 2 when no m >= 3 fits.  With
+    m = 2 the block is two slices of the numbers 0..l: a range at d = 2, so
+    that nothing grows with l, and their texts, made per slice, at d >= 3.
+    With m >= 3 it is a table of m * C(k + m, m) components, made here by
+    this walk at dimension m with no table: rows[r] is the slice of
+    dimension m and sum r, each entry split where sep goes, after the first
+    component for a back scheme and after the first m - 1 for a front one."""
     if d == 2:
-        return _runs(d, l, scheme, range(l + 1), None, head, tail)
+        return lambda l, head, tail: _runs(2, l, scheme, (), head, tail, 2, _pairs(scheme, range(l + 1)))
     back = SCHEMES[scheme][1]
-    piece = (lambda c: sep + c) if back else (lambda c: c + sep)
-    return _runs(d, l, scheme, list(map(str, range(l + 1))), piece, head, tail, table)
-
-
-def _table(d: int, k: int, scheme: str, sep: str, limit: int):
-    """The table that `_text_runs` takes for the slices of dimension d and
-    sum at most k: (m, rows), or None when m = 2.  m is the largest m < d
-    with m * C(k + m, m) <= limit, which is the number of components the
-    table holds, so it never holds more than limit of them; when no m >= 3
-    fits, m = 2.  rows[r], for r = 0..k, is the slice of dimension m and
-    sum r as text, made by the walk at dimension m and split where
-    `_text_runs` puts sep: (firsts, seconds) with each entry
-    f"{a}{sep}{b}", a holding the first component for a back scheme and
-    the first m - 1 for a front scheme.  Each entry is one new string."""
     m = 2
     while m + 1 < d and (m + 1) * comb(k + m + 1, m + 1) <= limit:
         m += 1
-    if m == 2:
-        return None
-    back = SCHEMES[scheme][1]
-    rows = []
-    for r in range(k + 1):
-        firsts, seconds = [], []
-        for head, (a, b), tail in _text_runs(m, r, scheme, sep, "", ""):
-            if back:
-                firsts += a
-                seconds += [s + tail for s in b]
-            else:
-                firsts += [head + s for s in a]
-                seconds += b
-        rows.append((firsts, seconds))
-    return m, rows
+    block = None
+    if m > 2:
+        rows = []
+        table = _text_walk(m, k, scheme, sep, 0)
+        for r in range(k + 1):
+            firsts, seconds = [], []
+            for head, (a, b), tail in table(r, "", ""):
+                firsts += a if back else [head + s for s in a]
+                seconds += [s + tail for s in b] if back else b
+            rows.append((firsts, seconds))
+        block = rows.__getitem__
+
+    def runs(l, head, tail):
+        # sized at once, so that a sum no list can hold raises here, before
+        # memory fills
+        numbers = [""] * (l + 1)
+        numbers[:] = map(str, range(l + 1))
+        pieces = [sep + c for c in numbers] if back else [c + sep for c in numbers]
+        return _runs(d, l, scheme, pieces, head, tail, m, block or _pairs(scheme, numbers))
+
+    return runs
 
 
 def iter_slice(d: int, l: int, scheme: str = "symlex") -> Iterator[Family]:

@@ -204,18 +204,23 @@ def test_enumerate_output_matches_csv_and_json_rendering(runner, tmp_path, order
 def test_enumerate_streams_before_the_set_is_exhausted(monkeypatch, fmt):
     out = io.StringIO()
     monkeypatch.setattr(sys, "stdout", out)
-    walk = cli.multi_index._text_runs
+    text_walk = cli.multi_index._text_walk
     pulled, written_before_last = [], []
 
-    def watched(*args):
-        for run in walk(*args):
-            head, (firsts, seconds), tail = run
-            pulled.extend(zip(firsts, seconds))
-            if len(pulled) == 5456:
-                written_before_last.append(out.getvalue().count("\n"))
-            yield run
+    def watched_walk(*args):
+        walk = text_walk(*args)
 
-    monkeypatch.setattr(cli.multi_index, "_text_runs", watched)
+        def watched(*args):
+            for run in walk(*args):
+                head, (firsts, seconds), tail = run
+                pulled.extend(zip(firsts, seconds))
+                if len(pulled) == 5456:
+                    written_before_last.append(out.getvalue().count("\n"))
+                yield run
+
+        return watched
+
+    monkeypatch.setattr(cli.multi_index, "_text_walk", watched_walk)
     main.main(["enumerate", "--d", "3", "--k", "30", "--format", fmt], standalone_mode=False)
     header = 1 if fmt == "csv" else 0
     assert len(pulled) == 5456
@@ -243,15 +248,20 @@ def test_enumerate_cuts_a_slice_longer_than_a_chunk(monkeypatch, fmt):
     # of k = 20000 (20001 lines, about five chunks) is let through, which
     # keeps the test fast.
     d, k = 2, 20000
-    walk = cli.multi_index._text_runs
+    text_walk = cli.multi_index._text_walk
     finished, writes = [], []
 
-    def last_slice_only(d, l, *args):
-        if l == k:
-            yield from walk(d, l, *args)
-            finished.append(l)
+    def last_slice_only_walk(*args):
+        walk = text_walk(*args)
 
-    monkeypatch.setattr(cli.multi_index, "_text_runs", last_slice_only)
+        def last_slice_only(l, *args):
+            if l == k:
+                yield from walk(l, *args)
+                finished.append(l)
+
+        return last_slice_only
+
+    monkeypatch.setattr(cli.multi_index, "_text_walk", last_slice_only_walk)
     monkeypatch.setattr(sys, "stdout", _WriteCounter(lambda lines: writes.append((lines, list(finished)))))
     main.main(["enumerate", "--d", str(d), "--k", str(k), "--format", fmt], standalone_mode=False)
     header = 1 if fmt == "csv" else 0
@@ -267,14 +277,19 @@ def test_enumerate_cuts_a_slice_longer_than_a_chunk(monkeypatch, fmt):
 def test_enumerate_lexicographic_set_is_written_in_chunks(monkeypatch, order_name, fmt):
     # The set of d = 3, k = 30 has 5456 entries, more than a chunk, and a
     # lexicographic order walks it as the one slice k = 30 of dimension 4.
-    walk = cli.multi_index._text_runs
+    text_walk = cli.multi_index._text_walk
     finished, writes = [], []
 
-    def watched(*args):
-        yield from walk(*args)
-        finished.append(args[:2])
+    def watched_walk(d, *args):
+        walk = text_walk(d, *args)
 
-    monkeypatch.setattr(cli.multi_index, "_text_runs", watched)
+        def watched(l, *args):
+            yield from walk(l, *args)
+            finished.append((d, l))
+
+        return watched
+
+    monkeypatch.setattr(cli.multi_index, "_text_walk", watched_walk)
     monkeypatch.setattr(sys, "stdout", _WriteCounter(lambda lines: writes.append((lines, list(finished)))))
     main.main(["enumerate", "--d", "3", "--k", "30", "--order", order_name, "--format", fmt], standalone_mode=False)
     header = 1 if fmt == "csv" else 0
@@ -286,14 +301,16 @@ def test_enumerate_lexicographic_set_is_written_in_chunks(monkeypatch, order_nam
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-@pytest.mark.parametrize("graded", [False, True])
-def test_first_chunk_of_a_d1_set_holds_no_table(fmt, graded):
+@pytest.mark.parametrize("d, graded", [(1, False), (1, True), (3, True), (5, True)])
+def test_first_chunk_of_a_large_k_holds_nothing_of_size_k(fmt, d, graded):
     # At d = 1 the walk's runs are ranges of ints, so the ranked lines write
-    # their sum from the slack: nothing of size k is made before the first line.
+    # their sum from the slack; a graded walk at d >= 3 makes the numbers of
+    # each slice as it reaches it, and the first chunk reaches only the first
+    # few: nothing of size k is made before the first line.
     k = 10**6
     tracemalloc.start()
     try:
-        chunk = list(islice(cli._slice_lines(1, k, "lex", graded, fmt), cli.CHUNK_LINES))
+        chunk = list(islice(cli._slice_lines(d, k, "lex", graded, fmt), cli.CHUNK_LINES))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -351,10 +368,24 @@ def test_block_walk_matches_the_sorted_set(order_name):
             assert walked == list(cli._lines(entries, fmt)), (d, k, fmt)
 
 
+def _walk_m(d, k):
+    """The m of the runs of the text walk of dimension d and sums up to k."""
+    runs, taken = cli.multi_index._runs, []
+
+    def recorded(d, l, scheme, pieces, head, tail, m, block):
+        taken.append(m)
+        return runs(d, l, scheme, pieces, head, tail, m, block)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli.multi_index, "_runs", recorded)
+        cli.multi_index._text_walk(d, k, "lex", ",", cli.CHUNK_LINES)(0, "", "")
+    return taken[-1]  # after those of the walk that builds a table
+
+
 def test_block_shapes_take_every_m():
-    taken = {m for m in range(3, 65) if cli.multi_index._table(m + 1, _largest_k(m), "lex", ",", cli.CHUNK_LINES)[0] == m}
+    taken = {m for m in range(3, 65) if _walk_m(m + 1, _largest_k(m)) == m}
     assert taken == set(range(3, 65))
-    assert cli.multi_index._table(4097, 0, "lex", ",", cli.CHUNK_LINES)[0] == 4096
+    assert _walk_m(4097, 0) == 4096
 
 
 @settings(max_examples=150, deadline=None)
@@ -366,33 +397,36 @@ def test_block_shapes_take_every_m():
 )
 def test_block_table_holds_at_most_a_chunk_and_is_built_once(d, k, order_name, fmt):
     scheme, graded = NAMED_ORDERS[order_name]
-    dimension = d if graded else d + 1
-    tables, used = [], []
-    table, text_runs = cli.multi_index._table, cli.multi_index._text_runs
+    dimension = d if graded and d > 1 else d + 1  # a graded order at d = 1 walks as lex
+    walks, used = [], []
+    text_walk, runs = cli.multi_index._text_walk, cli.multi_index._runs
 
-    def recorded(*args):
-        tables.append(table(*args))
-        return tables[-1]
+    def recorded(d, k, scheme, sep, limit):
+        walks.append((d, limit))
+        return text_walk(d, k, scheme, sep, limit)
 
-    def watched(d, l, scheme, sep, head, tail, table=None):
+    def watched(d, l, scheme, pieces, head, tail, m, block):
         if d == dimension:  # not the walk at dimension m that builds the table
-            used.append(table)
-        return text_runs(d, l, scheme, sep, head, tail, table)
+            used.append((m, block))
+        return runs(d, l, scheme, pieces, head, tail, m, block)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli.multi_index, "_table", recorded)
-        patch.setattr(cli.multi_index, "_text_runs", watched)
+        patch.setattr(cli.multi_index, "_text_walk", recorded)
+        patch.setattr(cli.multi_index, "_runs", watched)
         chunk = list(islice(cli._slice_lines(d, k, scheme, graded, fmt), cli.CHUNK_LINES))
     with pytest.MonkeyPatch.context() as patch:  # the same lines with no table
-        patch.setattr(cli.multi_index, "_table", lambda *args: None)
+        patch.setattr(cli.multi_index, "_text_walk", lambda d, k, scheme, sep, limit: text_walk(d, k, scheme, sep, 0))
         assert chunk == list(islice(cli._slice_lines(d, k, scheme, graded, fmt), cli.CHUNK_LINES))
-    assert len(tables) == 1
-    assert all(t is tables[0] for t in used)
+    m, block = used[0]
+    assert all(u_m == m for u_m, _ in used)
+    # one walk per call, and the walk at dimension m that builds its table
+    assert walks == [(dimension, cli.CHUNK_LINES)] + ([(m, 0)] if m > 2 else [])
     fits = [m for m in range(3, dimension) if m * comb(k + m, m) <= cli.CHUNK_LINES]
-    if tables[0] is None:
+    if m == 2:
         assert not fits
         return
-    m, rows = tables[0]
+    assert all(u_block is block for _, u_block in used)  # the same rows for every slice
+    rows = block.__self__
     assert m == max(fits)
     assert len(rows) == k + 1
     assert m * sum(len(firsts) for firsts, _ in rows) <= cli.CHUNK_LINES
@@ -754,10 +788,11 @@ def test_check_unknown_names(runner):
     [
         (["enumerate", "--d", "{}", "--k", "0"], None, "--d {}"),
         (["enumerate", "--d", "{}", "--k", "0", "--format", "csv"], None, "--d {}"),
+        (["enumerate", "--d", "2", "--k", "{}", "--order", "lex"], None, "--k {}"),
         (["sort-terms", "--d", "{}"], "X0", "--d {}"),
         (["check", "--property", "reflexive", "--relation", "lt", "--carrier", "0..{}"], None, "carrier '0..{}'"),
     ],
-    ids=["enumerate", "enumerate-csv", "sort-terms", "check"],
+    ids=["enumerate", "enumerate-csv", "enumerate-k", "sort-terms", "check"],
 )
 def test_sizes_no_tuple_can_hold_are_usage_errors(runner, argv, stdin, error, size):
     result = runner.invoke(main, [arg.format(size) for arg in argv], input=stdin)
