@@ -47,6 +47,10 @@ _SIGN_RE = re.compile(r"([+-])")
 _FACTOR_RE = re.compile(r"\s*(?:(\d+)(?:\s*/\s*(\d+))?|(X\d+|[XYZ])(?:\s*\^\s*(\d+))?)\s*")
 
 
+# the coefficient of a term with no coefficient factor, under its sign
+_UNIT = {"+": Fraction(1), "-": Fraction(-1)}
+
+
 class PolyParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -159,40 +163,52 @@ def parse_poly(text: str, dimension: int) -> SparsePoly:
 def _parse_by_term(text: str, dimension: int) -> Optional[SparsePoly]:
     """parse_poly of well-formed text, or None for parse_poly to name the
     fault: a factor that does not match (an empty term too) or one that
-    _factor refuses."""
+    _factor refuses.  Each term goes straight into the polynomial's map, and
+    its coefficient is a cached Fraction under its sign unless it has two or
+    more coefficient factors, which alone are multiplied."""
     pieces = _SIGN_RE.split(text)
     if len(pieces) > 1 and not pieces[0].strip():
         del pieces[0]  # the optional leading sign
     else:
         pieces.insert(0, "+")
     factors: Dict[str, object] = {}
-    pairs = []
+    terms: Dict[Tuple[int, ...], Fraction] = {}
+    zero = False  # whether a coefficient factor or a sum is 0
     try:
         for sign, term in zip(pieces[::2], pieces[1::2]):
             exponents = [0] * dimension
-            coefficient = -1 if sign == "-" else 1
+            coefficient = None
             for piece in term.split("*"):
                 factor = factors.get(piece)
                 if factor is None:
                     factor = factors[piece] = _factor(piece, dimension)
                     if factor is None:
                         return None
+                    zero = zero or type(factor) is dict and not factor["+"]
                 if type(factor) is tuple:
                     exponents[factor[0]] += factor[1]
+                elif coefficient is None:
+                    coefficient = factor[sign]
                 else:
-                    coefficient *= factor
-            pairs.append((exponents, coefficient))
+                    coefficient *= factor["+"]
+            if coefficient is None:
+                coefficient = _UNIT[sign]
+            exponents = tuple(exponents)
+            if exponents in terms:
+                coefficient += terms[exponents]
+                zero = zero or not coefficient
+            terms[exponents] = coefficient
     except PolyParseError:
         return None
-    return SparsePoly.from_pairs(dimension, pairs)
+    return SparsePoly(dimension, {e: c for e, c in terms.items() if c} if zero else terms)
 
 
 def _factor(text: str, dimension: int, pos: int = 0):
-    """An (index, exponent) pair or a coefficient (int or Fraction) for one
-    factor's text, or None for text that is no factor.  A fault raises a
-    PolyParseError at pos plus the offset of the faulty token: a number past
-    the int digit limit, a zero denominator, an alias past dimension 3 or an
-    index past the dimension."""
+    """An (index, exponent) pair, or {"+": c, "-": -c} for a coefficient c
+    (a Fraction), for one factor's text, or None for text that is no factor.
+    A fault raises a PolyParseError at pos plus the offset of the faulty
+    token: a number past the int digit limit, a zero denominator, an alias
+    past dimension 3 or an index past the dimension."""
     match = _FACTOR_RE.fullmatch(text)
     if match is None:
         return None
@@ -200,11 +216,13 @@ def _factor(text: str, dimension: int, pos: int = 0):
     if var is None:
         at = pos + match.start(1)
         if denominator is None:
-            return _int(numerator, at)
-        denominator = _int(denominator, at)
-        if not denominator:
-            raise PolyParseError("zero denominator", at)
-        return Fraction(_int(numerator, at), denominator)
+            value = Fraction(_int(numerator, at))
+        else:
+            denominator = _int(denominator, at)
+            if not denominator:
+                raise PolyParseError("zero denominator", at)
+            value = Fraction(_int(numerator, at), denominator)
+        return {"+": value, "-": -value}
     at = pos + match.start(3)
     if var in _ALIASES:
         if dimension > 3:
@@ -221,11 +239,23 @@ def _factor(text: str, dimension: int, pos: int = 0):
 # ordering
 
 
+def _term(exponents, coefficient) -> Term:
+    """Term(exponents, coefficient), without running its checks again on an
+    entry that is already what they would make: a tuple and a nonzero
+    Fraction, as every canonical polynomial holds."""
+    if type(exponents) is not tuple or type(coefficient) is not Fraction or not coefficient:
+        return Term(exponents, coefficient)
+    term = object.__new__(Term)
+    object.__setattr__(term, "exponents", exponents)
+    object.__setattr__(term, "coefficient", coefficient)
+    return term
+
+
 def sort_terms(p: SparsePoly, order: Relation) -> List[Term]:
     """Terms in ascending order under a strict total vector order; raises
     IncomparableError when the order ties two of the exponents."""
     terms = p.terms
-    return [Term(e, terms[e]) for e in sorted_total(terms, order)]
+    return [_term(e, terms[e]) for e in sorted_total(terms, order)]
 
 
 def leading_term(p: SparsePoly, order: Relation) -> Optional[Term]:
@@ -239,7 +269,7 @@ def leading_term(p: SparsePoly, order: Relation) -> Optional[Term]:
     top = keys.index(max(keys))
     if keys.count(keys[top]) > 1:
         raise IncomparableError(exponents[top], exponents[keys.index(keys[top], top + 1)])
-    return Term(exponents[top], p.terms[exponents[top]])
+    return _term(exponents[top], p.terms[exponents[top]])
 
 
 def monomial_mul(p: SparsePoly, gamma: Sequence[int]) -> SparsePoly:
@@ -287,7 +317,7 @@ def format_poly(terms: Sequence[Term], dimension: int, alias: Optional[bool] = N
                     name = "XYZ"[index] if letters else f"X{index}"
                     text = powers[index, exponent] = name if exponent == 1 else f"{name}^{exponent}"
                 factors.append(text)
-        n, q = term.coefficient.numerator, term.coefficient.denominator
+        n, q = term.coefficient.as_integer_ratio()
         if q != 1:
             factors.insert(0, f"{abs(n)}/{q}")
         elif abs(n) != 1 or not factors:

@@ -738,6 +738,12 @@ def test_check_fail_with_witness(runner):
     assert "connected" in result.output
 
 
+def test_check_divides_is_reflexive_at_zero(runner):
+    result = runner.invoke(main, ["check", "--property", "reflexive", "--relation", "divides", "--carrier", "0..5"])
+    assert result.exit_code == 0
+    assert result.output == "PASS reflexive(divides) on 0..5\n"
+
+
 def test_check_trivial_pass(runner):
     result = runner.invoke(
         main, ["check", "--property", "reflexive", "--relation", "le", "--carrier", "0..0"]

@@ -3,12 +3,21 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import reference_format_poly, reference_format_term, reference_from_pairs, reference_parse_poly, reference_tokenize
+from conftest import (
+    reference_format_poly,
+    reference_format_term,
+    reference_from_pairs,
+    reference_parse_poly,
+    reference_tokenize,
+    sort_under,
+)
 from gradedorders import (
     LT,
     IncomparableError,
@@ -26,12 +35,14 @@ from gradedorders import (
     grsymlex,
     leading_term,
     lex,
+    load_matrix,
     monomial_mul,
     parse_poly,
     sort_terms,
     weighted_relation,
 )
 from gradedorders import poly
+from gradedorders.cli import main
 from gradedorders.families import sorted_total
 from gradedorders.graded import NAMED_ORDERS, named_builder
 from gradedorders.poly import _tokenize
@@ -207,6 +218,55 @@ def test_parse_matches_the_reference(case):
     assert _result_or_error(parse_poly, text, d) == _result_or_error(reference_parse_poly, text, d)
 
 
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+# the named orders, and weight matrices that are total (w) or tie (flat) in
+# two of the dimensions that poly_texts draws
+SORT_ORDERS = [*NAMED_ORDERS] + [f"weighted:{FIXTURES}/{kind}{d}.txt" for kind in ("w", "flat") for d in (3, 4)]
+
+
+def _reference_sort_terms(text, d, order_name):
+    """(exit code, stdout or error line) of sort-terms by the reference parse,
+    a pairwise sort and the reference writer."""
+    try:
+        p = reference_parse_poly(text, d)
+    except PolyParseError as err:
+        return 2, f"Error: {err}"
+    if order_name.startswith("weighted:"):
+        matrix = load_matrix(order_name[len("weighted:"):])
+        if p.terms and matrix.d != d:
+            return 2, None
+        order = weighted_relation(matrix, LT)
+    else:
+        order = named_builder(order_name)(LT)
+    exponents = sort_under(order, list(p.terms))
+    if any(not order.apply(a, b) for a, b in zip(exponents, exponents[1:])):
+        return 2, None  # the order ties two of the terms
+    return 0, reference_format_poly([Term(e, p.terms[e]) for e in exponents], d) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(poly_texts(), st.sampled_from(SORT_ORDERS)))
+@example((("-X + Y", 2), "grevlex"))
+@example((("  - 1/2*X0^2 + X1", 2), "lex"))
+@example((("X*Y - Y*X + 2 - 2", 3), "grlex"))
+@example((("X*Y - Y*X", 3), "revlex"))
+@example((("2*3/4*X - X + 1/2*Y", 3), "grsymlex"))
+@example((("-1/2*2*X + X^2 - 3*2", 3), f"weighted:{FIXTURES}/w3.txt"))
+@example((("0*X + 0 + X0*0*X1 - Y", 3), "colex"))
+@example((("X0*X1 + X1^2 - 7", 4), f"weighted:{FIXTURES}/flat4.txt"))
+@example((("X + Y", 2), f"weighted:{FIXTURES}/w3.txt"))
+def test_sort_terms_command_matches_the_reference(case):
+    (text, d), order_name = case
+    result = CliRunner().invoke(main, ["sort-terms", "--d", str(d), "--order", order_name], input=text)
+    code, expected = _reference_sort_terms(text, d, order_name)
+    assert result.exit_code == code, result.output
+    if code == 0:
+        assert result.stdout == expected
+        assert all(type(c) is Fraction for c in parse_poly(text, d).terms.values())
+    elif expected is not None:
+        assert [line for line in result.output.splitlines() if line.startswith("Error:")] == [expected]
+
+
 def test_a_fault_walk_that_finds_no_fault_is_an_error(monkeypatch):
     monkeypatch.setattr(poly, "_parse_by_term", lambda text, dimension: None)
     with pytest.raises(AssertionError, match=re.escape("'X + 1'")):
@@ -305,6 +365,42 @@ def test_term_stores_a_fraction_coefficient():
     assert type(t.coefficient) is Fraction and t.coefficient == 1
     half = Fraction(1, 2)
     assert Term((0, 1), half).coefficient is half
+
+
+class _Exponents(tuple):
+    """A tuple by value but not by type: Term makes a tuple of it."""
+
+
+def _fields(terms):
+    return [(type(t.exponents), t.exponents, type(t.coefficient), t.coefficient) for t in terms]
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(2, 0): 3, (0, 1): Fraction(1, 2), (1, 1): -1},
+        {_Exponents((2, 0)): Fraction(3), (0, 1): Fraction(-1, 2)},
+        {(2, 0): 0, (0, 1): Fraction(1)},
+        {(0, 1): Fraction(1), (2, 0): Fraction(0)},
+    ],
+    ids=["int coefficients", "exponents of a tuple subclass", "zero int", "zero Fraction"],
+)
+def test_terms_of_a_directly_built_polynomial_are_what_term_makes(terms):
+    # the entries of a SparsePoly built directly are not checked: sort_terms
+    # and leading_term must give the Terms that Term makes of them, or its
+    # error.  (Exponents as lists cannot be dict keys; a tuple subclass is
+    # what Term converts instead.)
+    p, order = SparsePoly(2, terms), grlex(LT)
+    exponents = sort_under(order, list(terms))
+    for got, entries in [(sort_terms, exponents), (leading_term, exponents[-1:])]:
+        try:
+            expected = [Term(e, terms[e]) for e in entries]
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                got(p, order)
+            continue
+        result = got(p, order)
+        assert _fields(result if got is sort_terms else [result]) == _fields(expected)
 
 
 def test_sort_terms_table_rows():

@@ -74,6 +74,14 @@ def test_complementary_divisibility_not_transitive():
     assert not is_transitive(comp, c)
 
 
+def test_divides_at_zero():
+    # every a divides 0, and 0 divides only 0
+    assert DIVIDES.apply(0, 0)
+    assert all(DIVIDES.apply(a, 0) for a in range(-5, 6))
+    assert not any(DIVIDES.apply(0, b) for b in range(-5, 6) if b)
+    assert property_witness("reflexive", DIVIDES, carrier_range(0, 5)) is None
+
+
 def test_or_eq():
     assert or_eq(LT).apply(7, 7)
     assert or_eq(LT).apply(3, 9)
