@@ -39,15 +39,17 @@ CHUNK_LINES = 4096
 TOO_LARGE = (OverflowError, MemoryError)
 
 
-def resolve_order(name: str) -> Relation:
-    """Strict vector relation for an order name; 'weighted:FILE' loads a
-    weight matrix fixture."""
+def resolve_order(name: str, d: int) -> Relation:
+    """Strict vector relation for an order name on families of length d;
+    'weighted:FILE' loads a weight matrix fixture, which must have d rows."""
     if name.startswith("weighted:"):
         path = name.split(":", 1)[1]
         try:
             matrix = weighted.load_matrix(path)
         except (OSError, ValueError) as exc:
             raise click.UsageError(f"cannot load weight matrix {path!r}: {exc}")
+        if matrix.d != d:
+            raise click.UsageError(f"expected families of length {matrix.d}, got {d}")
         return weighted.weighted_relation(matrix, LT)
     try:
         builder = named_builder(name)
@@ -107,7 +109,7 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
     if order_name in NAMED_ORDERS:
         lines = _slice_lines(d, k, *NAMED_ORDERS[order_name], fmt)
     else:
-        order = resolve_order(order_name)
+        order = resolve_order(order_name, d)
         if not allow_sort_fallback:
             click.echo(
                 f"order {order_name!r} has no slice scheme; pass --allow-sort-fallback",
@@ -117,12 +119,10 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
         click.echo(f"note: generate-then-sort fallback for order {order_name!r}", err=True)
         try:
             entries = sorted_total(multi_index.iter_multi_index_set(d, k, "lex"), order)
-        except LengthMismatchError as exc:
-            raise click.UsageError(str(exc))
         except IncomparableError as exc:
             raise _not_total(order_name, exc)
-        except TOO_LARGE:
-            raise click.UsageError(f"--d {d} is too large")
+        except TOO_LARGE:  # resolve_order held d to the matrix's, so only k can be too large
+            raise click.UsageError(f"--k {k} is too large")
         lines = _lines(entries, fmt)
 
     # lines are made lazily and written CHUNK_LINES at a time; the first
@@ -223,7 +223,7 @@ def cmd_compare(order_name, a, b):
     """Print LT / GT / EQ / INCOMPARABLE for two multi-indices."""
     x = _parse_index(a)
     y = _parse_index(b)
-    strict = resolve_order(order_name)
+    strict = resolve_order(order_name, len(x))
     try:
         less = strict.apply(x, y)
     except LengthMismatchError as exc:
@@ -247,7 +247,7 @@ def cmd_sort_terms(d, order_name, source):
     """Parse a polynomial and print its terms ascending under the order."""
     if d < 1:
         raise click.UsageError(f"--d must be >= 1, got {d}")
-    order = resolve_order(order_name)
+    order = resolve_order(order_name, d)
     try:
         text = source.read()
     except UnicodeDecodeError as exc:
@@ -255,7 +255,7 @@ def cmd_sort_terms(d, order_name, source):
     try:
         p = poly.parse_poly(text, d)
         terms = poly.sort_terms(p, order)
-    except (poly.PolyParseError, LengthMismatchError) as exc:
+    except poly.PolyParseError as exc:
         raise click.UsageError(str(exc))
     except IncomparableError as exc:
         raise _not_total(order_name, exc)

@@ -37,14 +37,15 @@ writes the fixed components as text, which lets a caller render every entry
 of a run with one comprehension, and takes m >= 3 where a table of the last
 m components fits in a given number of components.
 
-Memory: the walk holds its stack of d - m levels, each with the joined
-prefix of the components fixed so far, so up to about d * d / 2 components
-when the sum left stays above 0 (k >= 1); for d >= 3, the l + 1 numbers of
-the slice as text, while the slice has at least (l + 1)(l + 2) / 2
-entries; and the table, at most a given number of components (the CLI
-gives its chunk size, 4096).  Nothing holds a whole slice, so a consumer
-that takes entries in chunks, as the CLI does, stays bounded by one chunk
-beyond these, however large the set or its largest slice.
+Memory: the walk holds its stack of d - m levels, each with the length of
+its prefix of the components fixed so far, and one prefix, the deepest
+made, from which a level cuts its own when it resumes: O(d) in all; for
+d >= 3, the l + 1 numbers of the slice as text, while the slice has at
+least (l + 1)(l + 2) / 2 entries; and the table, at most a given number of
+components (the CLI gives its chunk size, 4096).  Nothing holds a whole
+slice, so a consumer that takes entries in chunks, as the CLI does, stays
+bounded by one chunk beyond these, however large the set or its largest
+slice.
 
 Generators are the primary interface; callers may consume a prefix without
 materializing the whole set, which grows as binomial(d + k, d).
@@ -94,15 +95,19 @@ def _runs(d, l, scheme, pieces, head, tail, m, block):
         return
     # the component fixed next runs over values(r)
     values = (lambda r: range(r, -1, -1)) if down else (lambda r: range(r + 1))
-    stack = [(tail if back else head, l, iter(values(l)))]
+    # a level keeps the length n of its prefix, which the deepest prefix
+    # made, more, starts with (ends with, for a back scheme)
+    more = tail if back else head
+    stack = [(len(more), l, iter(values(l)))]
     while stack:
-        fixed, r, it = stack[-1]
+        n, r, it = stack[-1]
+        fixed = more[len(more) - n :] if back else more[:n]
         deeper = len(stack) < depth
         for c in it:
             more = pieces[c] + fixed if back else fixed + pieces[c]
             if deeper:
                 if c < r:
-                    stack.append((more, r - c, iter(values(r - c))))
+                    stack.append((len(more), r - c, iter(values(r - c))))
                     break
                 # no sum left: the components still to fix are all 0
                 zeros = pieces[0] * (depth - len(stack))

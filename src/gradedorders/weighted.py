@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Tuple
 
 from .families import SCHEMES, Family, LengthMismatchError, is_strict_less
 from .graded import NAMED_ORDERS, named_builder
-from .relations import LT, Relation
+from .relations import LT, Carrier, Relation, property_witness
 
 _EXACT_TYPES = (int, Fraction)
 
@@ -163,26 +163,20 @@ def matrix_for(order_name: str, d: int) -> WeightMatrix:
 
 
 def find_incomparable(w: WeightMatrix, k_lt: Relation, box_bound: int) -> Optional[Tuple[Family, Family]]:
-    """First pair of distinct vectors in [0..box_bound]^d that the matrix
-    order relates in neither direction, or None.
-
-    Which witness is returned is an artifact of the scan order; any valid
-    pair is acceptable."""
+    """The first pair (x, y), x before y in box order, of distinct vectors
+    in [0..box_bound]^d that the matrix order relates in neither direction,
+    or None: the witness that the order is not connected on the box."""
     box = list(product(range(box_bound + 1), repeat=w.d))
-    key = weighted_relation(w, k_lt).key
-    if key is not None:
-        # under < two vectors are incomparable exactly when their keys are
-        # equal; the first pair of the scan is the first two of the group
-        # that starts earliest
-        groups = {}
-        for x in box:
-            groups.setdefault(key(x), []).append(x)
-        return next(((g[0], g[1]) for g in groups.values() if len(g) > 1), None)
-    for i, x in enumerate(box):
-        for y in box[i + 1 :]:
-            if not weighted_lt(w, k_lt, x, y) and not weighted_lt(w, k_lt, y, x):
-                return (x, y)
-    return None
+    order = weighted_relation(w, k_lt)
+    if order.key is None:
+        failure = property_witness("connected", order, Carrier(box))
+        return None if failure is None else failure[1]
+    # under < two vectors are incomparable exactly when their keys are
+    # equal; the first pair is the first two of the group that starts earliest
+    groups = {}
+    for x in box:
+        groups.setdefault(order.key(x), []).append(x)
+    return next(((g[0], g[1]) for g in groups.values() if len(g) > 1), None)
 
 
 # ---------------------------------------------------------------------------

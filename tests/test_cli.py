@@ -112,12 +112,12 @@ def test_resolve_order_builds_with_the_builders_on_their_modules(monkeypatch):
         # the package attribute `graded` is the grading function, not the module
         module = sys.modules["gradedorders.graded" if graded else "gradedorders.families"]
         monkeypatch.setattr(module, name, patched(name, getattr(module, name)))
-    assert cli.resolve_order("grlex").name == "grlex(lt)"
-    assert cli.resolve_order("lex").name == "lex(lt)"
+    assert cli.resolve_order("grlex", 2).name == "grlex(lt)"
+    assert cli.resolve_order("lex", 2).name == "lex(lt)"
     assert calls == [("grlex", "gradedorders.cli"), ("lex", "gradedorders.graded"), ("lex", "gradedorders.cli")]
     for name in NAMED_ORDERS:
         calls.clear()
-        assert cli.resolve_order(name).name == f"{name}(lt)"
+        assert cli.resolve_order(name, 2).name == f"{name}(lt)"
         assert [call for call in calls if call[1] == "gradedorders.cli"] == [(name, "gradedorders.cli")]
 
 
@@ -318,6 +318,22 @@ def test_first_chunk_of_a_large_k_holds_nothing_of_size_k(fmt, d, graded):
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("scheme", ["lex", "colex"])
+def test_first_line_of_a_deep_slack_walk_holds_one_prefix(scheme):
+    # At k = 1 the sum left stays above 0 for about d levels of the walk's
+    # stack; each level keeps the length of its prefix, not a prefix of its
+    # own, so memory to the first line grows as d, not d squared.
+    d = 4000
+    tracemalloc.start()
+    try:
+        line = next(cli._slice_lines(d, 1, scheme, False, "plain"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(line) == 2 * d - 1
+    assert peak < 2 * 2**20
+
+
 def _first_chunk_peak(d, k, scheme, graded, fmt):
     """The tracemalloc peak while the first chunk of lines is made."""
     tracemalloc.start()
@@ -513,6 +529,18 @@ def test_enumerate_wrong_dimension_order_is_a_usage_error(runner, tmp_path):
         main, ["enumerate", "--d", "2", "--k", "2", "--order", order, "--allow-sort-fallback"]
     )
     _one_line_usage_error(result)
+
+
+@pytest.mark.parametrize("flag", [[], ["--allow-sort-fallback"]], ids=["no-flag", "fallback"])
+def test_enumerate_refuses_a_wrong_dimension_matrix_before_the_fallback(runner, flag):
+    # the matrix is checked where it is loaded: before the missing flag's
+    # exit 3 and before the fallback's note
+    order = f"weighted:{FIXTURES / 'w3.txt'}"
+    result = runner.invoke(main, ["enumerate", "--d", "1", "--k", "2", "--order", order] + flag)
+    assert result.exit_code == 2
+    lines = result.output.splitlines()
+    assert [line for line in lines if line.startswith("Error:")] == ["Error: expected families of length 3, got 1"]
+    assert not [line for line in lines if line.startswith("note:")]
 
 
 # ---------------------------------------------------------------------------

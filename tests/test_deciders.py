@@ -380,15 +380,26 @@ def test_is_plus_reg_r_matches_reference(monoid):
         assert is_plus_reg_r(monoid, c) == ref_is_plus_reg_r(monoid, c)
 
 
-@pytest.mark.parametrize("k_lt", [LT, GT, LE], ids=lambda r: r.name)
+# LT takes the key path; the others have no key and ask the connected decider
+@pytest.mark.parametrize("k_lt", [LT, GT, LE, DIVIDES], ids=lambda r: r.name)
 def test_find_incomparable_matches_reference(k_lt):
     rng = random.Random(11)
+    later_groups = 0  # boxes where a tie group other than the earliest could answer
     for _ in range(60):
         d, m = rng.randint(1, 3), rng.randint(1, 3)
         w = WeightMatrix(tuple(tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(d)))
         for bound in (1, 2, 3):
+            box = list(product(range(bound + 1), repeat=d))
             expected = ref_find_incomparable(w, k_lt, bound)
-            assert find_incomparable(w, k_lt, bound) == expected, (w, bound)
+            found = find_incomparable(w, k_lt, bound)
+            assert found == expected, (w, bound)
+            order = weighted.weighted_relation(w, k_lt)
+            failure = property_witness("connected", order, Carrier(box))
+            assert failure == (None if found is None else ("connected", found)), (w, bound)
+            if order.key is not None:
+                ties = Counter(map(order.key, box))
+                later_groups += sum(count > 1 for count in ties.values()) > 1
+    assert later_groups > 0 or k_lt is not LT
 
 
 def test_matrix_for_rejects_a_wrong_candidate(monkeypatch):

@@ -227,17 +227,17 @@ SORT_ORDERS = [*NAMED_ORDERS] + [f"weighted:{FIXTURES}/{kind}{d}.txt" for kind i
 def _reference_sort_terms(text, d, order_name):
     """(exit code, stdout or error line) of sort-terms by the reference parse,
     a pairwise sort and the reference writer."""
+    if order_name.startswith("weighted:"):
+        matrix = load_matrix(order_name[len("weighted:"):])
+        if matrix.d != d:  # refused where the matrix is loaded, before the text is read
+            return 2, f"Error: expected families of length {matrix.d}, got {d}"
+        order = weighted_relation(matrix, LT)
+    else:
+        order = named_builder(order_name)(LT)
     try:
         p = reference_parse_poly(text, d)
     except PolyParseError as err:
         return 2, f"Error: {err}"
-    if order_name.startswith("weighted:"):
-        matrix = load_matrix(order_name[len("weighted:"):])
-        if p.terms and matrix.d != d:
-            return 2, None
-        order = weighted_relation(matrix, LT)
-    else:
-        order = named_builder(order_name)(LT)
     exponents = sort_under(order, list(p.terms))
     if any(not order.apply(a, b) for a, b in zip(exponents, exponents[1:])):
         return 2, None  # the order ties two of the terms
@@ -255,6 +255,8 @@ def _reference_sort_terms(text, d, order_name):
 @example((("0*X + 0 + X0*0*X1 - Y", 3), "colex"))
 @example((("X0*X1 + X1^2 - 7", 4), f"weighted:{FIXTURES}/flat4.txt"))
 @example((("X + Y", 2), f"weighted:{FIXTURES}/w3.txt"))
+@example((("0", 1), f"weighted:{FIXTURES}/w3.txt"))
+@example((("X - X", 1), f"weighted:{FIXTURES}/w3.txt"))
 def test_sort_terms_command_matches_the_reference(case):
     (text, d), order_name = case
     result = CliRunner().invoke(main, ["sort-terms", "--d", str(d), "--order", order_name], input=text)
