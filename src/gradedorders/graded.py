@@ -69,14 +69,18 @@ def graded(scalar: Relation, vector: Relation, monoid: Monoid = NAT_ADD) -> Rela
     The result has the key (sum, vector key) when the scalar relation is the
     strict ``<``, the vector relation has a key and the sums are natural-number
     sums."""
+    op, identity, same = monoid.op, monoid.identity, monoid.eq
+    vector_apply, scalar_apply = vector.apply, scalar.apply
 
     def apply(x: Family, y: Family) -> bool:
-        check_same_length(x, y)
-        sx = family_sum(x, monoid)
-        sy = family_sum(y, monoid)
-        if monoid.eq(sx, sy):
-            return vector.apply(x, y)
-        return scalar.apply(sx, sy)
+        if len(x) != len(y):
+            check_same_length(x, y)
+        # the fold of family_sum
+        sx = reduce(op, x, identity)
+        sy = reduce(op, y, identity)
+        if same(sx, sy):
+            return vector_apply(x, y)
+        return scalar_apply(sx, sy)
 
     key = None
     vector_key = vector.key

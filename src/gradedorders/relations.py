@@ -16,7 +16,9 @@ ordered pair of carrier elements at most once, n^2 calls on an n-element
 carrier.  It builds its rows on first use and holds the table twice: as one
 buffer of bytes, row after row, whose strided slices are its columns, and as
 an int mask per row, which the transitivity scans read: one mask operation
-per related pair and no further calls.  A pair property fails at (x, y)
+per related pair and no further calls.  Before the scan, a score test on
+the built cells passes an ordered tournament, which with its complement is
+transitive; every other table is scanned.  A pair property fails at (x, y)
 exactly when r(x, y) and r(y, x) are both one truth value, so for each x it
 reads one direction for the y after x, asks the other only where the first
 answer leaves the pair open, and finds the first failing y in those bytes;
@@ -259,6 +261,28 @@ class _Table:
             ys = compress(ys, chosen)
         return _cells(map(self.apply, x, ys) if forward else map(self.apply, ys, x))
 
+    @cached_property
+    def ordered(self) -> bool:
+        """Whether the table is an ordered tournament, whose relation and
+        complement are transitive: r(x, x) one truth value d for every x,
+        exactly one of r(x, y) and r(y, x) for every x != y, and row counts
+        d, d + 1, ..., n - 1 + d in some order.  A tournament is transitive
+        exactly when its scores are 0, 1, ..., n - 1 (J. W. Moon, Topics on
+        Tournaments, 1968, ch. 2); a constant diagonal keeps it so, and the
+        complement is the converse tournament with the other diagonal."""
+        n, cells = self.n, self.cells
+        if not n:
+            return False
+        d = cells[0]
+        scores = sorted([cells.count(1, at, at + n) for at in range(0, n * n, n)])
+        if scores != list(range(d, n + d)):
+            return False
+        # the complement of the cells is their transpose off the diagonal
+        # and 1 - d on it
+        transpose = bytearray().join([cells[j::n] for j in range(n)])
+        transpose[:: n + 1] = bytes([1 - d]) * n
+        return transpose == cells.translate(_NOT)
+
     def diagonal(self) -> Iterator:
         """r(x, x) for each x in carrier order, asked as it is read."""
         if "cells" in self.__dict__:
@@ -277,7 +301,10 @@ class _Table:
 def _transitive(t: _Table, negated: bool = False) -> Optional[tuple]:
     """First (x, y, z) with r(x, y), r(y, z) and not r(x, z).  Negated, the
     same scan runs on the complemented table and finds the witness of
-    negative transitivity: not r(x, y), not r(y, z) and r(x, z)."""
+    negative transitivity: not r(x, y), not r(y, z) and r(x, z).  An ordered
+    tournament passes both without the scan."""
+    if t.ordered:
+        return None
     els, masks, rows = t.elements, t.masks, t.rows
     if negated:
         ones = _mask(b"\1" * t.n)

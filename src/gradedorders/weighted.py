@@ -12,7 +12,8 @@ accepted.
 
 The matrix encodings of the named orders are candidates validated
 empirically: matrix_for only returns a matrix after checking exhaustive
-agreement with the combinator order on a small box (d <= 3).
+agreement with the combinator order on a small box (d <= 3), once per
+process for each builder and matrix.
 """
 
 from __future__ import annotations
@@ -136,6 +137,10 @@ def _candidate_columns(order_name: str, d: int):
     return [(1,) * d] + units[:-1] if is_graded else units
 
 
+# (builder, matrix) pairs whose box comparison passed in this process
+_VALIDATED = set()
+
+
 def matrix_for(order_name: str, d: int) -> WeightMatrix:
     """Weight matrix whose order matches the named order under strict
     integer comparison.
@@ -143,14 +148,19 @@ def matrix_for(order_name: str, d: int) -> WeightMatrix:
     The construction is validated before being returned: for d <= 3 the
     matrix order is compared with the combinator order on every pair of
     [0..3]^d, and a mismatch raises.  Larger dimensions reuse the same
-    column pattern, validated at the tested sizes.
+    column pattern, validated at the tested sizes.  The columns are built
+    on every call, and the comparison runs once per process for each pair
+    of the order's builder (``named_builder``) and matrix: a pair is
+    recorded only after it passes, so a wrong candidate raises on every
+    call, and a changed candidate or builder is compared anew.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     columns = _candidate_columns(order_name, d)
     w = WeightMatrix(tuple(tuple(col[i] for col in columns) for i in range(d)))
-    if d <= 3:
-        reference = named_builder(order_name)(LT)
+    builder = named_builder(order_name)
+    if d <= 3 and (builder, w) not in _VALIDATED:
+        reference = builder(LT)
         box = list(product(range(4), repeat=d))
         keyed = list(zip(box, map(weighted_relation(w, LT).key, box)))
         for x, kx in keyed:
@@ -159,6 +169,7 @@ def matrix_for(order_name: str, d: int) -> WeightMatrix:
                     raise AssertionError(
                         f"candidate matrix for {order_name} disagrees at {x} vs {y}"
                     )
+        _VALIDATED.add((builder, w))
     return w
 
 

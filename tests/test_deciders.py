@@ -3,8 +3,10 @@ replace, and the bound on how often they ask the relation."""
 
 import operator
 import random
+import sys
 from collections import Counter
-from itertools import product
+from functools import partial
+from itertools import compress, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +34,7 @@ from gradedorders import (
 )
 from gradedorders import weighted
 from gradedorders.graded import plus_compat_r_witness
-from gradedorders.relations import CONJUNCTIVE_PARTS, EMPTY, PROPERTY_NAMES, property_witness
+from gradedorders.relations import CONJUNCTIVE_PARTS, EMPTY, PROPERTY_NAMES, _Table, _transitive, property_witness
 
 # ---------------------------------------------------------------------------
 # reference deciders: the compositional definitions, one loop per quantifier
@@ -341,6 +343,97 @@ def test_pair_deciders_read_either_direction_first(case):
 
 
 # ---------------------------------------------------------------------------
+# the score test of transitivity against the mask scan
+
+
+def scan_transitive(r, c, negated=False):
+    """The mask scan that decides transitivity on any table, negated on the
+    complemented one: the first (x, y, z) with r(x, y), r(y, z) and not
+    r(x, z)."""
+    els = c.elements
+    rows = [bytes(bool(r.apply(x, y)) ^ negated for y in els) for x in els]
+    masks = [int.from_bytes(row, "little") for row in rows]
+    for i, (row, related) in enumerate(zip(masks, rows)):
+        outside = ~row
+        for j in compress(range(len(els)), related):
+            bad = masks[j] & outside
+            if bad:
+                return (els[i], els[j], els[((bad & -bad).bit_length() - 1) >> 3])
+    return None
+
+
+SCANNED = {"transitive": scan_transitive, "negatively_transitive": partial(scan_transitive, negated=True)}
+
+
+def tournaments(rng, n, diagonal):
+    """Pair sets on range(n) with r(x, x) == diagonal for every x: the
+    transitive tournament of a random ranking, a random tournament, and the
+    transitive one with one pair reversed, one diagonal cell flipped, one
+    pair related both ways, or one pair related both ways and another in
+    neither, which keeps the row counts."""
+    rank = rng.sample(range(n), n)
+    loops = {(x, x) for x in range(n)} if diagonal else set()
+    ordered = {(x, y) for x in range(n) for y in range(n) if rank[x] < rank[y]} | loops
+    cases = {
+        "transitive": ordered,
+        "random": {(x, y) if rng.random() < 0.5 else (y, x) for x in range(n) for y in range(x)} | loops,
+    }
+    if n >= 2:
+        x, y = rng.choice(sorted(ordered - loops))
+        cases["reversed pair"] = ordered - {(x, y)} | {(y, x)}
+        cases["both ways"] = ordered | {(y, x)}
+    if n >= 3:
+        by_rank = sorted(range(n), key=rank.__getitem__)
+        i = rng.randrange(1, n - 1)
+        x, y, z = by_rank[rng.randrange(i)], by_rank[i], by_rank[rng.randrange(i + 1, n)]
+        cases["same scores"] = (ordered | {(y, x)}) - {(y, z)}
+    if n >= 1:
+        z = rng.randrange(n)
+        cases["flipped diagonal"] = ordered ^ {(z, z)}
+    return cases
+
+
+@pytest.mark.parametrize("diagonal", [False, True], ids=["strict", "reflexive"])
+def test_score_test_matches_the_scan_on_tournaments(diagonal):
+    """On tournaments and near-tournaments of 0-40 elements, carried in a
+    random order, the transitivity conjuncts and the total orders give the
+    scan's verdict and witness; the score test certifies exactly the
+    ordered tournaments, and the scan runs on every other table."""
+    rng = random.Random(23 + diagonal)
+    for n in range(41):
+        for kind, pairs in tournaments(rng, n, diagonal).items():
+            r = relation_from_pairs(pairs)
+            c = Carrier(tuple(rng.sample(range(n), n)))
+            for name in ("transitive", "negatively_transitive", "total_order", "strict_total_order"):
+                expected = next(
+                    (
+                        (part, w)
+                        for part in CONJUNCTIVE_PARTS.get(name, (name,))
+                        for w in [SCANNED.get(part, REF_ELEMENTARY[part])(r, c)]
+                        if w is not None
+                    ),
+                    None,
+                )
+                assert property_witness(name, r, c) == expected, (n, kind, name)
+            tournament = all(((x, y) in pairs) != ((y, x) in pairs) for x in range(n) for y in range(x))
+            one_diagonal = len({(x, x) in pairs for x in range(n)}) == 1
+            ordered = tournament and one_diagonal and scan_transitive(r, c) is None
+            t = _Table(r, c)
+            assert _transitive(t) == scan_transitive(r, c), (n, kind)
+            assert t.ordered == ordered, (n, kind)
+            # the scan builds the row masks
+            assert ("masks" in vars(t)) != ordered, (n, kind)
+            if kind == "transitive":
+                assert ordered == (n > 0), n
+
+
+def test_total_order_asks_each_pair_once():
+    counted, calls = _counted(LE)
+    assert property_witness("total_order", counted, carrier_range(0, 89)) is None
+    assert calls[0] == 90 * 90
+
+
+# ---------------------------------------------------------------------------
 # differential tests of the monomial and matrix checks
 
 MONOIDS = [
@@ -415,6 +508,44 @@ def test_matrix_for_rejects_a_wrong_candidate(monkeypatch):
                 matrix_for(name, d)
 
 
+GRADED_MATRIX_NAMES = ("grlex", "grevlex", "grsymlex", "grcolex")
+
+
+def _reversed_candidates(monkeypatch):
+    right = weighted._candidate_columns
+    monkeypatch.setattr(weighted, "_candidate_columns", lambda order_name, d: right(order_name, d)[::-1])
+
+
+def test_matrix_for_validates_a_changed_candidate_after_a_pass(monkeypatch):
+    for name in GRADED_MATRIX_NAMES:
+        for d in (2, 3):
+            matrix_for(name, d)
+    _reversed_candidates(monkeypatch)
+    for name in GRADED_MATRIX_NAMES:
+        for d in (2, 3):
+            with pytest.raises(AssertionError, match=f"candidate matrix for {name} disagrees"):
+                matrix_for(name, d)
+
+
+def test_matrix_for_rejects_a_wrong_candidate_on_every_call(monkeypatch):
+    _reversed_candidates(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="candidate matrix for grlex disagrees"):
+            matrix_for("grlex", 2)
+
+
+# grlex and grevlex agree on two variables: on equal sums a larger first
+# component is a smaller last one
+@pytest.mark.parametrize("d, other", [(2, "grcolex"), (3, "grevlex")])
+def test_matrix_for_validates_against_a_replaced_builder(monkeypatch, d, other):
+    matrix_for("grlex", d)
+    # the package attribute `graded` is the grading function, not the module
+    module = sys.modules["gradedorders.graded"]
+    monkeypatch.setattr(module, "grlex", getattr(module, other))
+    with pytest.raises(AssertionError, match="candidate matrix for grlex disagrees"):
+        matrix_for("grlex", d)
+
+
 # ---------------------------------------------------------------------------
 # how often the relation is asked
 
@@ -462,6 +593,35 @@ def test_pair_property_asks_the_converse_only_where_it_can_fail(name, r, bound):
     counted, calls = _counted(r)
     assert property_witness(name, counted, carrier_range(0, 599)) is None
     assert calls[0] <= bound
+
+
+# a tournament true on about half of each row: x before y when they have the
+# same parity, y before x otherwise, so a row asks the second direction for
+# (n - 1 - i) / 2 of its y, rounded down or up by the direction it reads
+# first, and the switch threshold decides the rows where that is exactly half
+HALF_ROWS = Relation(lambda x, y: x != y and (x < y) == ((x ^ y) & 1 == 0), name="half")
+
+PAIR_CALLS = [
+    # property, relation, exact calls on 0..99
+    ("antisymmetric", LT, 5049),
+    ("antisymmetric", LE, 5049),
+    ("antisymmetric", HALF_ROWS, 7400),
+    ("asymmetric", LT, 5149),
+    ("asymmetric", LE, 1),
+    ("asymmetric", HALF_ROWS, 7500),
+    ("connected", LT, 4950),
+    ("connected", LE, 4950),
+    ("connected", HALF_ROWS, 7401),
+]
+
+
+@pytest.mark.parametrize(
+    "name, r, expected", PAIR_CALLS, ids=[f"{name}-{r.name}" for name, r, _ in PAIR_CALLS]
+)
+def test_pair_property_switches_direction_at_more_than_half(name, r, expected):
+    counted, calls = _counted(r)
+    property_witness(name, counted, carrier_range(0, 99))
+    assert calls[0] == expected
 
 
 def test_transitive_and_total_order_bound():
