@@ -254,7 +254,7 @@ def cmd_sort_terms(d, order_name, source):
         raise click.UsageError(f"cannot read {source.name}: {exc}")
     try:
         p = poly.parse_poly(text, d)
-        terms = poly.sort_terms(p, order)
+        exponents = sorted_total(p.terms, order)
     except poly.PolyParseError as exc:
         raise click.UsageError(str(exc))
     except IncomparableError as exc:
@@ -262,7 +262,8 @@ def cmd_sort_terms(d, order_name, source):
     except TOO_LARGE:
         raise click.UsageError(f"--d {d} is too large")
     try:
-        line = poly.format_poly(terms, d)
+        # the sorted terms as pairs of the polynomial's own entries, no Term made
+        line = poly._format_pairs(zip(exponents, map(p.terms.__getitem__, exponents)), d)
     except ValueError:  # str() of an int past the limit, which a product of coefficients can reach
         raise click.UsageError(f"the result has a number of more than {sys.get_int_max_str_digits()} digits")
     click.echo(line)

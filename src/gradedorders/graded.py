@@ -68,7 +68,7 @@ def graded(scalar: Relation, vector: Relation, monoid: Monoid = NAT_ADD) -> Rela
 
     The result has the key (sum, vector key) when the scalar relation is the
     strict ``<``, the vector relation has a key and the sums are natural-number
-    sums."""
+    sums; then a plan of the vector relation gains a last pass by the sum."""
     op, identity, same = monoid.op, monoid.identity, monoid.eq
     vector_apply, scalar_apply = vector.apply, scalar.apply
 
@@ -82,15 +82,18 @@ def graded(scalar: Relation, vector: Relation, monoid: Monoid = NAT_ADD) -> Rela
             return vector_apply(x, y)
         return scalar_apply(sx, sy)
 
-    key = None
+    key, plan = None, ()
     vector_key = vector.key
     if vector_key is not None and monoid is NAT_ADD and is_strict_less(scalar):
 
         def key(a: Family):
             return (sum(a), vector_key(a))
 
+        if vector.plan:
+            plan = vector.plan + ((sum, False),)
+
     name = f"graded({scalar.name},{vector.name})"
-    return Relation(apply, declared_reflexive=vector.declared_reflexive, name=name, key=key)
+    return Relation(apply, declared_reflexive=vector.declared_reflexive, name=name, key=key, plan=plan)
 
 
 # name -> (slice scheme, graded): the eight named orders are the four

@@ -19,9 +19,10 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .families import Family, IncomparableError, LengthMismatchError, sort_key, sorted_total
+from .families import Family, IncomparableError, LengthMismatchError, _check_one_length, sort_key, sorted_total
 from .relations import Relation
 
 _ALIASES = {"X": 0, "Y": 1, "Z": 2}
@@ -261,10 +262,11 @@ def sort_terms(p: SparsePoly, order: Relation) -> List[Term]:
 def leading_term(p: SparsePoly, order: Relation) -> Optional[Term]:
     """Maximum term under a strict total vector order; None for the zero
     polynomial.  Raises IncomparableError when the order ties another term
-    with the maximum."""
+    with the maximum, and LengthMismatchError on exponents of two lengths."""
     if not p.terms:
         return None
     exponents = list(p.terms)
+    _check_one_length(exponents)
     keys = list(map(sort_key(order), exponents))
     top = keys.index(max(keys))
     if keys.count(keys[top]) > 1:
@@ -300,28 +302,36 @@ def format_term(term: Term, dimension: int, alias: Optional[bool] = None) -> str
 def format_poly(terms: Sequence[Term], dimension: int, alias: Optional[bool] = None) -> str:
     """Each term's coefficient and powers joined by ``*``, after its sign; the
     first term's sign shows only when it is negative.  Variables are X, Y, Z
-    up to dimension 3 unless alias is false, else X0, X1, ...  Each factor's
-    text is made once per call, and a coefficient's text from its numerator
-    and denominator, with no Fraction arithmetic."""
-    if not terms:
-        return "0"
+    up to dimension 3 unless alias is false, else X0, X1, ..."""
+    return _format_pairs(map(attrgetter("exponents", "coefficient"), terms), dimension, alias)
+
+
+def _format_pairs(
+    pairs: Iterable[Tuple[Family, Fraction]], dimension: int, alias: Optional[bool] = None
+) -> str:
+    """format_poly of the terms that (exponents, coefficient) pairs write,
+    the coefficients nonzero Fractions.  Each factor's text is made once per
+    call, and a coefficient's text from its numerator and denominator, with
+    no Fraction arithmetic."""
     letters = dimension <= 3 and (alias or alias is None)
     powers = {}  # (index, exponent) -> the factor's text
     parts = []
-    for term in terms:
+    for exponents, coefficient in pairs:
         factors = []
-        for index, exponent in enumerate(term.exponents):
+        for index, exponent in enumerate(exponents):
             if exponent:
                 text = powers.get((index, exponent))
                 if text is None:
                     name = "XYZ"[index] if letters else f"X{index}"
                     text = powers[index, exponent] = name if exponent == 1 else f"{name}^{exponent}"
                 factors.append(text)
-        n, q = term.coefficient.as_integer_ratio()
+        n, q = coefficient.as_integer_ratio()
         if q != 1:
             factors.insert(0, f"{abs(n)}/{q}")
         elif abs(n) != 1 or not factors:
             factors.insert(0, str(abs(n)))
         parts.append(("+ " if n > 0 else "- ") + "*".join(factors))
+    if not parts:
+        return "0"
     line = " ".join(parts)
     return line[2:] if line[0] == "+" else "-" + line[2:]

@@ -62,6 +62,14 @@ class Relation:
     that holds by construction (strict ``<`` on numbers, structural equality,
     natural-number sums); ``apply`` stays the reference definition.
 
+    ``plan``, derived like ``key`` and set only by the lexicographic builders
+    under the strict ``<`` and by their gradings with natural-number sums,
+    sorts tuples of numbers by passes: a tuple of ``(key or None, reverse)``,
+    each one stable ``list.sort`` in turn, the last pass the most
+    significant.  After all passes, families of one length stand in
+    ascending ``key`` order, and only equal families are neighbours that the
+    passes do not separate.  It is empty wherever ``key`` is None.
+
     The deciders read each answer of ``apply`` by its truth value.  Bool and
     int answers are stored as they are, one byte each; an answer that
     ``bytes`` takes as 0 or 1 through ``__index__`` is taken to have that
@@ -72,6 +80,7 @@ class Relation:
     declared_reflexive: bool = False
     name: str = ""
     key: Optional[Callable[[Any], Any]] = None
+    plan: Tuple[Tuple[Optional[Callable[[Any], Any]], bool], ...] = ()
 
     def __call__(self, x, y) -> bool:
         return self.apply(x, y)

@@ -7,6 +7,7 @@ pairwise comparator.
 
 import operator
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from gradedorders import (
     colex,
     converse_rel,
     format_poly,
+    graded,
     grcolex,
     grcolex_rec,
     grevlex,
@@ -44,6 +46,7 @@ from gradedorders import (
     symlex,
     weighted_relation,
 )
+from gradedorders.families import sorted_total
 from gradedorders.weighted import MATRIX_ORDER_NAMES
 
 NAMED = {
@@ -113,6 +116,7 @@ def keyless_orders():
 @pytest.mark.parametrize("name, order", keyless_orders().items())
 def test_keyless_orders_sort_by_comparator(name, order):
     assert order.key is None
+    assert order.plan == ()
     rng = random.Random(name)
     for _ in range(20):
         pairs = [(tuple(rng.randint(0, 4) for _ in range(2)), rng.choice([-2, 1, 3]))
@@ -142,3 +146,54 @@ def sparse_polys(draw):
 def test_parse_format_roundtrip_under_every_order(p, name):
     terms = sort_terms(p, NAMED[name](LT))
     assert parse_poly(format_poly(terms, p.dimension), p.dimension) == p
+
+
+def planned_orders():
+    orders = {name: build(LT) for name, build in NAMED.items()}
+    orders["graded(lt,lex(lt))"] = graded(LT, lex(LT))
+    for name, build in NAMED.items():
+        order = build(LT)
+        # a copy with another apply, the way a tracer wraps an order
+        orders[f"wrapped {name}"] = replace(order, apply=lambda x, y, apply=order.apply: apply(x, y))
+    return orders
+
+
+def random_items(rng, d):
+    """Families of length d with components among a few ints and Fractions,
+    as tuples, lists or both, sometimes with a duplicate or a family of
+    another length."""
+    values = [0, 1, 2, 3, Fraction(1, 2), Fraction(5, 3)]
+    items = [tuple(rng.choice(values) for _ in range(d)) for _ in range(rng.randint(0, 12))]
+    if items and rng.random() < 0.3:
+        items.insert(rng.randrange(len(items)), rng.choice(items))
+    if items and rng.random() < 0.15:
+        items.insert(rng.randrange(len(items)), tuple(range(d + rng.choice([-1, 1]))))
+    kind = rng.choice(["tuples", "lists", "mixed"])
+    if kind == "lists":
+        items = [list(x) for x in items]
+    elif kind == "mixed":
+        items = [list(x) if rng.random() < 0.5 else x for x in items]
+    return items
+
+
+def outcome(items, order):
+    """The sorted list, or the type and message of what sorted_total raised."""
+    try:
+        return sorted_total(items, order)
+    except ValueError as exc:  # LengthMismatchError or IncomparableError
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name, order", planned_orders().items())
+def test_plan_path_agrees_with_key_and_comparator_paths(name, order):
+    assert order.plan and order.key is not None
+    keyed = replace(order, plan=())
+    compared = replace(order, key=None, plan=())
+    rng = random.Random(name)
+    for d in range(1, 7):
+        for _ in range(40):
+            items = random_items(rng, d)
+            got = outcome(items, order)
+            assert got == outcome(items, keyed) == outcome(items, compared), (items, got)
+            if isinstance(got, list) and len(set(map(tuple, items))) == len(items):
+                assert got == sort_under(order, items)

@@ -464,6 +464,17 @@ def test_leading_term_refuses_a_tied_maximum():
     assert leading_term(parse_poly("X + 3*Y", 2), flat) == Term((0, 1), 3)
 
 
+@pytest.mark.parametrize("name", NAMED_ORDERS)
+def test_leading_term_refuses_mixed_lengths_as_sort_terms_does(name):
+    p = SparsePoly(2, {(1, 0): Fraction(1), (0, 0, 5): Fraction(2)})
+    order = named_builder(name)(LT)
+    with pytest.raises(LengthMismatchError) as sorting:
+        sort_terms(p, order)
+    with pytest.raises(LengthMismatchError) as leading:
+        leading_term(p, order)
+    assert str(leading.value) == str(sorting.value) == "family lengths differ: 2 vs 3"
+
+
 def test_leading_term_is_the_last_sorted_term():
     rng = random.Random(11)
     for _ in range(60):
