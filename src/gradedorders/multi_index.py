@@ -35,7 +35,10 @@ the m components left, as two sequences.  The tuple API below takes m = 2,
 the last two components as ranges.  `_text_walk`, made once per call,
 writes the fixed components as text, which lets a caller render every entry
 of a run with one comprehension, and takes m >= 3 where a table of the last
-m components fits in a given number of components.
+m components fits in a given number of components.  It builds that table
+with no walk, from the two-component rows up, by the recurrence of
+compositions: the entries of dimension j and sum r are each value c of the
+component fixed first, then the entries of dimension j - 1 and sum r - c.
 
 Memory: the walk holds its stack of d - m levels, each with the length of
 its prefix of the components fixed so far, and one prefix, the deepest
@@ -151,26 +154,44 @@ def _text_walk(d: int, k: int, scheme: str, sep: str, limit: int):
     m < d with m * C(k + m, m) <= limit, or 2 when no m >= 3 fits.  With
     m = 2 the block is two slices of the numbers 0..l: a range at d = 2, so
     that nothing grows with l, and their texts, made per slice, at d >= 3.
-    With m >= 3 it is a table of m * C(k + m, m) components, made here by
-    this walk at dimension m with no table: rows[r] is the slice of
-    dimension m and sum r, each entry split where sep goes, after the first
-    component for a back scheme and after the first m - 1 for a front one."""
+    With m >= 3 it is a table of m * C(k + m, m) components, made here with
+    no walk: rows[r] is the slice of dimension m and sum r, each entry split
+    where sep goes, after the first component for a back scheme and after
+    the first m - 1 for a front one.  The rows of m = 2 are the block above
+    for the numbers 0..k, and each further dimension extends every row by
+    one component, fixed where the walk fixes it."""
     if d == 2:
         return lambda l, head, tail: _runs(2, l, scheme, (), head, tail, 2, _pairs(scheme, range(l + 1)))
-    back = SCHEMES[scheme][1]
+    down, back = SCHEMES[scheme]
+
+    def joined(numbers):  # the texts of fixed components, sep toward the rest
+        return [sep + c for c in numbers] if back else [c + sep for c in numbers]
+
     m = 2
     while m + 1 < d and (m + 1) * comb(k + m + 1, m + 1) <= limit:
         m += 1
     block = None
     if m > 2:
-        rows = []
-        table = _text_walk(m, k, scheme, sep, 0)
-        for r in range(k + 1):
-            firsts, seconds = [], []
-            for head, (a, b), tail in table(r, "", ""):
-                firsts += a if back else [head + s for s in a]
-                seconds += [s + tail for s in b] if back else b
-            rows.append((firsts, seconds))
+        numbers = list(map(str, range(k + 1)))
+        pieces = joined(numbers)
+        rows = list(map(_pairs(scheme, numbers), range(k + 1)))
+        # the rows of dimension j from those of j - 1 below: the j-part
+        # compositions of r are each c, in the walk's order, then those of
+        # r - c in j - 1 parts (Knuth, TAOCP 4A, 7.2.1.3)
+        for _ in range(m - 2):
+            below, rows = rows, []
+            for r in range(k + 1):
+                firsts, seconds = [], []
+                for c in range(r, -1, -1) if down else range(r + 1):
+                    a, b = below[r - c]
+                    piece = pieces[c]
+                    if back:
+                        firsts += a
+                        seconds += [s + piece for s in b]
+                    else:
+                        firsts += [piece + f for f in a]
+                        seconds += b
+                rows.append((firsts, seconds))
         block = rows.__getitem__
 
     def runs(l, head, tail):
@@ -178,8 +199,7 @@ def _text_walk(d: int, k: int, scheme: str, sep: str, limit: int):
         # memory fills
         numbers = [""] * (l + 1)
         numbers[:] = map(str, range(l + 1))
-        pieces = [sep + c for c in numbers] if back else [c + sep for c in numbers]
-        return _runs(d, l, scheme, pieces, head, tail, m, block or _pairs(scheme, numbers))
+        return _runs(d, l, scheme, joined(numbers), head, tail, m, block or _pairs(scheme, numbers))
 
     return runs
 

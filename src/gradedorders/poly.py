@@ -19,7 +19,8 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from itertools import compress, repeat
+from operator import attrgetter, eq
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .families import Family, IncomparableError, LengthMismatchError, _check_one_length, sort_key, sorted_total
@@ -262,11 +263,21 @@ def sort_terms(p: SparsePoly, order: Relation) -> List[Term]:
 def leading_term(p: SparsePoly, order: Relation) -> Optional[Term]:
     """Maximum term under a strict total vector order; None for the zero
     polynomial.  Raises IncomparableError when the order ties another term
-    with the maximum, and LengthMismatchError on exponents of two lengths."""
+    with the maximum, and LengthMismatchError on exponents of two lengths.
+    Tuples are read by the order's plan when it has one: each pass, the most
+    significant first, keeps the terms of the largest pass key (the
+    smallest, for a reversed pass), and one term is left, since only equal
+    families tie under a plan; else by the order's key or comparator."""
     if not p.terms:
         return None
     exponents = list(p.terms)
     _check_one_length(exponents)
+    if order.plan and set(map(type, exponents)) == {tuple}:
+        for key, reverse in reversed(order.plan):
+            keys = exponents if key is None else list(map(key, exponents))
+            best = min(keys) if reverse else max(keys)
+            exponents = list(compress(exponents, map(eq, keys, repeat(best))))
+        return _term(exponents[0], p.terms[exponents[0]])
     keys = list(map(sort_key(order), exponents))
     top = keys.index(max(keys))
     if keys.count(keys[top]) > 1:

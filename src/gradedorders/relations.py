@@ -265,7 +265,7 @@ class _Table:
             n, at = self.n, i * self.n + i
             line = self.cells[at + 1 : at + n - i] if forward else self.cells[at + n :: n]
             return line if chosen is None else bytes(compress(line, chosen))
-        x, ys = repeat(self.elements[i]), islice(self.elements, i + 1, None)
+        x, ys = repeat(self.elements[i]), self.elements[i + 1 :]
         if chosen is not None:
             ys = compress(ys, chosen)
         return _cells(map(self.apply, x, ys) if forward else map(self.apply, ys, x))

@@ -395,7 +395,7 @@ def _walk_m(d, k):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli.multi_index, "_runs", recorded)
         cli.multi_index._text_walk(d, k, "lex", ",", cli.CHUNK_LINES)(0, "", "")
-    return taken[-1]  # after those of the walk that builds a table
+    return taken[-1]
 
 
 def test_block_shapes_take_every_m():
@@ -422,8 +422,7 @@ def test_block_table_holds_at_most_a_chunk_and_is_built_once(d, k, order_name, f
         return text_walk(d, k, scheme, sep, limit)
 
     def watched(d, l, scheme, pieces, head, tail, m, block):
-        if d == dimension:  # not the walk at dimension m that builds the table
-            used.append((m, block))
+        used.append((m, block))
         return runs(d, l, scheme, pieces, head, tail, m, block)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -435,8 +434,8 @@ def test_block_table_holds_at_most_a_chunk_and_is_built_once(d, k, order_name, f
         assert chunk == list(islice(cli._slice_lines(d, k, scheme, graded, fmt), cli.CHUNK_LINES))
     m, block = used[0]
     assert all(u_m == m for u_m, _ in used)
-    # one walk per call, and the walk at dimension m that builds its table
-    assert walks == [(dimension, cli.CHUNK_LINES)] + ([(m, 0)] if m > 2 else [])
+    # one walk per call: the table is built with no second walk
+    assert walks == [(dimension, cli.CHUNK_LINES)]
     fits = [m for m in range(3, dimension) if m * comb(k + m, m) <= cli.CHUNK_LINES]
     if m == 2:
         assert not fits
@@ -453,8 +452,9 @@ def test_block_table_holds_at_most_a_chunk_and_is_built_once(d, k, order_name, f
 @pytest.mark.parametrize("d, k", [(1100, 1), (5000, 0)])
 @budget(1, "enumerate at d = 1100, k = 1 or d = 5000, k = 0")
 def test_deep_enumerate_within_a_second(runner, d, k, order_name):
-    # a table bounded in entries alone, or built one component level at a
-    # time, takes far longer here
+    # a table bounded in entries alone takes far longer here; the table of
+    # m = 4096 at k = 0, extended one component at a time, copies about 17M
+    # characters
     result = runner.invoke(main, ["enumerate", "--d", str(d), "--k", str(k), "--order", order_name])
     assert result.exit_code == 0
     assert len(result.stdout.splitlines()) == d + 1 if k else 1

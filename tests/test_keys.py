@@ -197,3 +197,29 @@ def test_plan_path_agrees_with_key_and_comparator_paths(name, order):
             assert got == outcome(items, keyed) == outcome(items, compared), (items, got)
             if isinstance(got, list) and len(set(map(tuple, items))) == len(items):
                 assert got == sort_under(order, items)
+
+
+def leading_outcome(p, order):
+    """The leading term, or the type and message of what leading_term raised."""
+    try:
+        return leading_term(p, order)
+    except ValueError as exc:  # LengthMismatchError or IncomparableError
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name, order", planned_orders().items())
+def test_leading_term_by_plan_agrees_with_key_path(name, order):
+    keyed = replace(order, plan=())
+    # the plan path never calls the key, so a key that fails shows the path taken
+    planned_only = replace(order, key=lambda family: 1 / 0)
+    rng = random.Random(f"leading {name}")
+    for d in range(1, 7):
+        for _ in range(40):
+            exponents = list(map(tuple, random_items(rng, d)))
+            coefficients = [Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)) for _ in exponents]
+            p = SparsePoly(d, dict(zip(exponents, coefficients)))
+            got = leading_outcome(p, order)
+            assert got == leading_outcome(p, keyed) == leading_outcome(p, planned_only), (p, got)
+            if p.terms and not isinstance(got, tuple):
+                assert got.exponents == sort_under(order, list(p.terms))[-1]
+                assert got.coefficient == p.terms[got.exponents]

@@ -16,7 +16,7 @@ from gradedorders import (
     iter_slice,
     multi_index_set,
 )
-from gradedorders import families
+from gradedorders import families, multi_index
 from gradedorders.families import SCHEMES as SCHEME_FLAGS, sorted_total
 
 GRADED_FOR_SCHEME = {
@@ -167,3 +167,46 @@ def test_deep_dimensions_do_not_recurse(scheme):
     units = sorted(unit_vectors(d), key=GRADED_FOR_SCHEME[scheme].key)
     assert list(iter_multi_index_set(d, 1, scheme)) == [(0,) * d] + units
     assert degree_slice(d, 1, scheme).entries == tuple(units)
+
+
+def walked_rows(m, k, scheme, sep):
+    """The block table of dimension m built by the slice walk with no table,
+    the definition that the table's extension replaces."""
+    back = SCHEME_FLAGS[scheme][1]
+    walk, rows = multi_index._text_walk(m, k, scheme, sep, 0), []
+    for r in range(k + 1):
+        firsts, seconds = [], []
+        for head, (a, b), tail in walk(r, "", ""):
+            firsts += a if back else [head + f for f in a]
+            seconds += [s + tail for s in b] if back else b
+        rows.append((firsts, seconds))
+    return rows
+
+
+def extended_rows(m, k, scheme, sep):
+    """The table that the text walk of dimension m + 1 takes its blocks of
+    m components from, when exactly that table fits."""
+    blocks, runs = [], multi_index._runs
+
+    def recorded(d, l, scheme, pieces, head, tail, m, block):
+        blocks.append((m, block))
+        return runs(d, l, scheme, pieces, head, tail, m, block)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(multi_index, "_runs", recorded)
+        multi_index._text_walk(m + 1, k, scheme, sep, m * comb(k + m, m))(0, "", "")
+    [(taken, block)] = blocks
+    assert taken == m
+    return block.__self__
+
+
+TABLE_SHAPES = [
+    (m, k) for m in range(3, 9) for k in range(4096) if m * comb(k + m, m) <= 4096
+] + [(63, 1), (4096, 0)]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("sep", [",", ", "])
+def test_extended_table_matches_the_walked_table(scheme, sep):
+    for m, k in TABLE_SHAPES:
+        assert extended_rows(m, k, scheme, sep) == walked_rows(m, k, scheme, sep), (m, k)
