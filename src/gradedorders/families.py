@@ -14,10 +14,12 @@ One builder makes the four comparators from the (down, back) flags of
 SCHEMES: it scans for the first differing index (the last when back) and
 consults the scalar relation there, with the arguments swapped when down.
 The literal structural recursion is kept as a test oracle in the test suite.
-Under the strict ``<`` the same flags give each comparator a sort plan of
-one pass: the family, reversed when back, sorted descending when down.
-sorted_total runs a plan's passes as stable sorts, so that the grading of a
-plan is one more pass by the sum.
+Under the strict ``<`` with structural equality the scan is one tuple
+comparison (Python compares tuples by ``<`` at the first index where ``==``
+fails) of the families reversed when back and swapped when down.  The same
+flags give each comparator a sort plan of one pass: the family, reversed
+when back, sorted descending when down.  sorted_total runs a plan's passes
+as stable sorts, so that the grading of a plan is one more pass by the sum.
 """
 
 from __future__ import annotations
@@ -158,9 +160,10 @@ def _lexicographic(name: str, r: Relation, eq: Predicate) -> Relation:
     """The lexicographic order of SCHEMES[name] over r: r decides at the
     first index (the last when back) where the items differ under eq, with
     the arguments swapped when down; if no index differs the result is the
-    declared reflexivity of r.  Under the strict ``<`` the key is the family,
-    reversed when back and negated when down, and the plan one pass by the
-    family, reversed when back and descending when down."""
+    declared reflexivity of r.  Under the strict ``<`` that scan is one
+    tuple comparison, the key is the family, reversed when back and negated
+    when down, and the plan one pass by the family, reversed when back and
+    descending when down."""
     down, back = SCHEMES[name]
     rapply = r.apply
     base = r.declared_reflexive
@@ -176,6 +179,16 @@ def _lexicographic(name: str, r: Relation, eq: Predicate) -> Relation:
 
     key, plan = None, ()
     if is_strict_less(r, eq):
+        # the loop above as one tuple comparison, for numbers with exact equality
+        def apply(x: Family, y: Family) -> bool:
+            if len(x) != len(y):
+                check_same_length(x, y)
+            if down:
+                x, y = y, x
+            if back:
+                return tuple(x)[::-1] < tuple(y)[::-1]
+            return tuple(x) < tuple(y)
+
         # every key is a tuple, so that a list's key and a tuple's compare
         if down:
             key = (lambda a: tuple(map(neg, reversed(a)))) if back else (lambda a: tuple(map(neg, a)))

@@ -59,16 +59,17 @@ def family_sum(a: Family, monoid: Monoid = NAT_ADD):
 def family_add(x: Family, y: Family, monoid: Monoid = NAT_ADD) -> Family:
     """Componentwise monoid operation (the monoid structure on G^n)."""
     check_same_length(x, y)
-    return tuple(monoid.op(a, b) for a, b in zip(x, y))
+    return tuple(map(monoid.op, x, y))
 
 
 def graded(scalar: Relation, vector: Relation, monoid: Monoid = NAT_ADD) -> Relation:
     """Compare family sums with the scalar relation; on equal sums defer to
     the vector relation.
 
-    The result has the key (sum, vector key) when the scalar relation is the
-    strict ``<``, the vector relation has a key and the sums are natural-number
-    sums; then a plan of the vector relation gains a last pass by the sum."""
+    When the scalar relation is the strict ``<`` and the sums are
+    natural-number sums, ``apply`` compares ``sum(x)`` with ``sum(y)``, and
+    the result has the key (sum, vector key) if the vector relation has a
+    key; then a plan of the vector relation gains a last pass by the sum."""
     op, identity, same = monoid.op, monoid.identity, monoid.eq
     vector_apply, scalar_apply = vector.apply, scalar.apply
 
@@ -84,13 +85,23 @@ def graded(scalar: Relation, vector: Relation, monoid: Monoid = NAT_ADD) -> Rela
 
     key, plan = None, ()
     vector_key = vector.key
-    if vector_key is not None and monoid is NAT_ADD and is_strict_less(scalar):
+    if monoid is NAT_ADD and is_strict_less(scalar):
 
-        def key(a: Family):
-            return (sum(a), vector_key(a))
+        def apply(x: Family, y: Family) -> bool:
+            if len(x) != len(y):
+                check_same_length(x, y)
+            sx, sy = sum(x), sum(y)
+            if sx == sy:
+                return vector_apply(x, y)
+            return sx < sy
 
-        if vector.plan:
-            plan = vector.plan + ((sum, False),)
+        if vector_key is not None:
+
+            def key(a: Family):
+                return (sum(a), vector_key(a))
+
+            if vector.plan:
+                plan = vector.plan + ((sum, False),)
 
     name = f"graded({scalar.name},{vector.name})"
     return Relation(apply, declared_reflexive=vector.declared_reflexive, name=name, key=key, plan=plan)

@@ -292,6 +292,8 @@ def monomial_mul(p: SparsePoly, gamma: Sequence[int]) -> SparsePoly:
         raise LengthMismatchError(
             f"shift of length {len(gamma)} in dimension {p.dimension}"
         )
+    if not all(isinstance(g, int) for g in gamma):
+        raise ValueError(f"non-integer shift {gamma}: exponents are naturals")
     if any(g < 0 for g in gamma):
         raise ValueError(f"negative shift {gamma}: exponents are naturals")
     return SparsePoly.from_pairs(

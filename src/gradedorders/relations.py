@@ -18,7 +18,9 @@ buffer of bytes, row after row, whose strided slices are its columns, and as
 an int mask per row, which the transitivity scans read: one mask operation
 per related pair and no further calls.  Before the scan, a score test on
 the built cells passes an ordered tournament, which with its complement is
-transitive; every other table is scanned.  A pair property fails at (x, y)
+transitive; every other table is scanned.  A table found ordered answers
+each pair property from its constant diagonal alone, since a tournament
+relates two distinct elements one way only.  A pair property fails at (x, y)
 exactly when r(x, y) and r(y, x) are both one truth value, so for each x it
 reads one direction for the y after x, asks the other only where the first
 answer leaves the pair open, and finds the first failing y in those bytes;
@@ -60,7 +62,10 @@ class Relation:
     arguments x, y (families of the same length, for an order on families)
     ``apply(x, y) == (key(x) < key(y))``.  The builders attach one only where
     that holds by construction (strict ``<`` on numbers, structural equality,
-    natural-number sums); ``apply`` stays the reference definition.
+    natural-number sums), and there ``apply`` runs on builtins too: one
+    tuple comparison, or ``sum``.  The builder's loop, which every other
+    scalar relation, equality or monoid runs, stays the definition; the two
+    agree on numbers with exact equality, the domain of ``key``.
 
     ``plan``, derived like ``key`` and set only by the lexicographic builders
     under the strict ``<`` and by their gradings with natural-number sums,
@@ -351,9 +356,13 @@ def _pair_witness(t: _Table, fails) -> Optional[tuple]:
     often: it switches when more than half the y of the row were asked
     twice.  A passing pair property then costs about n(n + 1)/2 calls on an
     n-element carrier whenever one direction settles most pairs, and
-    trichotomy, which asks both directions of every pair, n^2."""
+    trichotomy, which asks both directions of every pair, n^2.  A table
+    found ordered reads no row: a tournament relates distinct elements one
+    way only, so only its constant diagonal can fail, at the first x."""
     els, n = t.elements, t.n
     on_diagonal = [v for v, start in fails if start == 0]
+    if t.__dict__.get("ordered"):
+        return (els[0], els[0]) if _truth(t.cells[0]) in on_diagonal else None
     diagonal = t.diagonal()
     forward = True
     for i in range(n):

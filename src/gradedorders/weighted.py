@@ -95,8 +95,9 @@ def weighted_lt(w: WeightMatrix, k_lt: Relation, x: Family, y: Family) -> bool:
 
 
 def weighted_relation(w: WeightMatrix, k_lt: Relation = LT) -> Relation:
-    """The matrix order as a vector relation; under the strict ``<`` its key
-    is the tuple of column dot products."""
+    """The matrix order as a vector relation; under the strict ``<`` its
+    ``apply`` is weighted_lt over the columns as tuples, and its key is the
+    tuple of column dot products."""
 
     def apply(x: Family, y: Family) -> bool:
         return weighted_lt(w, k_lt, x, y)
@@ -106,6 +107,15 @@ def weighted_relation(w: WeightMatrix, k_lt: Relation = LT) -> Relation:
         columns = [w.column(j) for j in range(w.m)]
         d = w.d
         mul = operator.mul
+
+        def apply(x: Family, y: Family) -> bool:
+            if len(x) != d or len(y) != d:
+                return weighted_lt(w, k_lt, x, y)  # raises LengthMismatchError
+            for column in columns:
+                px, py = sum(map(mul, x, column)), sum(map(mul, y, column))
+                if px != py:
+                    return px < py
+            return False
 
         def key(a: Family):
             if len(a) != d:

@@ -35,6 +35,7 @@ from gradedorders import (
 from gradedorders import weighted
 from gradedorders.graded import plus_compat_r_witness
 from gradedorders.relations import CONJUNCTIVE_PARTS, EMPTY, PROPERTY_NAMES, _Table, _transitive, property_witness
+from gradedorders.relations import _PARTS, _conjunctive_witness
 
 # ---------------------------------------------------------------------------
 # reference deciders: the compositional definitions, one loop per quantifier
@@ -654,3 +655,77 @@ def test_early_failure_stays_early(name, r, witness, calls_per_element):
     counted, calls = _counted(r)
     assert property_witness(name, counted, carrier_range(0, 599)) == (name, witness)
     assert calls[0] <= calls_per_element * 600
+
+
+# ---------------------------------------------------------------------------
+# the pair properties of a table found ordered
+
+
+def near_tournaments(rng, n, diagonal):
+    """The transitive tournament of a random ranking of range(n), with
+    r(x, x) == diagonal for every x; and, where n allows, the same with one
+    pair of ranks two or more apart flipped, or one pair related both ways,
+    which the score test refuses."""
+    rank = rng.sample(range(n), n)
+    by_rank = sorted(range(n), key=rank.__getitem__)
+    loops = {(x, x) for x in range(n)} if diagonal else set()
+    ordered = {(x, y) for x in range(n) for y in range(n) if rank[x] < rank[y]} | loops
+    cases = {"ordered": ordered}
+    if n >= 2:
+        x, y = rng.choice(sorted(ordered - loops))
+        cases["both ways"] = ordered | {(y, x)}
+    if n >= 3:
+        i = rng.randrange(n - 2)
+        x, y = by_rank[i], by_rank[rng.randrange(i + 2, n)]
+        cases["flipped"] = ordered - {(x, y)} | {(y, x)}
+    return cases
+
+
+@pytest.mark.parametrize("diagonal", [False, True], ids=["strict", "reflexive"])
+def test_ordered_table_answers_every_property_as_the_reference(diagonal):
+    """On ordered tournaments of 1-30 elements, carried in a random order,
+    and on near-tournaments that fail the score test, every property gives
+    the definitional loops' witness: through property_witness, and on one
+    table whose ``ordered`` was read first, so that a lone pair property
+    takes the tournament answer too.  The pair properties agree with the
+    whole-row reference of conftest as well."""
+    rng = random.Random(71 + diagonal)
+    for n in range(1, 31):
+        for kind, pairs in near_tournaments(rng, n, diagonal).items():
+            r = relation_from_pairs(pairs)
+            c = Carrier(tuple(rng.sample(range(n), n)))
+            t = _Table(r, c)
+            assert t.ordered == (kind == "ordered"), (n, kind)
+            for name in PROPERTY_NAMES:
+                expected = ref_property_witness(name, r, c)
+                assert property_witness(name, r, c) == expected, (n, kind, name)
+                assert _conjunctive_witness(_PARTS[name], t) == expected, (n, kind, name)
+                if name in REFERENCE_PAIR_FAILS:
+                    assert reference_pair_witness(name, r, c) == (expected and expected[1]), (n, kind, name)
+
+
+# a strict weak order that is no tournament: x // 2 ties pairs
+HALVES = Relation(lambda x, y: x // 2 < y // 2, name="halves")
+
+ORDERED_CONJUNCTIONS = [
+    # conjunction, relations whose table is ordered and reaches every pair
+    # conjunct, a relation whose table is not ordered and reaches one
+    ("total_order", (LE, GE), DIVIDES),
+    ("strict_total_order", (LT, GT), HALVES),
+    ("strict_weak_order", (LT, GT), HALVES),
+]
+
+
+@pytest.mark.parametrize(
+    "name, ordered, other", ORDERED_CONJUNCTIONS, ids=[name for name, _, _ in ORDERED_CONJUNCTIONS]
+)
+def test_pair_conjuncts_of_an_ordered_table_read_no_line(monkeypatch, name, ordered, other):
+    read = []
+    line = _Table.line
+    monkeypatch.setattr(_Table, "line", lambda t, *args: read.append(args) or line(t, *args))
+    c = carrier_range(-3, 60)
+    for r in ordered:
+        assert property_witness(name, r, c) is None
+    assert read == []
+    assert property_witness(name, other, c) == ref_property_witness(name, other, c)
+    assert read

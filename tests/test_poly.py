@@ -496,6 +496,16 @@ def test_monomial_mul():
         monomial_mul(parse_poly("X*Y + 2*Y", 2), (-3, 0))
 
 
+@pytest.mark.parametrize("gamma", [(Fraction(1, 2), 0), (0.5, 1), (1.0, 0), (0, Fraction(2))])
+def test_monomial_mul_refuses_non_integer_shifts(gamma):
+    """A shift that is no int would give exponents such as 3/2, 1.5 or 2.0,
+    which format_poly writes and parse_poly cannot read back."""
+    p = parse_poly("X0 + X1^2", 2)
+    with pytest.raises(ValueError, match="exponents are naturals"):
+        monomial_mul(p, gamma)
+    assert monomial_mul(p, (True, 0)).terms == {(2, 0): 1, (1, 2): 1}
+
+
 def test_leading_term_morphism_sample():
     rng = random.Random(7)
     orders = [grlex(LT), grcolex(LT), grsymlex(LT), grevlex(LT)]
