@@ -95,27 +95,25 @@ def weighted_lt(w: WeightMatrix, k_lt: Relation, x: Family, y: Family) -> bool:
 
 
 def weighted_relation(w: WeightMatrix, k_lt: Relation = LT) -> Relation:
-    """The matrix order as a vector relation; under the strict ``<`` its
-    ``apply`` is weighted_lt over the columns as tuples, and its key is the
-    tuple of column dot products."""
+    """The matrix order as a vector relation: weighted_lt, with the sums of
+    products taken over precomputed columns; under the strict ``<`` its key
+    is the tuple of column dot products."""
+    columns = [w.column(j) for j in range(w.m)]
+    d = w.d
+    mul = operator.mul
+    k_apply = k_lt.apply
 
     def apply(x: Family, y: Family) -> bool:
-        return weighted_lt(w, k_lt, x, y)
+        if len(x) != d or len(y) != d:
+            return weighted_lt(w, k_lt, x, y)  # raises LengthMismatchError
+        for column in columns:
+            px, py = sum(map(mul, x, column)), sum(map(mul, y, column))
+            if px != py:
+                return k_apply(px, py)
+        return False
 
     key = None
     if is_strict_less(k_lt):
-        columns = [w.column(j) for j in range(w.m)]
-        d = w.d
-        mul = operator.mul
-
-        def apply(x: Family, y: Family) -> bool:
-            if len(x) != d or len(y) != d:
-                return weighted_lt(w, k_lt, x, y)  # raises LengthMismatchError
-            for column in columns:
-                px, py = sum(map(mul, x, column)), sum(map(mul, y, column))
-                if px != py:
-                    return px < py
-            return False
 
         def key(a: Family):
             if len(a) != d:

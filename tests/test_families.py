@@ -47,14 +47,20 @@ def lex_recursive(r, x, y, eq=operator.eq):
     )
 
 
-small_ints = st.integers(min_value=0, max_value=4)
+# numbers with exact equality, compared across types (1 == True == Fraction(1))
+small_numbers = st.one_of(
+    st.integers(min_value=0, max_value=4),
+    st.fractions(min_value=0, max_value=4, max_denominator=2),
+    st.booleans(),
+)
 
 
 @st.composite
 def family_pairs(draw):
+    """Two families of one length, each a tuple or a list."""
     n = draw(st.integers(min_value=0, max_value=6))
-    x = tuple(draw(small_ints) for _ in range(n))
-    y = tuple(draw(small_ints) for _ in range(n))
+    x = draw(st.sampled_from([tuple, list]))(draw(small_numbers) for _ in range(n))
+    y = draw(st.sampled_from([tuple, list]))(draw(small_numbers) for _ in range(n))
     return x, y
 
 
@@ -83,7 +89,7 @@ def test_reverse_family():
 @given(family_pairs())
 def test_reverse_family_involutive(pair):
     x, _ = pair
-    assert reverse_family(reverse_family(x)) == x
+    assert reverse_family(reverse_family(x)) == tuple(x)
 
 
 # ---------------------------------------------------------------------------
