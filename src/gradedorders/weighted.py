@@ -10,10 +10,8 @@ All arithmetic is exact (integers, or Fractions); equality of projections
 must be exact for the column recursion to make sense, so no floats are
 accepted.
 
-The matrix encodings of the named orders are candidates validated
-empirically: matrix_for only returns a matrix after checking exhaustive
-agreement with the combinator order on a small box (d <= 3), once per
-process for each builder and matrix.
+matrix_for builds the matrices of the named orders from the same scheme
+flags and grading bit that define their combinators.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from itertools import product
 from typing import Optional, Sequence, Tuple
 
 from .families import SCHEMES, Family, LengthMismatchError, is_strict_less
-from .graded import NAMED_ORDERS, named_builder
+from .graded import NAMED_ORDERS
 from .relations import LT, Carrier, Relation, property_witness
 
 _EXACT_TYPES = (int, Fraction)
@@ -132,53 +130,22 @@ def _unit(d: int, i: int, sign: int = 1) -> Tuple[int, ...]:
     return tuple(sign if j == i else 0 for j in range(d))
 
 
-def _candidate_columns(order_name: str, d: int):
-    """The columns of a matrix order from the order's flags: down negates
-    the unit columns, back takes them from the last component, and grading
-    puts the all-ones column first and drops the last unit."""
+def matrix_for(order_name: str, d: int) -> WeightMatrix:
+    """Weight matrix whose order is the named order under strict integer
+    comparison, built from the order's flags: down negates the unit columns,
+    back takes them from the last component, and grading puts the all-ones
+    column first and drops the last unit."""
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
     if order_name not in MATRIX_ORDER_NAMES:
         raise ValueError(f"unknown order name {order_name!r}")
     scheme, is_graded = NAMED_ORDERS[order_name]
     down, back = SCHEMES[scheme]
     components = range(d - 1, -1, -1) if back else range(d)
-    units = [_unit(d, i, -1 if down else 1) for i in components]
-    return [(1,) * d] + units[:-1] if is_graded else units
-
-
-# (builder, matrix) pairs whose box comparison passed in this process
-_VALIDATED = set()
-
-
-def matrix_for(order_name: str, d: int) -> WeightMatrix:
-    """Weight matrix whose order matches the named order under strict
-    integer comparison.
-
-    The construction is validated before being returned: for d <= 3 the
-    matrix order is compared with the combinator order on every pair of
-    [0..3]^d, and a mismatch raises.  Larger dimensions reuse the same
-    column pattern, validated at the tested sizes.  The columns are built
-    on every call, and the comparison runs once per process for each pair
-    of the order's builder (``named_builder``) and matrix: a pair is
-    recorded only after it passes, so a wrong candidate raises on every
-    call, and a changed candidate or builder is compared anew.
-    """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    columns = _candidate_columns(order_name, d)
-    w = WeightMatrix(tuple(tuple(col[i] for col in columns) for i in range(d)))
-    builder = named_builder(order_name)
-    if d <= 3 and (builder, w) not in _VALIDATED:
-        reference = builder(LT)
-        box = list(product(range(4), repeat=d))
-        keyed = list(zip(box, map(weighted_relation(w, LT).key, box)))
-        for x, kx in keyed:
-            for y, ky in keyed:
-                if (kx < ky) != reference.apply(x, y):
-                    raise AssertionError(
-                        f"candidate matrix for {order_name} disagrees at {x} vs {y}"
-                    )
-        _VALIDATED.add((builder, w))
-    return w
+    columns = [_unit(d, i, -1 if down else 1) for i in components]
+    if is_graded:
+        columns = [(1,) * d] + columns[:-1]
+    return WeightMatrix(tuple(zip(*columns)))
 
 
 def find_incomparable(w: WeightMatrix, k_lt: Relation, box_bound: int) -> Optional[Tuple[Family, Family]]:

@@ -288,7 +288,7 @@ def _unit(d, i, sign=1):
 
 def reference_columns(order_name, d):
     """The matrix columns of the named orders as five hand-written branches:
-    the definition that weighted._candidate_columns derives from the flags."""
+    the definition that weighted.matrix_for derives from the flags."""
     ones = (1,) * d
     if order_name == "lex":
         return [_unit(d, i) for i in range(d)]

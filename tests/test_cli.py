@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import random
 import sys
 import tracemalloc
 from functools import lru_cache
@@ -907,3 +908,37 @@ def test_every_call_keeps_the_exit_contract(call):
     result = CliRunner().invoke(main, argv, input=stdin)
     assert result.exit_code in (0, 1, 2, 3), (argv, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), (argv, result.exc_info)
+
+
+# ---------------------------------------------------------------------------
+# agreement across commands
+
+
+AGREEMENT_CASES = [(name, d, []) for name in NAMED_ORDERS for d in range(1, 5)] + [
+    (f"weighted:{FIXTURES / f'w{d}.txt'}", d, ["--allow-sort-fallback"]) for d in (3, 4)
+]
+
+
+@pytest.mark.parametrize("order, d, flags", AGREEMENT_CASES, ids=[f"{Path(o).name}-{d}" for o, d, _ in AGREEMENT_CASES])
+def test_enumerate_sort_terms_and_compare_agree(runner, order, d, flags):
+    # through the CLI alone: the polynomial of enumerate's lines, shuffled,
+    # each coefficient naming its line, comes back from sort-terms in
+    # enumerate's order, and compare puts each line before the next
+    rng = random.Random(d)
+    for k in range(4):
+        result = runner.invoke(main, ["enumerate", "--d", str(d), "--k", str(k), "--order", order, *flags])
+        assert result.exit_code == 0, result.output
+        lines = result.stdout.splitlines()
+        assert len(lines) == comb(d + k, d)
+        terms = [
+            "*".join([str(rank + 2)] + [f"X{i}^{e}" for i, e in enumerate(line.split(","))])
+            for rank, line in enumerate(lines)
+        ]
+        rng.shuffle(terms)
+        result = runner.invoke(main, ["sort-terms", "--d", str(d), "--order", order], input=" + ".join(terms))
+        assert result.exit_code == 0, result.output
+        names = [int(term.split("*")[0]) for term in result.stdout.strip().split(" + ")]
+        assert names == list(range(2, len(lines) + 2)), (order, d, k)
+        for a, b in zip(lines, lines[1:]):
+            result = runner.invoke(main, ["compare", "--order", order, a, b])
+            assert result.stdout == "LT\n", (order, a, b, result.output)

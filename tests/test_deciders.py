@@ -3,7 +3,6 @@ replace, and the bound on how often they ask the relation."""
 
 import operator
 import random
-import sys
 from collections import Counter
 from functools import partial
 from itertools import compress, product
@@ -29,7 +28,6 @@ from gradedorders import (
     is_monomial_nonstrict_order,
     is_monomial_order,
     is_plus_reg_r,
-    matrix_for,
     weighted_lt,
 )
 from gradedorders import weighted
@@ -494,57 +492,6 @@ def test_find_incomparable_matches_reference(k_lt):
                 ties = Counter(map(order.key, box))
                 later_groups += sum(count > 1 for count in ties.values()) > 1
     assert later_groups > 0 or k_lt is not LT
-
-
-def test_matrix_for_rejects_a_wrong_candidate(monkeypatch):
-    right = weighted._candidate_columns
-
-    def wrong(order_name, d):
-        return right(order_name, d)[::-1]
-
-    monkeypatch.setattr(weighted, "_candidate_columns", wrong)
-    for name in ("grlex", "grevlex", "grsymlex", "grcolex"):
-        for d in (2, 3):
-            with pytest.raises(AssertionError, match=f"candidate matrix for {name} disagrees"):
-                matrix_for(name, d)
-
-
-GRADED_MATRIX_NAMES = ("grlex", "grevlex", "grsymlex", "grcolex")
-
-
-def _reversed_candidates(monkeypatch):
-    right = weighted._candidate_columns
-    monkeypatch.setattr(weighted, "_candidate_columns", lambda order_name, d: right(order_name, d)[::-1])
-
-
-def test_matrix_for_validates_a_changed_candidate_after_a_pass(monkeypatch):
-    for name in GRADED_MATRIX_NAMES:
-        for d in (2, 3):
-            matrix_for(name, d)
-    _reversed_candidates(monkeypatch)
-    for name in GRADED_MATRIX_NAMES:
-        for d in (2, 3):
-            with pytest.raises(AssertionError, match=f"candidate matrix for {name} disagrees"):
-                matrix_for(name, d)
-
-
-def test_matrix_for_rejects_a_wrong_candidate_on_every_call(monkeypatch):
-    _reversed_candidates(monkeypatch)
-    for _ in range(2):
-        with pytest.raises(AssertionError, match="candidate matrix for grlex disagrees"):
-            matrix_for("grlex", 2)
-
-
-# grlex and grevlex agree on two variables: on equal sums a larger first
-# component is a smaller last one
-@pytest.mark.parametrize("d, other", [(2, "grcolex"), (3, "grevlex")])
-def test_matrix_for_validates_against_a_replaced_builder(monkeypatch, d, other):
-    matrix_for("grlex", d)
-    # the package attribute `graded` is the grading function, not the module
-    module = sys.modules["gradedorders.graded"]
-    monkeypatch.setattr(module, "grlex", getattr(module, other))
-    with pytest.raises(AssertionError, match="candidate matrix for grlex disagrees"):
-        matrix_for("grlex", d)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_module(*args):
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    # the source tree first, then the caller's path, where click may live
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
         [sys.executable, "-m", "gradedorders.cli", *args], capture_output=True, text=True, env=env, timeout=60
     )
