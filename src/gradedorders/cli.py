@@ -8,13 +8,14 @@ order, which has no slice scheme, when --allow-sort-fallback is not given).
 
 from __future__ import annotations
 
+import re
 import sys
-from itertools import chain, count, islice
+from itertools import islice
 
 import click
 
 from . import multi_index, poly, weighted
-from .families import SCHEMES, IncomparableError, LengthMismatchError, sorted_total
+from .families import IncomparableError, LengthMismatchError, sorted_total
 from .graded import NAMED_ORDERS, named_builder
 from .relations import (
     DIVIDES,
@@ -33,6 +34,13 @@ CLI_RELATIONS = {r.name: r for r in (LT, LE, GT, GE, DIVIDES)}
 # lines per write of enumerate's output, which bounds its memory on the
 # slice path
 CHUNK_LINES = 4096
+
+# characters of the table that enumerate's slice walk takes the last
+# components of its runs from
+TABLE_CHARS = 2**18
+
+# a component of compare's multi-indices or a bound of check's carrier
+_INTEGER = re.compile(r"\s*-?\d+\s*")
 
 # what CPython raises, before it allocates, for a tuple, list or string
 # longer than it can hold: the CLI's answer to a --d or carrier of that size
@@ -63,12 +71,21 @@ def _not_total(order_name: str, exc: IncomparableError) -> click.UsageError:
     return click.UsageError(f"order {order_name!r} is not total: it ties {x} and {y}")
 
 
+def _integer(text: str) -> int:
+    """The int that text writes as an optional minus and a run of digits,
+    with blanks around them, as a polynomial writes its numbers; ValueError
+    for anything else, such as the "_" and "+" that int() alone reads."""
+    if _INTEGER.fullmatch(text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_index(text: str):
     try:
-        items = tuple(int(tok) for tok in text.split(","))
+        items = tuple(_integer(tok) for tok in text.split(","))
     except ValueError:
         raise click.UsageError(f"cannot parse multi-index {text!r}")
-    if any(item < 0 for item in items):
+    if "-" in text:  # -0 as well
         raise click.UsageError(f"multi-index components must be naturals: {text!r}")
     return items
 
@@ -107,7 +124,7 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
         raise click.UsageError(f"--k must be >= 0, got {k}")
     # the named orders stream from the slice walk of their scheme
     if order_name in NAMED_ORDERS:
-        lines = _slice_lines(d, k, *NAMED_ORDERS[order_name], fmt)
+        chunks = _slice_lines(d, k, *NAMED_ORDERS[order_name], fmt)
     else:
         order = resolve_order(order_name, d)
         if not allow_sort_fallback:
@@ -124,84 +141,80 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
         except TOO_LARGE:  # resolve_order held d to the matrix's, so only k can be too large
             raise click.UsageError(f"--k {k} is too large")
         lines = _lines(entries, fmt)
+        chunks = ("\n".join(chunk) + "\n" for chunk in iter(lambda: list(islice(lines, CHUNK_LINES)), []))
 
-    # lines are made lazily and written CHUNK_LINES at a time; the first
-    # chunk comes before the csv header, which is d long too
+    # the text is made lazily and written a chunk of CHUNK_LINES lines at a
+    # time; the first chunk comes before the csv header, which is d long too
     try:
-        chunk = list(islice(lines, CHUNK_LINES))
+        chunk = next(chunks, "")
     except TOO_LARGE:
         raise click.UsageError(f"--d {d} is too large")
     if fmt == "csv":
         click.echo(",".join([f"i{j}" for j in range(d)] + ["sum", "rank"]))
-    while chunk:
-        chunk.append("")
-        click.echo("\n".join(chunk), nl=False)
-        chunk = list(islice(lines, CHUNK_LINES))
+    if chunk:
+        click.echo(chunk, nl=False)
+    for chunk in chunks:
+        click.echo(chunk, nl=False)
 
 
 def _slice_lines(d, k, scheme, graded, fmt):
-    """The lines of the set under a named order, from the slice walk.  A
-    graded order walks the slices l = 0..k of dimension d, and a line's sum
-    is its slice's l.  An order that is not graded walks the one slice k of
-    dimension d + 1 and drops the slack from each line (see multi_index);
-    the sum is k minus the slack.  The runs come as text from one
-    multi_index._text_walk per call, made when the first line is asked
-    for; the rank is a running count."""
+    """The lines of the set under a named order, from the slice walk, as
+    text: one string per chunk of CHUNK_LINES lines, the last one shorter,
+    each line closed by a newline.  A graded order walks the slices
+    l = 0..k of dimension d, and a line's sum is its slice's l.  An order
+    that is not graded walks the one slice k of dimension d + 1 and drops
+    the slack from each line (see multi_index); the walk gives the sum of
+    each line.  The runs come as text from one multi_index._text_walk per
+    call, made when the first chunk is asked for, cut at the chunks.  A
+    piece of a run is written with one str.replace, which puts the frames
+    and the fixed components at every line, and one %-format, which fills
+    the fields that change from line to line: the components of a block
+    that is not taken from the table, the sum in the slack walk, and the
+    rank, a running count."""
     sep, opening, before_sum, before_rank, closing = _FRAMES[fmt]
     ranked = fmt != "plain"
-    ranks = count()
     if graded and d == 1:  # a graded order of N^1 is lex(<), which needs no slices
         scheme, graded = "lex", False
-    # the dimension the walk runs in, and the sums of the slices it walks
-    dimension, slices = (d, range(k + 1)) if graded else (d + 1, (k,))
-
-    def walk():
-        runs = multi_index._text_walk(dimension, k, scheme, sep, CHUNK_LINES)
-        for l in slices:
-            tail = f"{before_sum}{l}{before_rank}" if graded and ranked else ""
-            try:  # runs makes the slice's numbers, k + 1 of them in the slack walk
-                yield runs(l, opening, tail)
-            except TOO_LARGE:
-                raise click.UsageError(f"--k {k} is too large")
-
-    runs = chain.from_iterable(walk())
+    # the dimension the walk runs in, the sums of the slices it walks, and
+    # what the slack walk writes after the components of a line
     if graded:
+        dimension, slices, slack = d, range(k + 1), None
+    else:
+        dimension, slices, slack = d + 1, (k,), f"{before_sum}%d{before_rank}" if ranked else ""
+    runs = multi_index._text_walk(dimension, k, scheme, sep, TABLE_CHARS, CHUNK_LINES, slack)
+    rank, chunk = 0, []
+    for l in slices:
+        # the text that closes each line of the slice
         if not ranked:
-            return (f"{h}{a}{sep}{b}{t}" for h, (firsts, seconds), t in runs for a, b in zip(firsts, seconds))
-        return (
-            f"{h}{a}{sep}{b}{t}{r}{closing}"
-            for h, (firsts, seconds), t in runs
-            for a, b, r in zip(firsts, seconds, ranks)
-        )
-    if SCHEMES[scheme][1]:  # a back scheme: the slack is the first of the pair
-        runs = ((h, (seconds, firsts), t) for h, (firsts, seconds), t in runs)
-    if not ranked:
-        return (f"{h}{a}{t}" for h, (firsts, _), t in runs for a in firsts)
-    if d == 1:  # one run of two ranges of ints: the sum is k - s, written per line
-        return (
-            f"{h}{a}{t}{before_sum}{k - s}{before_rank}{r}{closing}"
-            for h, (firsts, slacks), t in runs
-            for a, s, r in zip(firsts, slacks, ranks)
-        )
-    sums = _Sums(k, before_sum, before_rank)
-    return (
-        f"{h}{a}{t}{sums[s]}{r}{closing}"
-        for h, (firsts, slacks), t in runs
-        for a, s, r in zip(firsts, slacks, ranks)
-    )
-
-
-class _Sums(dict):
-    """The text between the index and the rank of a line of the slack walk,
-    by the slack's text.  Each is made at its first use, so no table of all
-    k + 1 sums comes before the first line."""
-
-    def __init__(self, k, before_sum, before_rank):
-        self.k, self.before_sum, self.before_rank = k, before_sum, before_rank
-
-    def __missing__(self, s):
-        text = self[s] = f"{self.before_sum}{self.k - int(s)}{self.before_rank}"
-        return text
+            tail = ""
+        elif graded:
+            tail = f"{before_sum}{l}{before_rank}%d{closing}"
+        else:
+            tail = f"%d{closing}"
+        try:  # runs makes the texts of the slice's fixed components, k + 1 of them in the slack walk
+            pieces = runs(l)
+        except TOO_LARGE:
+            raise click.UsageError(f"--k {k} is too large")
+        for head, text, columns in pieces:
+            n = text.count("\n") + 1
+            head = opening + head
+            text = head + text.replace("\n", tail + "\n" + head) + tail + "\n"
+            if ranked:
+                columns = (*columns, range(rank, rank + n))
+            if len(columns) == 1:
+                text %= tuple(columns[0])
+            elif columns:
+                fields = [0] * (n * len(columns))
+                for i, column in enumerate(columns):
+                    fields[i :: len(columns)] = column
+                text %= tuple(fields)
+            rank += n
+            chunk.append(text)
+            if rank % CHUNK_LINES == 0:
+                yield "".join(chunk)
+                chunk = []
+    if chunk:
+        yield "".join(chunk)
 
 
 def _lines(entries, fmt):
@@ -277,7 +290,7 @@ def cmd_check(property_name, relation_name, carrier_spec):
     """Decide a relation property by brute force over a finite carrier."""
     try:
         lo_text, hi_text = carrier_spec.split("..")
-        lo, hi = int(lo_text), int(hi_text)
+        lo, hi = _integer(lo_text), _integer(hi_text)
     except ValueError:
         raise click.UsageError(f"cannot parse carrier {carrier_spec!r}; expected 'a..b'")
     if lo > hi:

@@ -30,25 +30,31 @@ Algorithms, ch. 2 §2).
 
 The walk keeps an explicit stack, one level per fixed component, so d is
 not bounded by Python's recursion limit.  It fixes d - m components and
-yields runs: the components it fixed, joined once per level, and a block of
-the m components left, as two sequences.  The tuple API below takes m = 2,
-the last two components as ranges.  `_text_walk`, made once per call,
-writes the fixed components as text, which lets a caller render every entry
-of a run with one comprehension, and takes m >= 3 where a table of the last
-m components fits in a given number of components.  It builds that table
-with no walk, from the two-component rows up, by the recurrence of
-compositions: the entries of dimension j and sum r are each value c of the
-component fixed first, then the entries of dimension j - 1 and sum r - c.
+yields runs: the components it fixed, joined once per level, and the sum r
+left to the m components that follow.  The tuple API below takes m = 2, the
+last two components as two ranges.  `_text_walk`, made once per call,
+writes a run as text: the fixed components once, and the m components left
+as the row of sum r of a table, one string whose lines are the slice of
+dimension m and sum r, so that a caller renders a run of any length with a
+few calls of str methods.  It takes the largest m, up to d, whose table
+fits in a given number of characters, and builds that table with no walk,
+from the two-component rows up, by the recurrence of compositions: the
+entries of dimension j and sum r are each value c of the component fixed
+first, then the entries of dimension j - 1 and sum r - c, and one
+str.replace writes c at every line of a row.  Where no table fits, m = 2
+and the lines of a run are "%d" fields, which the caller fills from two
+ranges.
 
 Memory: the walk holds its stack of d - m levels, each with the length of
 its prefix of the components fixed so far, and one prefix, the deepest
-made, from which a level cuts its own when it resumes: O(d) in all; for
-d >= 3, the l + 1 numbers of the slice as text, while the slice has at
-least (l + 1)(l + 2) / 2 entries; and the table, at most a given number of
-components (the CLI gives its chunk size, 4096).  Nothing holds a whole
-slice, so a consumer that takes entries in chunks, as the CLI does, stays
-bounded by one chunk beyond these, however large the set or its largest
-slice.
+made, from which a level cuts its own when it resumes: O(d) in all; the
+table, at most a given number of characters (the CLI gives 256 Ki); and,
+with no table at d >= 3, the texts of the numbers 0..l of the slice, which
+the slack walk makes for its one slice k before its first run.  Runs are
+cut at the chunks of a given number of lines, so nothing holds a whole
+slice or a whole run, and a consumer that takes the text a chunk at a time,
+as the CLI does, stays bounded by one chunk beyond these, however large the
+set or its largest slice.
 
 Generators are the primary interface; callers may consume a prefix without
 materializing the whole set, which grows as binomial(d + k, d).
@@ -58,6 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import add
 from typing import Iterator, Tuple
 
 from .families import SCHEMES, Family
@@ -84,17 +91,16 @@ def _check_args(d: int, scheme: str) -> None:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {tuple(SCHEMES)}")
 
 
-def _runs(d, l, scheme, pieces, head, tail, m, block):
-    """The slice (d >= m >= 2, l >= 0) as runs (head, (firsts, seconds), tail).
-    The walk fixes d - m components and joins each fixed component c onto
-    head (front schemes) or tail (back schemes) as pieces[c].  block(r)
-    lists the m components left, in the scheme's order, when their sum is
-    r, each entry split in two, (firsts, seconds): the entries of a run are
-    head, a, b and tail for (a, b) in zip(firsts, seconds)."""
+def _runs(d, l, scheme, pieces, head, tail, m):
+    """The slice (d >= m >= 2, l >= 0) as runs (head, r, tail).  The walk
+    fixes d - m components and joins each fixed component c onto head (front
+    schemes) or tail (back schemes) as pieces[c]; r is the sum left to the
+    m components that follow: the entries of a run are head, each entry of
+    the slice of dimension m and sum r in the scheme's order, and tail."""
     down, back = SCHEMES[scheme]
     depth = d - m
     if depth == 0:
-        yield head, block(l), tail
+        yield head, l, tail
         return
     # the component fixed next runs over values(r)
     values = (lambda r: range(r, -1, -1)) if down else (lambda r: range(r + 1))
@@ -116,16 +122,17 @@ def _runs(d, l, scheme, pieces, head, tail, m, block):
                 zeros = pieces[0] * (depth - len(stack))
                 more = zeros + more if back else more + zeros
             if back:
-                yield head, block(r - c), more
+                yield head, r - c, more
             else:
-                yield more, block(r - c), tail
+                yield more, r - c, tail
         else:
             stack.pop()
 
 
 def _pairs(scheme, numbers):
-    """The block of m = 2 from numbers, whose entry i stands for the number
-    i: the last two components with sum r are two slices of it."""
+    """The slice of dimension 2 from numbers, whose entry i stands for the
+    number i: the entries with sum r are (a, b) for a, b in zip(*pairs(r)),
+    two slices of numbers."""
     down, back = SCHEMES[scheme]
     # the first of the two is ascending exactly when down == back
     if down == back:
@@ -138,68 +145,144 @@ def _slice(d: int, l: int, scheme: str) -> Iterator[Family]:
         yield (l,)
         return
     cells = range(l + 1)
+    pairs = _pairs(scheme, cells)
     pieces = [(c,) for c in cells] if d > 2 else ()  # d = 2 fixes none, so nothing grows with l
-    for head, (firsts, seconds), tail in _runs(d, l, scheme, pieces, (), (), 2, _pairs(scheme, cells)):
-        for pair in zip(firsts, seconds):
+    for head, r, tail in _runs(d, l, scheme, pieces, (), (), 2):
+        for pair in zip(*pairs(r)):
             yield head + pair + tail
 
 
-def _text_walk(d: int, k: int, scheme: str, sep: str, limit: int):
-    """The slices of dimension d >= 2 and sum at most k as text, by one
-    function runs(l, head, tail): the slice of sum l <= k as runs (head,
-    (firsts, seconds), tail) whose entries, in order, read
-    f"{head}{a}{sep}{b}{tail}" for (a, b) in zip(firsts, seconds).  The
-    given head and tail open and close every entry; the fixed components
-    are written once per run, with sep between them.  m is the largest
-    m < d with m * C(k + m, m) <= limit, or 2 when no m >= 3 fits.  With
-    m = 2 the block is two slices of the numbers 0..l: a range at d = 2, so
-    that nothing grows with l, and their texts, made per slice, at d >= 3.
-    With m >= 3 it is a table of m * C(k + m, m) components, made here with
-    no walk: rows[r] is the slice of dimension m and sum r, each entry split
-    where sep goes, after the first component for a back scheme and after
-    the first m - 1 for a front one.  The rows of m = 2 are the block above
-    for the numbers 0..k, and each further dimension extends every row by
-    one component, fixed where the walk fixes it."""
-    if d == 2:
-        return lambda l, head, tail: _runs(2, l, scheme, (), head, tail, 2, _pairs(scheme, range(l + 1)))
+# where a line of a back scheme's text ends its components, which the
+# components fixed for a run follow
+_END = "\0"
+
+
+def _table(m, k, scheme, sep, slack=None):
+    """The slices of dimension m >= 2 and sum r = 0..k as text rows (text,
+    n): the n entries of the slice in the scheme's order, each with sep
+    between its components, joined by newlines.  For a back scheme each
+    line has _END after its components.  With slack (see _text_walk) the
+    last component the walk reaches is left out, and each line ends with
+    slack % (k - s) for its slack s.  The rows of m = 2 are two slices of
+    texts of 0..k, joined per row; each further dimension extends the rows
+    below it by one component, fixed where the walk fixes it: the j-part
+    compositions of r are each c, in the walk's order, then those of r - c
+    in j - 1 parts (Knuth, TAOCP 4A, 7.2.1.3).  An extension is one
+    str.replace per row below it, which writes the new component at every
+    line."""
     down, back = SCHEMES[scheme]
+    end = _END if back else ""
+    numbers = list(map(str, range(k + 1)))
+    pieces = [sep + c for c in numbers] if back else [c + sep for c in numbers]
+    # a line of m = 2 is firsts[a] + lasts[b] for a pair (a, b) of the row,
+    # taken as (b, a) where the slack comes first
+    if slack is None:
+        firsts, lasts = (numbers, [c + end for c in pieces]) if back else (pieces, numbers)
+    else:
+        firsts, lasts = numbers, [end + (slack and slack % (k - s)) for s in range(k + 1)]
+    swap = slack is not None and back
+    firsts, lasts = _pairs(scheme, firsts), _pairs(scheme, lasts)
+    if slack == "":  # the lines end alike
+        rows = [((end + "\n").join(firsts(r)[swap]) + end, r + 1) for r in range(k + 1)]
+    else:
+        rows = [("\n".join(map(add, firsts(r)[swap], lasts(r)[not swap])), r + 1) for r in range(k + 1)]
+    for _ in range(m - 2):
+        below, rows = rows, []
+        for r in range(k + 1):
+            texts, n = [], 0
+            for c in range(r, -1, -1) if down else range(r + 1):
+                text, count = below[r - c]
+                piece = pieces[c]
+                texts.append(text.replace(_END, piece + _END) if back else piece + text.replace("\n", "\n" + piece))
+                n += count
+            rows.append(("\n".join(texts), n))
+    return rows
 
-    def joined(numbers):  # the texts of fixed components, sep toward the rest
-        return [sep + c for c in numbers] if back else [c + sep for c in numbers]
 
-    m = 2
-    while m + 1 < d and (m + 1) * comb(k + m + 1, m + 1) <= limit:
+def _text_walk(d, k, scheme, sep, limit, chunk, slack=None):
+    """The slices of dimension d >= 2 and sum at most k as text, by one
+    function runs(l): the slice of sum l <= k as pieces (head, text,
+    columns).  Each line of a piece is head and a line of text, with sep
+    between the components: head holds the components fixed for the run
+    that come first, and text the others.  A line of text may hold "%d"
+    fields, to be filled in line order from columns, one sequence of ints
+    per field with one value per line.  The pieces are cut so that none
+    crosses a multiple of chunk lines, counted from the walk's first line.
+
+    With slack, a format with one "%d" or an empty text, the walk is the
+    set of sum at most k in dimension d - 1, and runs(k) lists it as the
+    slice k with the slack left out (see above): each line then ends with
+    slack % its sum, k minus its slack.
+
+    m is the largest m <= d (d - 1 in the slack walk, which would use one
+    row of a table of d) for which the tables of 2..m components, written
+    by _table once per call, hold at most limit characters together, by
+    the bound below; the table of m gives the text of every run.  When
+    k = 0 or no table fits, m = 2, and a line of text is one "%d" field per
+    component, from ranges; runs(l) then makes the texts of the fixed
+    components 0..l per slice, for d >= 3 (at d = 2 none is fixed, so
+    nothing grows with l)."""
+    down, back = SCHEMES[scheme]
+    joined = (sep + "%d").__mod__ if back else ("%d" + sep).__mod__
+    # written bounds the characters of the tables of 2..m components: a
+    # line of j components has at most j * width, then the end mark and the
+    # slack walk's sum
+    width, extra = len(str(k)) + len(sep), back + len(slack % k if slack else "")
+    m, top, written = 1, d if slack is None else d - 1, 0
+    while k and m < top:
+        written += comb(k + m + 1, m + 1) * ((m + 1) * width + extra)
+        if written > limit:
+            break
         m += 1
-    block = None
-    if m > 2:
-        numbers = list(map(str, range(k + 1)))
-        pieces = joined(numbers)
-        rows = list(map(_pairs(scheme, numbers), range(k + 1)))
-        # the rows of dimension j from those of j - 1 below: the j-part
-        # compositions of r are each c, in the walk's order, then those of
-        # r - c in j - 1 parts (Knuth, TAOCP 4A, 7.2.1.3)
-        for _ in range(m - 2):
-            below, rows = rows, []
-            for r in range(k + 1):
-                firsts, seconds = [], []
-                for c in range(r, -1, -1) if down else range(r + 1):
-                    a, b = below[r - c]
-                    piece = pieces[c]
-                    if back:
-                        firsts += a
-                        seconds += [s + piece for s in b]
-                    else:
-                        firsts += [piece + f for f in a]
-                        seconds += b
-                rows.append((firsts, seconds))
-        block = rows.__getitem__
+    if m > 1:
+        rows = _table(m, k, scheme, sep, slack)
+        pieces = list(map(joined, range(k + 1)))
+        size = lambda r: rows[r][1]
 
-    def runs(l, head, tail):
-        # sized at once, so that a sum no list can hold raises here, before
-        # memory fills
-        numbers = [""] * (l + 1)
-        numbers[:] = map(str, range(l + 1))
-        return _runs(d, l, scheme, joined(numbers), head, tail, m, block or _pairs(scheme, numbers))
+        def part(r, i, j):
+            text, n = rows[r]
+            if j - i < n:  # a run cut at a chunk
+                text = "\n".join(text.split("\n")[i:j])
+            return text, ()
+
+    else:
+        m, pieces = 2, ()
+        end = _END if back else ""
+        line = ("%d" if slack is not None else "%d" + sep + "%d") + end + (slack or "")
+        size = lambda r: r + 1
+
+        def part(r, i, j):
+            # the firsts and seconds of _pairs(scheme, range(r + 1))(r)[i:j]
+            up, downward = range(i, j), range(r - i, r - j, -1)
+            firsts, seconds = (up, downward) if down == back else (downward, up)
+            if slack is None:
+                columns = firsts, seconds
+            else:
+                shown, slacks = (seconds, firsts) if back else (firsts, seconds)
+                columns = (shown, range(k - slacks.start, k - slacks.stop, -slacks.step)) if slack else (shown,)
+            return "\n".join([line] * (j - i)), columns
+
+    room = chunk  # lines left in the chunk being filled
+
+    def cut(walk):
+        nonlocal room
+        for head, r, tail in walk:
+            i, n = 0, size(r)
+            while i < n:
+                j = min(n, i + room)
+                text, columns = part(r, i, j)
+                room = room - (j - i) or chunk
+                yield head, text.replace(_END, tail) if back else text, columns
+                i = j
+
+    def runs(l):
+        fixed = pieces
+        if not fixed and d > 2:
+            # sized at once, so that a sum no list can hold raises here,
+            # before memory fills
+            fixed = [""] * (l + 1)
+            fixed[:] = map(joined, range(l + 1))
+        return cut(_runs(d, l, scheme, fixed, "", "", m))
 
     return runs
 

@@ -22,6 +22,7 @@ from gradedorders import (
     grevlex,
     grlex,
     grsymlex,
+    iter_slice,
     lex,
     matrix_for,
     revlex,
@@ -29,7 +30,7 @@ from gradedorders import (
 )
 from gradedorders import cli
 from gradedorders.cli import main
-from gradedorders.families import sorted_total
+from gradedorders.families import SCHEMES, sorted_total
 from gradedorders.graded import NAMED_ORDERS, named_builder
 from gradedorders.relations import PROPERTY_NAMES
 
@@ -206,25 +207,25 @@ def test_enumerate_streams_before_the_set_is_exhausted(monkeypatch, fmt):
     out = io.StringIO()
     monkeypatch.setattr(sys, "stdout", out)
     text_walk = cli.multi_index._text_walk
-    pulled, written_before_last = [], []
+    pulled, written_before_last = [0], []
 
     def watched_walk(*args):
         walk = text_walk(*args)
 
         def watched(*args):
-            for run in walk(*args):
-                head, (firsts, seconds), tail = run
-                pulled.extend(zip(firsts, seconds))
-                if len(pulled) == 5456:
+            for piece in walk(*args):
+                head, text, columns = piece
+                pulled[0] += text.count("\n") + 1
+                if pulled[0] == 5456:
                     written_before_last.append(out.getvalue().count("\n"))
-                yield run
+                yield piece
 
         return watched
 
     monkeypatch.setattr(cli.multi_index, "_text_walk", watched_walk)
     main.main(["enumerate", "--d", "3", "--k", "30", "--format", fmt], standalone_mode=False)
     header = 1 if fmt == "csv" else 0
-    assert len(pulled) == 5456
+    assert pulled == [5456]
     assert written_before_last == [header + cli.CHUNK_LINES]
     assert out.getvalue().count("\n") == header + 5456
 
@@ -311,11 +312,11 @@ def test_first_chunk_of_a_large_k_holds_nothing_of_size_k(fmt, d, graded):
     k = 10**6
     tracemalloc.start()
     try:
-        chunk = list(islice(cli._slice_lines(d, k, "lex", graded, fmt), cli.CHUNK_LINES))
+        chunk = next(cli._slice_lines(d, k, "lex", graded, fmt))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(chunk) == cli.CHUNK_LINES
+    assert chunk.count("\n") == cli.CHUNK_LINES
     assert peak < 4 * 2**20
 
 
@@ -327,10 +328,13 @@ def test_first_line_of_a_deep_slack_walk_holds_one_prefix(scheme):
     d = 4000
     tracemalloc.start()
     try:
-        line = next(cli._slice_lines(d, 1, scheme, False, "plain"))
+        runs = cli.multi_index._text_walk(d + 1, 1, scheme, ",", cli.TABLE_CHARS, cli.CHUNK_LINES, "")
+        head, text, columns = next(runs(1))
+        line = head + text.split("\n", 1)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert columns == ()
     assert len(line) == 2 * d - 1
     assert peak < 2 * 2**20
 
@@ -339,11 +343,11 @@ def _first_chunk_peak(d, k, scheme, graded, fmt):
     """The tracemalloc peak while the first chunk of lines is made."""
     tracemalloc.start()
     try:
-        chunk = list(islice(cli._slice_lines(d, k, scheme, graded, fmt), cli.CHUNK_LINES))
+        chunk = next(cli._slice_lines(d, k, scheme, graded, fmt))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(chunk) == cli.CHUNK_LINES
+    assert chunk.count("\n") == min(cli.CHUNK_LINES, comb(d + k, d))
     return peak
 
 
@@ -357,21 +361,59 @@ def test_first_chunk_of_a_ranked_slack_walk_costs_about_plain(scheme, fmt):
     assert _first_chunk_peak(2, k, scheme, False, fmt) <= 1.5 * _first_chunk_peak(2, k, scheme, False, "plain")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("graded", [True, False])
+@pytest.mark.parametrize("scheme", ["lex", "colex"])
+@pytest.mark.parametrize("d, k", [(8, 6), (4, 20), (5, 13), (3, 45)])
+def test_first_chunk_with_the_largest_tables_stays_bounded(d, k, scheme, graded, fmt):
+    # the shapes whose tables come nearest the character bound: a graded
+    # walk takes m = d at (8, 6) and (4, 20), so its table holds the whole
+    # set, and the slack walk of d + 1 takes m = d or d - 1
+    assert _first_chunk_peak(d, k, scheme, graded, fmt) < 4 * 2**20
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("d, k, scheme", [(1, 9000, "colex"), (1, 9000, "revlex"), (2, 5000, "colex")])
+def test_ranked_run_longer_than_a_chunk_is_cut_at_the_chunks(d, k, scheme, fmt):
+    # A back scheme's slack walk with no table: at d = 1 the set is one run
+    # of k + 1 lines, and at d = 2 colex first fixes the last component at
+    # 0, a run of k + 1 lines.  The first two chunks cut that run, and the
+    # second holds its end and the start of the next.
+    chunks = list(islice(cli._slice_lines(d, k, scheme, False, fmt), 2))
+    entries = [entry[1:] for entry in islice(iter_slice(d + 1, k, scheme), 2 * cli.CHUNK_LINES)]
+    assert [chunk.count("\n") for chunk in chunks] == [cli.CHUNK_LINES] * 2
+    assert "".join(chunks) == "".join(line + "\n" for line in cli._lines(entries, fmt))
+
+
+def _table_chars(m, k, sep=",", extra=0):
+    """The characters that the tables of 2..m components at sum k may hold
+    together: C(k + j, j) lines of j components for each j, a component of
+    at most len(str(k)) digits with a separator or a newline, and extra
+    characters per line (a back scheme's end mark, the slack walk's sum)."""
+    return sum(comb(k + j, j) * (j * (len(str(k)) + len(sep)) + extra) for j in range(2, m + 1))
+
+
+# the largest m that a table holds at k = 1, the least k that takes a table
+LARGEST_M = max(m for m in range(2, 200) if _table_chars(m, 1) <= cli.TABLE_CHARS)
+
+
 def _largest_k(m):
-    """The largest k at which the block walk takes m components from its table."""
-    k = 0
-    while m * comb(k + 1 + m, m) <= cli.CHUNK_LINES:
+    """The largest k at which a walk of more than m components takes m of
+    them from its table, with "," between them."""
+    k = 1
+    while _table_chars(m, k + 1) <= cli.TABLE_CHARS:
         k += 1
     return k
 
 
 # every set of at most 5000 entries with d >= 2, at d = 1 (where no block
 # is taken) the sums up to 98 and the largest, and for each m the largest k
-# that takes it, at the least d that walks m components by the table
+# that takes it, at the least d that walks m components by the table: d = m
+# for a graded order, and a lexicographic order walks d + 1
 BLOCK_SHAPES = sorted(
     {(d, k) for d in range(2, 13) for k in range(99) if comb(d + k, d) <= 5000}
     | {(1, k) for k in [*range(99), 4999]}
-    | {(m + 1, _largest_k(m)) for m in [*range(3, 65), 4096]}
+    | {(m, _largest_k(m)) for m in [*range(3, 11), *range(11, LARGEST_M + 1, 7), LARGEST_M]}
 )
 
 
@@ -381,28 +423,36 @@ def test_block_walk_matches_the_sorted_set(order_name):
     for d, k in BLOCK_SHAPES:
         entries = sorted_total(cli.multi_index.iter_multi_index_set(d, k, "lex"), builder(LT))
         for fmt in ("plain", "csv", "jsonl"):
-            walked = list(cli._slice_lines(d, k, *NAMED_ORDERS[order_name], fmt))
-            assert walked == list(cli._lines(entries, fmt)), (d, k, fmt)
+            chunks = list(cli._slice_lines(d, k, *NAMED_ORDERS[order_name], fmt))
+            assert "".join(chunks) == "".join(line + "\n" for line in cli._lines(entries, fmt)), (d, k, fmt)
+            assert [chunk.count("\n") for chunk in chunks[:-1]] == [cli.CHUNK_LINES] * (len(chunks) - 1)
 
 
-def _walk_m(d, k):
+def _walk_m(d, k, slack=None):
     """The m of the runs of the text walk of dimension d and sums up to k."""
     runs, taken = cli.multi_index._runs, []
 
-    def recorded(d, l, scheme, pieces, head, tail, m, block):
+    def recorded(d, l, scheme, pieces, head, tail, m):
         taken.append(m)
-        return runs(d, l, scheme, pieces, head, tail, m, block)
+        return runs(d, l, scheme, pieces, head, tail, m)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli.multi_index, "_runs", recorded)
-        cli.multi_index._text_walk(d, k, "lex", ",", cli.CHUNK_LINES)(0, "", "")
+        cli.multi_index._text_walk(d, k, "lex", ",", cli.TABLE_CHARS, cli.CHUNK_LINES, slack)(0)
     return taken[-1]
 
 
 def test_block_shapes_take_every_m():
-    taken = {m for m in range(3, 65) if _walk_m(m + 1, _largest_k(m)) == m}
-    assert taken == set(range(3, 65))
-    assert _walk_m(4097, 0) == 4096
+    # a graded walk of d components takes m = d at the largest k of m, and
+    # the slack walk of d + 1 takes the same m; one more in k takes less
+    assert 60 < LARGEST_M < 100
+    ms = range(3, LARGEST_M + 1)
+    assert [_walk_m(m, _largest_k(m)) for m in ms] == list(ms)
+    assert [_walk_m(m + 1, _largest_k(m), "") for m in ms] == list(ms)
+    assert all(_walk_m(m, _largest_k(m) + 1) < m for m in ms)
+    # a set of one entry takes no table, nor the slack walk of dimension 2
+    assert _walk_m(4097, 0) == 2
+    assert _walk_m(2, 5, "") == 2
 
 
 @settings(max_examples=150, deadline=None)
@@ -412,41 +462,54 @@ def test_block_shapes_take_every_m():
     st.sampled_from(list(NAMED_ORDERS)),
     st.sampled_from(list(cli._FRAMES)),
 )
-def test_block_table_holds_at_most_a_chunk_and_is_built_once(d, k, order_name, fmt):
+def test_block_table_holds_at_most_its_characters_and_is_built_once(d, k, order_name, fmt):
     scheme, graded = NAMED_ORDERS[order_name]
-    dimension = d if graded and d > 1 else d + 1  # a graded order at d = 1 walks as lex
-    walks, used = [], []
-    text_walk, runs = cli.multi_index._text_walk, cli.multi_index._runs
+    walked_scheme, slack_walk = ("lex", True) if graded and d == 1 else (scheme, not graded)
+    sep, _, before_sum, before_rank, _ = cli._FRAMES[fmt]
+    # the slack walk of d + 1 components takes a table of at most d
+    dimension = d + 1 if slack_walk else d
+    # what a line of the table holds beyond its components: a back scheme's
+    # end mark, and the sum of the slack walk when the format writes it
+    extra = SCHEMES[walked_scheme][1] + (len(f"{before_sum}{k}{before_rank}") if slack_walk and fmt != "plain" else 0)
+    walks, tables, used = [], [], []
+    text_walk, table, runs = cli.multi_index._text_walk, cli.multi_index._table, cli.multi_index._runs
 
-    def recorded(d, k, scheme, sep, limit):
-        walks.append((d, limit))
-        return text_walk(d, k, scheme, sep, limit)
+    def recorded(d, k, scheme, sep, limit, chunk, slack):
+        walks.append((d, limit, chunk))
+        return text_walk(d, k, scheme, sep, limit, chunk, slack)
 
-    def watched(d, l, scheme, pieces, head, tail, m, block):
-        used.append((m, block))
-        return runs(d, l, scheme, pieces, head, tail, m, block)
+    def built(*args):
+        rows = table(*args)
+        tables.append((args, rows))
+        return rows
+
+    def watched(d, l, scheme, pieces, head, tail, m):
+        used.append(m)
+        return runs(d, l, scheme, pieces, head, tail, m)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli.multi_index, "_text_walk", recorded)
+        patch.setattr(cli.multi_index, "_table", built)
         patch.setattr(cli.multi_index, "_runs", watched)
-        chunk = list(islice(cli._slice_lines(d, k, scheme, graded, fmt), cli.CHUNK_LINES))
+        chunk = next(cli._slice_lines(d, k, scheme, graded, fmt))
     with pytest.MonkeyPatch.context() as patch:  # the same lines with no table
-        patch.setattr(cli.multi_index, "_text_walk", lambda d, k, scheme, sep, limit: text_walk(d, k, scheme, sep, 0))
-        assert chunk == list(islice(cli._slice_lines(d, k, scheme, graded, fmt), cli.CHUNK_LINES))
-    m, block = used[0]
-    assert all(u_m == m for u_m, _ in used)
-    # one walk per call: the table is built with no second walk
-    assert walks == [(dimension, cli.CHUNK_LINES)]
-    fits = [m for m in range(3, dimension) if m * comb(k + m, m) <= cli.CHUNK_LINES]
-    if m == 2:
-        assert not fits
+        patch.setattr(
+            cli.multi_index, "_text_walk", lambda d, k, scheme, sep, limit, chunk, slack: text_walk(d, k, scheme, sep, 0, chunk, slack)
+        )
+        assert chunk == next(cli._slice_lines(d, k, scheme, graded, fmt))
+    # one walk per call, and at most one table, built with no second walk
+    assert walks == [(dimension, cli.TABLE_CHARS, cli.CHUNK_LINES)]
+    m = used[0]
+    assert set(used) == {m}
+    fits = [j for j in range(2, d + 1) if k and _table_chars(j, k, sep, extra) <= cli.TABLE_CHARS]
+    if not fits:
+        assert m == 2 and tables == []
         return
-    assert all(u_block is block for _, u_block in used)  # the same rows for every slice
-    rows = block.__self__
-    assert m == max(fits)
+    [((m_built, k_built, *_), rows)] = tables
+    assert m == m_built == max(fits) and k_built == k
     assert len(rows) == k + 1
-    assert m * sum(len(firsts) for firsts, _ in rows) <= cli.CHUNK_LINES
-    assert all(len(firsts) == len(seconds) == comb(r + m - 1, m - 1) for r, (firsts, seconds) in enumerate(rows))
+    assert sum(len(text) for text, _ in rows) <= cli.TABLE_CHARS
+    assert all(n == text.count("\n") + 1 == comb(r + m - 1, m - 1) for r, (text, n) in enumerate(rows))
 
 
 @pytest.mark.parametrize("order_name", list(NAMED_ORDERS))
@@ -569,6 +632,40 @@ def test_compare_errors(runner):
     result = runner.invoke(main, ["compare", "--order", "grlex", "1,-2", "0,1"])
     assert result.exit_code == 2
     assert "multi-index components must be naturals" in result.output
+
+
+@pytest.mark.parametrize(
+    "a, error",
+    [
+        ("1_0", "cannot parse multi-index '1_0'"),
+        ("+1", "cannot parse multi-index '+1'"),
+        ("1,2_0", "cannot parse multi-index '1,2_0'"),
+        ("1,-0", "multi-index components must be naturals: '1,-0'"),
+    ],
+)
+def test_compare_reads_components_as_digit_runs(runner, a, error):
+    # int() alone reads 1_0 as 10, +1 as 1 and -0 as 0
+    result = runner.invoke(main, ["compare", "--order", "lex", a, "2"])
+    assert result.exit_code == 2
+    assert [line for line in result.output.splitlines() if line.startswith("Error:")] == [f"Error: {error}"]
+
+
+def test_compare_allows_blanks_around_components(runner):
+    result = runner.invoke(main, ["compare", "--order", "lex", " 1 , 2 ", "1,3"])
+    assert (result.exit_code, result.stdout) == (0, "LT\n")
+
+
+@pytest.mark.parametrize("carrier", ["1_0..20", "+1..3", "1..2_0", "0x1..3", "1 0..20"])
+def test_check_reads_carrier_bounds_as_digit_runs(runner, carrier):
+    result = runner.invoke(main, ["check", "--property", "reflexive", "--relation", "le", "--carrier", carrier])
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == [f"Error: cannot parse carrier {carrier!r}; expected 'a..b'"]
+
+
+def test_check_allows_a_minus_and_blanks_around_carrier_bounds(runner):
+    result = runner.invoke(main, ["check", "--property", "reflexive", "--relation", "le", "--carrier", " -2 .. 3 "])
+    assert (result.exit_code, result.stdout) == (0, "PASS reflexive(le) on  -2 .. 3 \n")
 
 
 def test_compare_weighted_order(runner, tmp_path):

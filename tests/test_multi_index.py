@@ -169,39 +169,31 @@ def test_deep_dimensions_do_not_recurse(scheme):
     assert degree_slice(d, 1, scheme).entries == tuple(units)
 
 
-def walked_rows(m, k, scheme, sep):
-    """The block table of dimension m built by the slice walk with no table,
-    the definition that the table's extension replaces."""
+def walked_rows(m, k, scheme, sep, slack=None):
+    """The text table of dimension m from the tuple walk, the definition
+    that the table's extension replaces: a line holds an entry's components
+    with sep between them and, for a back scheme, the end mark after them;
+    with slack, the slack (last for a front scheme, first for a back one)
+    is dropped and slack % (k - slack) closes the line."""
     back = SCHEME_FLAGS[scheme][1]
-    walk, rows = multi_index._text_walk(m, k, scheme, sep, 0), []
+    end = multi_index._END if back else ""
+    rows = []
     for r in range(k + 1):
-        firsts, seconds = [], []
-        for head, (a, b), tail in walk(r, "", ""):
-            firsts += a if back else [head + f for f in a]
-            seconds += [s + tail for s in b] if back else b
-        rows.append((firsts, seconds))
+        lines = []
+        for entry in iter_slice(m, r, scheme):
+            if slack is None:
+                lines.append(sep.join(map(str, entry)) + end)
+            else:
+                s, shown = (entry[0], entry[1:]) if back else (entry[-1], entry[:-1])
+                lines.append(sep.join(map(str, shown)) + end + (slack and slack % (k - s)))
+        rows.append(("\n".join(lines), len(lines)))
     return rows
 
 
-def extended_rows(m, k, scheme, sep):
-    """The table that the text walk of dimension m + 1 takes its blocks of
-    m components from, when exactly that table fits."""
-    blocks, runs = [], multi_index._runs
-
-    def recorded(d, l, scheme, pieces, head, tail, m, block):
-        blocks.append((m, block))
-        return runs(d, l, scheme, pieces, head, tail, m, block)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(multi_index, "_runs", recorded)
-        multi_index._text_walk(m + 1, k, scheme, sep, m * comb(k + m, m))(0, "", "")
-    [(taken, block)] = blocks
-    assert taken == m
-    return block.__self__
-
-
+# each m up to the largest k whose table of m components holds 4096 of them,
+# and a deep table at k = 1 and k = 0
 TABLE_SHAPES = [
-    (m, k) for m in range(3, 9) for k in range(4096) if m * comb(k + m, m) <= 4096
+    (m, k) for m in range(2, 9) for k in range(4096) if m * comb(k + m, m) <= 4096
 ] + [(63, 1), (4096, 0)]
 
 
@@ -209,4 +201,12 @@ TABLE_SHAPES = [
 @pytest.mark.parametrize("sep", [",", ", "])
 def test_extended_table_matches_the_walked_table(scheme, sep):
     for m, k in TABLE_SHAPES:
-        assert extended_rows(m, k, scheme, sep) == walked_rows(m, k, scheme, sep), (m, k)
+        assert multi_index._table(m, k, scheme, sep) == walked_rows(m, k, scheme, sep), (m, k)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("slack", ["", ",%d,", '], "sum": %d, "rank": '])
+def test_slack_table_matches_the_walked_table(scheme, slack):
+    sep = ", " if "rank" in slack else ","
+    for m, k in TABLE_SHAPES[::3]:
+        assert multi_index._table(m, k, scheme, sep, slack) == walked_rows(m, k, scheme, sep, slack), (m, k)
