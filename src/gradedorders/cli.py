@@ -4,6 +4,13 @@ polynomial terms, and check relation properties on finite carriers.
 Exit codes: 0 success / property PASS, 1 property FAIL, 2 usage or parse
 error, 3 requested capability unavailable (e.g. enumerate under a weighted:
 order, which has no slice scheme, when --allow-sort-fallback is not given).
+
+Click parses the arguments, writes usage errors and notes to stderr, and
+exits 1 with nothing on stderr when stdout is a closed pipe.  Stdout takes
+the text of a command as it is made, written to the sys.stdout of the
+moment and flushed each time so that a pipe streams: enumerate's a chunk
+of lines at a time, the other commands' one line.  The text is ASCII with no
+escape sequences, which click.echo would only scan for and pass through.
 """
 
 from __future__ import annotations
@@ -64,6 +71,13 @@ def resolve_order(name: str, d: int) -> Relation:
     except KeyError:
         raise click.UsageError(f"unknown order {name!r}")
     return builder(LT)
+
+
+def _write(text: str) -> None:
+    """Write text to the sys.stdout of the moment and flush it."""
+    out = sys.stdout
+    out.write(text)
+    out.flush()
 
 
 def _not_total(order_name: str, exc: IncomparableError) -> click.UsageError:
@@ -150,11 +164,11 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
     except TOO_LARGE:
         raise click.UsageError(f"--d {d} is too large")
     if fmt == "csv":
-        click.echo(",".join([f"i{j}" for j in range(d)] + ["sum", "rank"]))
+        _write(",".join([f"i{j}" for j in range(d)] + ["sum", "rank"]) + "\n")
     if chunk:
-        click.echo(chunk, nl=False)
+        _write(chunk)
     for chunk in chunks:
-        click.echo(chunk, nl=False)
+        _write(chunk)
 
 
 def _slice_lines(d, k, scheme, graded, fmt):
@@ -249,7 +263,7 @@ def cmd_compare(order_name, a, b):
         verdict = "GT"
     else:
         verdict = "INCOMPARABLE"
-    click.echo(verdict)
+    _write(verdict + "\n")
 
 
 @main.command("sort-terms")
@@ -279,7 +293,7 @@ def cmd_sort_terms(d, order_name, source):
         line = poly._format_pairs(zip(exponents, map(p.terms.__getitem__, exponents)), d)
     except ValueError:  # str() of an int past the limit, which a product of coefficients can reach
         raise click.UsageError(f"the result has a number of more than {sys.get_int_max_str_digits()} digits")
-    click.echo(line)
+    _write(line + "\n")
 
 
 @main.command("check")
@@ -301,13 +315,10 @@ def cmd_check(property_name, relation_name, carrier_spec):
         raise click.UsageError(f"carrier {carrier_spec!r} is too large")
     failure = property_witness(property_name, CLI_RELATIONS[relation_name], carrier)
     if failure is None:
-        click.echo(f"PASS {property_name}({relation_name}) on {carrier_spec}")
+        _write(f"PASS {property_name}({relation_name}) on {carrier_spec}\n")
         return
     conjunct, witness = failure
-    click.echo(
-        f"FAIL {property_name}({relation_name}) on {carrier_spec}: "
-        f"{conjunct} fails at {witness}"
-    )
+    _write(f"FAIL {property_name}({relation_name}) on {carrier_spec}: {conjunct} fails at {witness}\n")
     sys.exit(1)
 
 

@@ -63,6 +63,7 @@ materializing the whole set, which grows as binomial(d + k, d).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, pairwise
 from math import comb
 from operator import add
 from typing import Iterator, Tuple
@@ -207,7 +208,9 @@ def _text_walk(d, k, scheme, sep, limit, chunk, slack=None):
     that come first, and text the others.  A line of text may hold "%d"
     fields, to be filled in line order from columns, one sequence of ints
     per field with one value per line.  The pieces are cut so that none
-    crosses a multiple of chunk lines, counted from the walk's first line.
+    crosses a multiple of chunk lines, counted from the walk's first line;
+    a table row cut so is split into its lines once per run, and each piece
+    joins a slice of them.
 
     With slack, a format with one "%d" or an empty text, the walk is the
     set of sum at most k in dimension d - 1, and runs(k) lists it as the
@@ -234,16 +237,19 @@ def _text_walk(d, k, scheme, sep, limit, chunk, slack=None):
         if written > limit:
             break
         m += 1
+    # part(r, cuts): the pieces (text, columns) of a run whose last m
+    # components have sum r, cut before each line number of cuts
     if m > 1:
         rows = _table(m, k, scheme, sep, slack)
         pieces = list(map(joined, range(k + 1)))
         size = lambda r: rows[r][1]
 
-        def part(r, i, j):
+        def part(r, cuts):
             text, n = rows[r]
-            if j - i < n:  # a run cut at a chunk
-                text = "\n".join(text.split("\n")[i:j])
-            return text, ()
+            if not cuts:
+                return ((text, ()),)
+            lines = text.split("\n")  # once per run
+            return (("\n".join(lines[i:j]), ()) for i, j in pairwise((0, *cuts, n)))
 
     else:
         m, pieces = 2, ()
@@ -251,29 +257,28 @@ def _text_walk(d, k, scheme, sep, limit, chunk, slack=None):
         line = ("%d" if slack is not None else "%d" + sep + "%d") + end + (slack or "")
         size = lambda r: r + 1
 
-        def part(r, i, j):
-            # the firsts and seconds of _pairs(scheme, range(r + 1))(r)[i:j]
-            up, downward = range(i, j), range(r - i, r - j, -1)
-            firsts, seconds = (up, downward) if down == back else (downward, up)
-            if slack is None:
-                columns = firsts, seconds
-            else:
-                shown, slacks = (seconds, firsts) if back else (firsts, seconds)
-                columns = (shown, range(k - slacks.start, k - slacks.stop, -slacks.step)) if slack else (shown,)
-            return "\n".join([line] * (j - i)), columns
+        def part(r, cuts):
+            for i, j in pairwise(chain((0,), cuts, (r + 1,))):
+                # the firsts and seconds of _pairs(scheme, range(r + 1))(r)[i:j]
+                up, downward = range(i, j), range(r - i, r - j, -1)
+                firsts, seconds = (up, downward) if down == back else (downward, up)
+                if slack is None:
+                    columns = firsts, seconds
+                else:
+                    shown, slacks = (seconds, firsts) if back else (firsts, seconds)
+                    columns = (shown, range(k - slacks.start, k - slacks.stop, -slacks.step)) if slack else (shown,)
+                yield "\n".join([line] * (j - i)), columns
 
     room = chunk  # lines left in the chunk being filled
 
     def cut(walk):
         nonlocal room
         for head, r, tail in walk:
-            i, n = 0, size(r)
-            while i < n:
-                j = min(n, i + room)
-                text, columns = part(r, i, j)
-                room = room - (j - i) or chunk
+            n = size(r)
+            cuts = range(room, n, chunk)  # where the run fills a chunk
+            room = chunk - (n - room) % chunk
+            for text, columns in part(r, cuts):
                 yield head, text.replace(_END, tail) if back else text, columns
-                i = j
 
     def runs(l):
         fixed = pieces

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import attrgetter, eq
+from operator import add, attrgetter, eq
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .families import Family, IncomparableError, LengthMismatchError, _check_one_length, sort_key, sorted_total
@@ -165,9 +165,11 @@ def parse_poly(text: str, dimension: int) -> SparsePoly:
 def _parse_by_term(text: str, dimension: int) -> Optional[SparsePoly]:
     """parse_poly of well-formed text, or None for parse_poly to name the
     fault: a factor that does not match (an empty term too) or one that
-    _factor refuses.  Each term goes straight into the polynomial's map, and
-    its coefficient is a cached Fraction under its sign unless it has two or
-    more coefficient factors, which alone are multiplied."""
+    _factor refuses.  A term is stripped before it splits at "*", so a
+    factor at its end is the same text as inside a term, and each distinct
+    factor text is read once.  Each term goes straight into the polynomial's
+    map, and its coefficient is a cached Fraction under its sign unless it
+    has two or more coefficient factors, which alone are multiplied."""
     pieces = _SIGN_RE.split(text)
     if len(pieces) > 1 and not pieces[0].strip():
         del pieces[0]  # the optional leading sign
@@ -180,7 +182,7 @@ def _parse_by_term(text: str, dimension: int) -> Optional[SparsePoly]:
         for sign, term in zip(pieces[::2], pieces[1::2]):
             exponents = [0] * dimension
             coefficient = None
-            for piece in term.split("*"):
+            for piece in term.strip().split("*"):
                 factor = factors.get(piece)
                 if factor is None:
                     factor = factors[piece] = _factor(piece, dimension)
@@ -296,10 +298,21 @@ def monomial_mul(p: SparsePoly, gamma: Sequence[int]) -> SparsePoly:
         raise ValueError(f"non-integer shift {gamma}: exponents are naturals")
     if any(g < 0 for g in gamma):
         raise ValueError(f"negative shift {gamma}: exponents are naturals")
-    return SparsePoly.from_pairs(
-        p.dimension,
-        ((tuple(e + g for e, g in zip(exponents, gamma)), c) for exponents, c in p.terms.items()),
-    )
+    terms, coefficients = p.terms, p.terms.values()
+    # with every family a tuple of the dimension and every coefficient a
+    # nonzero Fraction, the shifted map is what from_pairs builds, as long as
+    # no two families shift to one, which only numbers other than ints (such
+    # as floats past 2**53) can do; from_pairs takes every other case
+    if (
+        set(map(type, terms)) <= {tuple}
+        and set(map(len, terms)) <= {p.dimension}
+        and set(map(type, coefficients)) <= {Fraction}
+        and all(coefficients)
+    ):
+        shifted = {tuple(map(add, e, gamma)): c for e, c in terms.items()}
+        if len(shifted) == len(terms):
+            return SparsePoly(p.dimension, shifted)
+    return SparsePoly.from_pairs(p.dimension, ((tuple(map(add, e, gamma)), c) for e, c in terms.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -512,6 +512,36 @@ def test_block_table_holds_at_most_its_characters_and_is_built_once(d, k, order_
     assert all(n == text.count("\n") + 1 == comb(r + m - 1, m - 1) for r, (text, n) in enumerate(rows))
 
 
+@pytest.mark.parametrize("fmt", ["plain", "csv"])
+@pytest.mark.parametrize("d, k", [(8, 13), (4, 40), (3, 150)])
+def test_a_row_cut_at_the_chunks_is_split_once(d, k, fmt):
+    # Tables of m = 5, 3 and 2 under grlex, whose rows the chunks cut.  Each
+    # run counts the splits of its row's text: a row cut into several
+    # pieces is split once, and no run is walked with its row split before.
+    per_run = []
+    table, runs = cli.multi_index._table, cli.multi_index._runs
+
+    class Row(str):
+        def split(self, *args):
+            per_run[-1] += 1
+            return super().split(*args)
+
+    def counted(*args):
+        return [(Row(text), n) for text, n in table(*args)]
+
+    def watched(*args):
+        for run in runs(*args):
+            per_run.append(0)
+            yield run
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli.multi_index, "_table", counted)
+        patch.setattr(cli.multi_index, "_runs", watched)
+        text = "".join(cli._slice_lines(d, k, "lex", True, fmt))
+    assert text == "".join(cli._slice_lines(d, k, "lex", True, fmt))
+    assert max(per_run) == 1
+
+
 @pytest.mark.parametrize("order_name", list(NAMED_ORDERS))
 @pytest.mark.parametrize("d, k", [(1100, 1), (5000, 0)])
 @budget(1, "enumerate at d = 1100, k = 1 or d = 5000, k = 0")

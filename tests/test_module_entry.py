@@ -9,13 +9,15 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_module(*args):
+def _module(*args):
     # the source tree first, then the caller's path, where click may live
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run(
-        [sys.executable, "-m", "gradedorders.cli", *args], capture_output=True, text=True, env=env, timeout=60
-    )
+    return [sys.executable, "-m", "gradedorders.cli", *args], {**os.environ, "PYTHONPATH": path}
+
+
+def run_module(*args):
+    argv, env = _module(*args)
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
 
 
 def test_enumerate_through_the_module_entry():
@@ -28,3 +30,19 @@ def test_usage_error_through_the_module_entry():
     result = run_module("enumerate", "--d", "0", "--k", "1")
     assert result.returncode == 2
     assert "Error: --d must be >= 1, got 0" in result.stderr
+
+
+def test_enumerate_into_a_closed_pipe():
+    # The output has 203,491 lines; the reader takes two and closes the
+    # pipe, as `head -n 2` does.  The writer exits 1 with nothing on stderr.
+    argv, env = _module("enumerate", "--d", "8", "--k", "13", "--format", "csv")
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env) as proc:
+        try:
+            lines = [proc.stdout.readline() for _ in range(2)]
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()  # a writer still running after the timeout
+    assert lines == ["i0,i1,i2,i3,i4,i5,i6,i7,sum,rank\n", "0,0,0,0,0,0,0,0,0,0\n"]
+    assert err == ""
+    assert proc.returncode == 1

@@ -301,6 +301,19 @@ def test_well_formed_text_never_reaches_the_tokenizer(monkeypatch):
         parse_poly("X +", 2)
 
 
+def test_blanks_around_a_factor_leave_its_terms_and_its_reading(monkeypatch):
+    # blanks around a factor change no term; blanks around a term's signs
+    # leave its factors the texts they are inside a term, each read once
+    calls = []
+    factor = poly._factor
+    monkeypatch.setattr(poly, "_factor", lambda *args: calls.append(args[0]) or factor(*args))
+    terms = [((2, 1), Fraction(3)), ((0, 1), Fraction(-1))]
+    assert list(parse_poly(" 2*X^2*Y\t+ Y*X^2 -\tY  ", 2).terms.items()) == terms
+    assert sorted(calls) == ["2", "X^2", "Y"]
+    for text in ["2*X^2*Y+Y*X^2-Y", " 2 * X^2 *Y\t+\tY*  X^2 - Y ", "2 *X^2\t*\tY + Y *X^2 - \tY"]:
+        assert list(parse_poly(text, 2).terms.items()) == terms
+
+
 def test_parse_zero_denominator_is_a_parse_error():
     for text, position in [("1/0*X0", 0), ("X0 + 3 / 0", 5), ("X0*2*1/0", 5)]:
         with pytest.raises(PolyParseError) as err:
@@ -504,6 +517,81 @@ def test_monomial_mul_refuses_non_integer_shifts(gamma):
     with pytest.raises(ValueError, match="exponents are naturals"):
         monomial_mul(p, gamma)
     assert monomial_mul(p, (True, 0)).terms == {(2, 0): 1, (1, 2): 1}
+
+
+def _shifted_by_from_pairs(p, gamma):
+    """monomial_mul by its definition: each family shifted, then from_pairs."""
+    pairs = ((tuple(e + g for e, g in zip(exponents, gamma)), c) for exponents, c in p.terms.items())
+    return SparsePoly.from_pairs(p.dimension, pairs)
+
+
+def _outcome(f, *args):
+    """The terms f returns with the types of their entries, or its error."""
+    try:
+        q = f(*args)
+    except (ValueError, TypeError) as err:
+        return type(err), str(err)
+    return q.dimension, [(type(e), e, type(c), c) for e, c in q.terms.items()]
+
+
+# past 2**53 a float family may shift onto another: 2**53 + 2 and 2**53 + 4
+# both round to 2**53 + 4 when 1 is added
+_FAR = 2.0**53
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(1, 0): 3, (0, 1): Fraction(1, 2)},
+        {(1, 0): Fraction(0), (0, 1): Fraction(2)},
+        {(1, 0): 0, (0, 1): Fraction(2)},
+        {(1, 0): True, (0, 1): Fraction(2)},
+        {(1, 0): 0.5, (0, 1): Fraction(2)},
+        {(1, 0, 5): Fraction(1), (0, 1): Fraction(1)},
+        {(1, 0): Fraction(1), (0, 1, 5): Fraction(1)},
+        {(1,): Fraction(1), (0, 1): Fraction(1)},
+        {(0, 1): Fraction(1), (1,): Fraction(1)},
+        {_Exponents((2, 0)): Fraction(3), (0, 1): Fraction(-1, 2)},
+        {(_FAR + 2, 0): Fraction(1), (_FAR + 4, 0): Fraction(2)},
+        {(0.5, 0): Fraction(1), (0, 1): Fraction(1)},
+        {"ab": Fraction(1)},
+        {},
+    ],
+    ids=[
+        "int coefficient",
+        "zero Fraction",
+        "zero int",
+        "bool coefficient",
+        "float coefficient",
+        "longer family first",
+        "longer family last",
+        "shorter family first",
+        "shorter family last",
+        "exponents of a tuple subclass",
+        "float families that the shift merges",
+        "float family",
+        "string family",
+        "zero polynomial",
+    ],
+)
+def test_monomial_mul_of_a_directly_built_polynomial_is_what_from_pairs_makes(terms):
+    p = SparsePoly(2, terms)
+    assert _outcome(monomial_mul, p, (1, 2)) == _outcome(_shifted_by_from_pairs, p, (1, 2))
+
+
+def test_monomial_mul_is_what_from_pairs_makes():
+    rng = random.Random(29)
+    for _ in range(300):
+        d = rng.randint(1, 5)
+        pairs = [
+            (tuple(rng.randint(0, 3) for _ in range(d)), rng.choice([1, -2, Fraction(1, 3), Fraction(-7, 2)]))
+            for _ in range(rng.randint(0, 12))
+        ]
+        gamma = tuple(rng.randint(0, 3) for _ in range(d))
+        p = SparsePoly.from_pairs(d, pairs)
+        polys = [p, parse_poly(format_poly([Term(e, c) for e, c in p.terms.items()], d), d)] if p.terms else [p]
+        for p in polys:
+            assert _outcome(monomial_mul, p, gamma) == _outcome(_shifted_by_from_pairs, p, gamma)
 
 
 def test_leading_term_morphism_sample():
