@@ -11,18 +11,21 @@ the text of a command as it is made, written to the sys.stdout of the
 moment and flushed each time so that a pipe streams: enumerate's a chunk
 of lines at a time, the other commands' one line.  The text is ASCII with no
 escape sequences, which click.echo would only scan for and pass through.
+Enumerate's lines under a named order are laid out and cut into chunks in
+one function, _slice_lines, from multi_index's walk and tables.  Numbers
+are read as weight-matrix fixtures read them, by weighted._integer.
 """
 
 from __future__ import annotations
 
-import re
 import sys
-from itertools import islice
+from itertools import chain, islice, pairwise
+from math import comb
 
 import click
 
 from . import multi_index, poly, weighted
-from .families import IncomparableError, LengthMismatchError, sorted_total
+from .families import SCHEMES, IncomparableError, LengthMismatchError, sorted_total
 from .graded import NAMED_ORDERS, named_builder
 from .relations import (
     DIVIDES,
@@ -35,6 +38,7 @@ from .relations import (
     carrier_range,
     property_witness,
 )
+from .weighted import _integer
 
 CLI_RELATIONS = {r.name: r for r in (LT, LE, GT, GE, DIVIDES)}
 
@@ -45,9 +49,6 @@ CHUNK_LINES = 4096
 # characters of the table that enumerate's slice walk takes the last
 # components of its runs from
 TABLE_CHARS = 2**18
-
-# a component of compare's multi-indices or a bound of check's carrier
-_INTEGER = re.compile(r"\s*-?\d+\s*")
 
 # what CPython raises, before it allocates, for a tuple, list or string
 # longer than it can hold: the CLI's answer to a --d or carrier of that size
@@ -85,18 +86,9 @@ def _not_total(order_name: str, exc: IncomparableError) -> click.UsageError:
     return click.UsageError(f"order {order_name!r} is not total: it ties {x} and {y}")
 
 
-def _integer(text: str) -> int:
-    """The int that text writes as an optional minus and a run of digits,
-    with blanks around them, as a polynomial writes its numbers; ValueError
-    for anything else, such as the "_" and "+" that int() alone reads."""
-    if _INTEGER.fullmatch(text) is None:
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
-
-
 def _parse_index(text: str):
     try:
-        items = tuple(_integer(tok) for tok in text.split(","))
+        items = tuple(map(_integer, text.split(",")))
     except ValueError:
         raise click.UsageError(f"cannot parse multi-index {text!r}")
     if "-" in text:  # -0 as well
@@ -172,61 +164,114 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
 
 
 def _slice_lines(d, k, scheme, graded, fmt):
-    """The lines of the set under a named order, from the slice walk, as
-    text: one string per chunk of CHUNK_LINES lines, the last one shorter,
-    each line closed by a newline.  A graded order walks the slices
-    l = 0..k of dimension d, and a line's sum is its slice's l.  An order
-    that is not graded walks the one slice k of dimension d + 1 and drops
-    the slack from each line (see multi_index); the walk gives the sum of
-    each line.  The runs come as text from one multi_index._text_walk per
-    call, made when the first chunk is asked for, cut at the chunks.  A
-    piece of a run is written with one str.replace, which puts the frames
-    and the fixed components at every line, and one %-format, which fills
-    the fields that change from line to line: the components of a block
-    that is not taken from the table, the sum in the slack walk, and the
-    rank, a running count."""
+    """The lines of the set under a named order, as text: one string per
+    chunk of CHUNK_LINES lines, the last one shorter, each line closed by a
+    newline.  A graded order walks the slices l = 0..k of dimension d, and
+    a line's sum is its slice's l.  An order that is not graded walks the
+    one slice k of dimension d + 1 and drops the slack from each line (see
+    multi_index): the slack walk, where a line's sum is k minus its slack.
+
+    multi_index._runs gives each run with the components it fixed as text,
+    joined once per level; the m components left, of sum r, are the row r
+    of one multi_index._table, built when the first chunk is asked for.  m
+    is the largest m <= d whose tables of 2..m components hold at most
+    TABLE_CHARS characters together, by the bound below.  A run is cut
+    where it fills a chunk, its row split into lines once.  A piece of a
+    run is written with one str.replace, which puts the frames and the
+    fixed components at every line, and one %-format, which fills the
+    ranks, a running count.  When k = 0 or no table fits, m = 2: a line has
+    a "%d" field per component left, which the %-format fills from ranges
+    as it does the sums and ranks, and the texts of the fixed components
+    0..l are made per slice, for a walk of 3 or more components.
+
+    Memory: the walk's stack, O(d); the table, at most TABLE_CHARS
+    characters; with no table, the texts of the numbers 0..l of the slice,
+    all k + 1 in the slack walk before its first run; and one chunk,
+    however large the set or its largest slice."""
     sep, opening, before_sum, before_rank, closing = _FRAMES[fmt]
     ranked = fmt != "plain"
     if graded and d == 1:  # a graded order of N^1 is lex(<), which needs no slices
         scheme, graded = "lex", False
-    # the dimension the walk runs in, the sums of the slices it walks, and
-    # what the slack walk writes after the components of a line
+    down, back = SCHEMES[scheme]
+    end = multi_index._END
+    # the dimension walked, the sums of its slices, and what the slack walk
+    # writes after the components of a line
     if graded:
         dimension, slices, slack = d, range(k + 1), None
     else:
         dimension, slices, slack = d + 1, (k,), f"{before_sum}%d{before_rank}" if ranked else ""
-    runs = multi_index._text_walk(dimension, k, scheme, sep, TABLE_CHARS, CHUNK_LINES, slack)
+    joined = (sep + "%d").__mod__ if back else ("%d" + sep).__mod__
+    # written bounds the characters of the tables of 2..m components: a line
+    # of j components has at most j * width, then the end mark and the sum
+    width, extra = len(str(k)) + len(sep), back + len(slack % k if slack else "")
+    m, written = 1, 0
+    while k and m < d:
+        written += comb(k + m + 1, m + 1) * ((m + 1) * width + extra)
+        if written > TABLE_CHARS:
+            break
+        m += 1
+    if m > 1:
+        rows = multi_index._table(m, k, scheme, sep, slack)
+        fixed = list(map(joined, range(k + 1)))
+    else:
+        m, rows, fixed = 2, (), ()
+        line = ("%d" if slack is not None else "%d" + sep + "%d") + (end if back else "") + (slack or "")
     rank, chunk = 0, []
     for l in slices:
         # the text that closes each line of the slice
         if not ranked:
-            tail = ""
+            close = "\n"
         elif graded:
-            tail = f"{before_sum}{l}{before_rank}%d{closing}"
+            close = f"{before_sum}{l}{before_rank}%d{closing}\n"
         else:
-            tail = f"%d{closing}"
-        try:  # runs makes the texts of the slice's fixed components, k + 1 of them in the slack walk
-            pieces = runs(l)
-        except TOO_LARGE:
-            raise click.UsageError(f"--k {k} is too large")
-        for head, text, columns in pieces:
-            n = text.count("\n") + 1
-            head = opening + head
-            text = head + text.replace("\n", tail + "\n" + head) + tail + "\n"
-            if ranked:
-                columns = (*columns, range(rank, rank + n))
-            if len(columns) == 1:
-                text %= tuple(columns[0])
-            elif columns:
-                fields = [0] * (n * len(columns))
-                for i, column in enumerate(columns):
-                    fields[i :: len(columns)] = column
-                text %= tuple(fields)
-            rank += n
-            chunk.append(text)
-            if rank % CHUNK_LINES == 0:
-                yield "".join(chunk)
-                chunk = []
+            close = f"%d{closing}\n"
+        pieces = fixed
+        if not pieces and dimension > 2:
+            try:  # sized at once, so that a sum no list can hold raises here, before memory fills
+                pieces = [""] * (l + 1)
+                pieces[:] = map(joined, range(l + 1))
+            except TOO_LARGE:
+                raise click.UsageError(f"--k {k} is too large")
+        for head, r, tail in multi_index._runs(dimension, l, scheme, pieces, opening, "", m):
+            text, n = rows[r] if rows else (line, r + 1)
+            room = CHUNK_LINES - rank % CHUNK_LINES
+            if n < room:
+                spans = ((0, n),)
+            else:  # cut where the run fills a chunk
+                spans = pairwise(chain((0,), range(room, n, CHUNK_LINES), (n,)))
+                lines = text.split("\n")
+            for i, j in spans:
+                if not rows:
+                    # the firsts and seconds of multi_index._pairs(scheme, range(r + 1))(r)[i:j]
+                    up, downward = range(i, j), range(r - i, r - j, -1)
+                    firsts, seconds = (up, downward) if down == back else (downward, up)
+                    if slack is None:
+                        columns = firsts, seconds
+                    else:
+                        shown, slacks = (seconds, firsts) if back else (firsts, seconds)
+                        columns = (shown, range(k - slacks.start, k - slacks.stop, -slacks.step)) if slack else (shown,)
+                    if ranked:
+                        columns += (range(rank, rank + j - i),)
+                    piece = (head + text.replace(end, tail) + close) * (j - i)
+                    if len(columns) == 1:
+                        piece %= tuple(columns[0])
+                    else:
+                        fields = [0] * ((j - i) * len(columns))
+                        for c, column in enumerate(columns):
+                            fields[c :: len(columns)] = column
+                        piece %= tuple(fields)
+                else:
+                    piece = text if j - i == n else "\n".join(lines[i:j])
+                    if back:
+                        piece = piece.replace(end, tail)
+                    piece = head + piece.replace("\n", close + head) + close
+                    if ranked:
+                        piece %= tuple(range(rank, rank + j - i))
+                rank += j - i
+                chunk.append(piece)
+                if rank % CHUNK_LINES == 0:
+                    yield "".join(chunk)
+                    chunk = []
     if chunk:
         yield "".join(chunk)
 

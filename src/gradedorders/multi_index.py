@@ -31,30 +31,18 @@ Algorithms, ch. 2 §2).
 The walk keeps an explicit stack, one level per fixed component, so d is
 not bounded by Python's recursion limit.  It fixes d - m components and
 yields runs: the components it fixed, joined once per level, and the sum r
-left to the m components that follow.  The tuple API below takes m = 2, the
-last two components as two ranges.  `_text_walk`, made once per call,
-writes a run as text: the fixed components once, and the m components left
-as the row of sum r of a table, one string whose lines are the slice of
-dimension m and sum r, so that a caller renders a run of any length with a
-few calls of str methods.  It takes the largest m, up to d, whose table
-fits in a given number of characters, and builds that table with no walk,
-from the two-component rows up, by the recurrence of compositions: the
-entries of dimension j and sum r are each value c of the component fixed
-first, then the entries of dimension j - 1 and sum r - c, and one
-str.replace writes c at every line of a row.  Where no table fits, m = 2
-and the lines of a run are "%d" fields, which the caller fills from two
-ranges.
-
-Memory: the walk holds its stack of d - m levels, each with the length of
-its prefix of the components fixed so far, and one prefix, the deepest
-made, from which a level cuts its own when it resumes: O(d) in all; the
-table, at most a given number of characters (the CLI gives 256 Ki); and,
-with no table at d >= 3, the texts of the numbers 0..l of the slice, which
-the slack walk makes for its one slice k before its first run.  Runs are
-cut at the chunks of a given number of lines, so nothing holds a whole
-slice or a whole run, and a consumer that takes the text a chunk at a time,
-as the CLI does, stays bounded by one chunk beyond these, however large the
-set or its largest slice.
+left to the m components that follow.  It holds its stack of d - m levels,
+each with the length of its prefix of the components fixed so far, and one
+prefix, the deepest made, from which a level cuts its own when it resumes:
+O(d) in all.  The tuple API below takes m = 2, the last two components as
+two ranges.  _table writes the m components left as text instead, the row
+of sum r one string whose lines are the slice of dimension m and sum r, so
+that a caller (the CLI's enumerate) renders a run of any length with a few
+calls of str methods.  It builds the table with no walk, from the
+two-component rows up, by the recurrence of compositions: the entries of
+dimension j and sum r are each value c of the component fixed first, then
+the entries of dimension j - 1 and sum r - c, and one str.replace writes c
+at every line of a row.
 
 Generators are the primary interface; callers may consume a prefix without
 materializing the whole set, which grows as binomial(d + k, d).
@@ -63,8 +51,6 @@ materializing the whole set, which grows as binomial(d + k, d).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, pairwise
-from math import comb
 from operator import add
 from typing import Iterator, Tuple
 
@@ -162,8 +148,9 @@ def _table(m, k, scheme, sep, slack=None):
     """The slices of dimension m >= 2 and sum r = 0..k as text rows (text,
     n): the n entries of the slice in the scheme's order, each with sep
     between its components, joined by newlines.  For a back scheme each
-    line has _END after its components.  With slack (see _text_walk) the
-    last component the walk reaches is left out, and each line ends with
+    line has _END after its components.  With slack, a format with one "%d"
+    or an empty text, the rows are those of the slack walk: the slack, the
+    component the walk reaches last, is left out, and each line ends with
     slack % (k - s) for its slack s.  The rows of m = 2 are two slices of
     texts of 0..k, joined per row; each further dimension extends the rows
     below it by one component, fixed where the walk fixes it: the j-part
@@ -198,98 +185,6 @@ def _table(m, k, scheme, sep, slack=None):
                 n += count
             rows.append(("\n".join(texts), n))
     return rows
-
-
-def _text_walk(d, k, scheme, sep, limit, chunk, slack=None):
-    """The slices of dimension d >= 2 and sum at most k as text, by one
-    function runs(l): the slice of sum l <= k as pieces (head, text,
-    columns).  Each line of a piece is head and a line of text, with sep
-    between the components: head holds the components fixed for the run
-    that come first, and text the others.  A line of text may hold "%d"
-    fields, to be filled in line order from columns, one sequence of ints
-    per field with one value per line.  The pieces are cut so that none
-    crosses a multiple of chunk lines, counted from the walk's first line;
-    a table row cut so is split into its lines once per run, and each piece
-    joins a slice of them.
-
-    With slack, a format with one "%d" or an empty text, the walk is the
-    set of sum at most k in dimension d - 1, and runs(k) lists it as the
-    slice k with the slack left out (see above): each line then ends with
-    slack % its sum, k minus its slack.
-
-    m is the largest m <= d (d - 1 in the slack walk, which would use one
-    row of a table of d) for which the tables of 2..m components, written
-    by _table once per call, hold at most limit characters together, by
-    the bound below; the table of m gives the text of every run.  When
-    k = 0 or no table fits, m = 2, and a line of text is one "%d" field per
-    component, from ranges; runs(l) then makes the texts of the fixed
-    components 0..l per slice, for d >= 3 (at d = 2 none is fixed, so
-    nothing grows with l)."""
-    down, back = SCHEMES[scheme]
-    joined = (sep + "%d").__mod__ if back else ("%d" + sep).__mod__
-    # written bounds the characters of the tables of 2..m components: a
-    # line of j components has at most j * width, then the end mark and the
-    # slack walk's sum
-    width, extra = len(str(k)) + len(sep), back + len(slack % k if slack else "")
-    m, top, written = 1, d if slack is None else d - 1, 0
-    while k and m < top:
-        written += comb(k + m + 1, m + 1) * ((m + 1) * width + extra)
-        if written > limit:
-            break
-        m += 1
-    # part(r, cuts): the pieces (text, columns) of a run whose last m
-    # components have sum r, cut before each line number of cuts
-    if m > 1:
-        rows = _table(m, k, scheme, sep, slack)
-        pieces = list(map(joined, range(k + 1)))
-        size = lambda r: rows[r][1]
-
-        def part(r, cuts):
-            text, n = rows[r]
-            if not cuts:
-                return ((text, ()),)
-            lines = text.split("\n")  # once per run
-            return (("\n".join(lines[i:j]), ()) for i, j in pairwise((0, *cuts, n)))
-
-    else:
-        m, pieces = 2, ()
-        end = _END if back else ""
-        line = ("%d" if slack is not None else "%d" + sep + "%d") + end + (slack or "")
-        size = lambda r: r + 1
-
-        def part(r, cuts):
-            for i, j in pairwise(chain((0,), cuts, (r + 1,))):
-                # the firsts and seconds of _pairs(scheme, range(r + 1))(r)[i:j]
-                up, downward = range(i, j), range(r - i, r - j, -1)
-                firsts, seconds = (up, downward) if down == back else (downward, up)
-                if slack is None:
-                    columns = firsts, seconds
-                else:
-                    shown, slacks = (seconds, firsts) if back else (firsts, seconds)
-                    columns = (shown, range(k - slacks.start, k - slacks.stop, -slacks.step)) if slack else (shown,)
-                yield "\n".join([line] * (j - i)), columns
-
-    room = chunk  # lines left in the chunk being filled
-
-    def cut(walk):
-        nonlocal room
-        for head, r, tail in walk:
-            n = size(r)
-            cuts = range(room, n, chunk)  # where the run fills a chunk
-            room = chunk - (n - room) % chunk
-            for text, columns in part(r, cuts):
-                yield head, text.replace(_END, tail) if back else text, columns
-
-    def runs(l):
-        fixed = pieces
-        if not fixed and d > 2:
-            # sized at once, so that a sum no list can hold raises here,
-            # before memory fills
-            fixed = [""] * (l + 1)
-            fixed[:] = map(joined, range(l + 1))
-        return cut(_runs(d, l, scheme, fixed, "", "", m))
-
-    return runs
 
 
 def iter_slice(d: int, l: int, scheme: str = "symlex") -> Iterator[Family]:

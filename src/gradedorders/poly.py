@@ -243,23 +243,11 @@ def _factor(text: str, dimension: int, pos: int = 0):
 # ordering
 
 
-def _term(exponents, coefficient) -> Term:
-    """Term(exponents, coefficient), without running its checks again on an
-    entry that is already what they would make: a tuple and a nonzero
-    Fraction, as every canonical polynomial holds."""
-    if type(exponents) is not tuple or type(coefficient) is not Fraction or not coefficient:
-        return Term(exponents, coefficient)
-    term = object.__new__(Term)
-    object.__setattr__(term, "exponents", exponents)
-    object.__setattr__(term, "coefficient", coefficient)
-    return term
-
-
 def sort_terms(p: SparsePoly, order: Relation) -> List[Term]:
     """Terms in ascending order under a strict total vector order; raises
     IncomparableError when the order ties two of the exponents."""
     terms = p.terms
-    return [_term(e, terms[e]) for e in sorted_total(terms, order)]
+    return [Term(e, terms[e]) for e in sorted_total(terms, order)]
 
 
 def leading_term(p: SparsePoly, order: Relation) -> Optional[Term]:
@@ -279,12 +267,12 @@ def leading_term(p: SparsePoly, order: Relation) -> Optional[Term]:
             keys = exponents if key is None else list(map(key, exponents))
             best = min(keys) if reverse else max(keys)
             exponents = list(compress(exponents, map(eq, keys, repeat(best))))
-        return _term(exponents[0], p.terms[exponents[0]])
+        return Term(exponents[0], p.terms[exponents[0]])
     keys = list(map(sort_key(order), exponents))
     top = keys.index(max(keys))
     if keys.count(keys[top]) > 1:
         raise IncomparableError(exponents[top], exponents[keys.index(keys[top], top + 1)])
-    return _term(exponents[top], p.terms[exponents[top]])
+    return Term(exponents[top], p.terms[exponents[top]])
 
 
 def monomial_mul(p: SparsePoly, gamma: Sequence[int]) -> SparsePoly:

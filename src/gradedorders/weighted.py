@@ -17,6 +17,7 @@ flags and grading bit that define their combinators.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -27,8 +28,6 @@ from .graded import NAMED_ORDERS
 from .relations import LT, Carrier, Relation, property_witness
 
 _EXACT_TYPES = (int, Fraction)
-
-MATRIX_ORDER_NAMES = ("lex", "grlex", "grevlex", "grsymlex", "grcolex")
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,7 @@ def matrix_for(order_name: str, d: int) -> WeightMatrix:
     column first and drops the last unit."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if order_name not in MATRIX_ORDER_NAMES:
+    if order_name not in NAMED_ORDERS:
         raise ValueError(f"unknown order name {order_name!r}")
     scheme, is_graded = NAMED_ORDERS[order_name]
     down, back = SCHEMES[scheme]
@@ -169,6 +168,19 @@ def find_incomparable(w: WeightMatrix, k_lt: Relation, box_bound: int) -> Option
 # plain-text fixture format: first line "d m", then d rows of m integers
 
 
+_INTEGER = re.compile(r"\s*-?\d+\s*")
+
+
+def _integer(text: str) -> int:
+    """The int that text writes as an optional minus and a run of digits,
+    with blanks around them, as a fixture entry and the CLI's indices and
+    carrier bounds are read; ValueError for anything else, such as the "_"
+    and "+" that int() alone reads."""
+    if _INTEGER.fullmatch(text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_matrix(text: str) -> WeightMatrix:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -176,12 +188,12 @@ def parse_matrix(text: str) -> WeightMatrix:
     header = lines[0].split()
     if len(header) != 2:
         raise ValueError(f"bad matrix header {lines[0]!r}; expected 'd m'")
-    d, m = (int(tok) for tok in header)
+    d, m = map(_integer, header)
     if len(lines) - 1 != d:
         raise ValueError(f"expected {d} matrix rows, got {len(lines) - 1}")
     rows = []
     for line in lines[1 : d + 1]:
-        entries = [int(tok) for tok in line.split()]
+        entries = list(map(_integer, line.split()))
         if len(entries) != m:
             raise ValueError(f"expected {m} entries per row, got {len(entries)} in {line!r}")
         rows.append(tuple(entries))

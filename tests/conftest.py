@@ -287,11 +287,17 @@ def _unit(d, i, sign=1):
 
 
 def reference_columns(order_name, d):
-    """The matrix columns of the named orders as five hand-written branches:
+    """The matrix columns of the named orders as eight hand-written branches:
     the definition that weighted.matrix_for derives from the flags."""
     ones = (1,) * d
     if order_name == "lex":
         return [_unit(d, i) for i in range(d)]
+    if order_name == "colex":
+        return [_unit(d, i) for i in range(d - 1, -1, -1)]
+    if order_name == "symlex":
+        return [_unit(d, i, -1) for i in range(d)]
+    if order_name == "revlex":
+        return [_unit(d, i, -1) for i in range(d - 1, -1, -1)]
     if order_name == "grlex":
         return [ones] + [_unit(d, i) for i in range(d - 1)]
     if order_name == "grcolex":

@@ -204,25 +204,20 @@ def test_enumerate_output_matches_csv_and_json_rendering(runner, tmp_path, order
 
 @pytest.mark.parametrize("fmt", ["plain", "csv", "jsonl"])
 def test_enumerate_streams_before_the_set_is_exhausted(monkeypatch, fmt):
+    # a run of m components with sum r holds C(r + m - 1, m - 1) lines
     out = io.StringIO()
     monkeypatch.setattr(sys, "stdout", out)
-    text_walk = cli.multi_index._text_walk
+    runs = cli.multi_index._runs
     pulled, written_before_last = [0], []
 
-    def watched_walk(*args):
-        walk = text_walk(*args)
+    def watched(d, l, scheme, pieces, head, tail, m):
+        for run in runs(d, l, scheme, pieces, head, tail, m):
+            pulled[0] += comb(run[1] + m - 1, m - 1)
+            if pulled[0] == 5456:
+                written_before_last.append(out.getvalue().count("\n"))
+            yield run
 
-        def watched(*args):
-            for piece in walk(*args):
-                head, text, columns = piece
-                pulled[0] += text.count("\n") + 1
-                if pulled[0] == 5456:
-                    written_before_last.append(out.getvalue().count("\n"))
-                yield piece
-
-        return watched
-
-    monkeypatch.setattr(cli.multi_index, "_text_walk", watched_walk)
+    monkeypatch.setattr(cli.multi_index, "_runs", watched)
     main.main(["enumerate", "--d", "3", "--k", "30", "--format", fmt], standalone_mode=False)
     header = 1 if fmt == "csv" else 0
     assert pulled == [5456]
@@ -250,20 +245,15 @@ def test_enumerate_cuts_a_slice_longer_than_a_chunk(monkeypatch, fmt):
     # of k = 20000 (20001 lines, about five chunks) is let through, which
     # keeps the test fast.
     d, k = 2, 20000
-    text_walk = cli.multi_index._text_walk
+    runs = cli.multi_index._runs
     finished, writes = [], []
 
-    def last_slice_only_walk(*args):
-        walk = text_walk(*args)
+    def last_slice_only(d, l, *args):
+        if l == k:
+            yield from runs(d, l, *args)
+            finished.append(l)
 
-        def last_slice_only(l, *args):
-            if l == k:
-                yield from walk(l, *args)
-                finished.append(l)
-
-        return last_slice_only
-
-    monkeypatch.setattr(cli.multi_index, "_text_walk", last_slice_only_walk)
+    monkeypatch.setattr(cli.multi_index, "_runs", last_slice_only)
     monkeypatch.setattr(sys, "stdout", _WriteCounter(lambda lines: writes.append((lines, list(finished)))))
     main.main(["enumerate", "--d", str(d), "--k", str(k), "--format", fmt], standalone_mode=False)
     header = 1 if fmt == "csv" else 0
@@ -279,19 +269,14 @@ def test_enumerate_cuts_a_slice_longer_than_a_chunk(monkeypatch, fmt):
 def test_enumerate_lexicographic_set_is_written_in_chunks(monkeypatch, order_name, fmt):
     # The set of d = 3, k = 30 has 5456 entries, more than a chunk, and a
     # lexicographic order walks it as the one slice k = 30 of dimension 4.
-    text_walk = cli.multi_index._text_walk
+    runs = cli.multi_index._runs
     finished, writes = [], []
 
-    def watched_walk(d, *args):
-        walk = text_walk(d, *args)
+    def watched(d, l, *args):
+        yield from runs(d, l, *args)
+        finished.append((d, l))
 
-        def watched(l, *args):
-            yield from walk(l, *args)
-            finished.append((d, l))
-
-        return watched
-
-    monkeypatch.setattr(cli.multi_index, "_text_walk", watched_walk)
+    monkeypatch.setattr(cli.multi_index, "_runs", watched)
     monkeypatch.setattr(sys, "stdout", _WriteCounter(lambda lines: writes.append((lines, list(finished)))))
     main.main(["enumerate", "--d", "3", "--k", "30", "--order", order_name, "--format", fmt], standalone_mode=False)
     header = 1 if fmt == "csv" else 0
@@ -324,17 +309,22 @@ def test_first_chunk_of_a_large_k_holds_nothing_of_size_k(fmt, d, graded):
 def test_first_line_of_a_deep_slack_walk_holds_one_prefix(scheme):
     # At k = 1 the sum left stays above 0 for about d levels of the walk's
     # stack; each level keeps the length of its prefix, not a prefix of its
-    # own, so memory to the first line grows as d, not d squared.
+    # own, so memory to the first line grows as d, not d squared.  The walk
+    # of d + 1 components with m = 2 fixes d - 1 of them and leaves the
+    # slack and one shown component, which follows the slack under a back
+    # scheme and precedes it otherwise.
     d = 4000
+    back = SCHEMES[scheme][1]
+    pieces = [",0", ",1"] if back else ["0,", "1,"]
     tracemalloc.start()
     try:
-        runs = cli.multi_index._text_walk(d + 1, 1, scheme, ",", cli.TABLE_CHARS, cli.CHUNK_LINES, "")
-        head, text, columns = next(runs(1))
-        line = head + text.split("\n", 1)[0]
+        head, r, tail = next(cli.multi_index._runs(d + 1, 1, scheme, pieces, "", "", 2))
+        first = next(iter_slice(2, r, scheme))
+        line = head + str(first[back]) + tail
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert columns == ()
+    assert r == 1
     assert len(line) == 2 * d - 1
     assert peak < 2 * 2**20
 
@@ -428,17 +418,33 @@ def test_block_walk_matches_the_sorted_set(order_name):
             assert [chunk.count("\n") for chunk in chunks[:-1]] == [cli.CHUNK_LINES] * (len(chunks) - 1)
 
 
+@pytest.mark.parametrize("order_name", list(NAMED_ORDERS))
+@pytest.mark.parametrize("d, k", [(2, 120), (3, 30), (4, 16), (5, 12)])
+def test_walk_with_no_table_matches_the_sorted_set(monkeypatch, d, k, order_name):
+    # with no table every run's lines are "%d" fields filled from ranges;
+    # each of these sets spans more than one chunk
+    monkeypatch.setattr(cli, "TABLE_CHARS", 0)
+    entries = sorted_total(cli.multi_index.iter_multi_index_set(d, k, "lex"), named_builder(order_name)(LT))
+    for fmt in ("plain", "csv", "jsonl"):
+        chunks = list(cli._slice_lines(d, k, *NAMED_ORDERS[order_name], fmt))
+        assert len(chunks) > 1
+        assert "".join(chunks) == "".join(line + "\n" for line in cli._lines(entries, fmt)), fmt
+        assert [chunk.count("\n") for chunk in chunks[:-1]] == [cli.CHUNK_LINES] * (len(chunks) - 1)
+
+
 def _walk_m(d, k, slack=None):
-    """The m of the runs of the text walk of dimension d and sums up to k."""
+    """The m of the runs of the plain walk of dimension d and sums up to k:
+    grlex's, or with slack the slack walk of lex, of the set in d - 1."""
     runs, taken = cli.multi_index._runs, []
 
     def recorded(d, l, scheme, pieces, head, tail, m):
         taken.append(m)
         return runs(d, l, scheme, pieces, head, tail, m)
 
+    graded = slack is None
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli.multi_index, "_runs", recorded)
-        cli.multi_index._text_walk(d, k, "lex", ",", cli.TABLE_CHARS, cli.CHUNK_LINES, slack)(0)
+        next(cli._slice_lines(d if graded else d - 1, k, "lex", graded, "plain"))
     return taken[-1]
 
 
@@ -472,11 +478,7 @@ def test_block_table_holds_at_most_its_characters_and_is_built_once(d, k, order_
     # end mark, and the sum of the slack walk when the format writes it
     extra = SCHEMES[walked_scheme][1] + (len(f"{before_sum}{k}{before_rank}") if slack_walk and fmt != "plain" else 0)
     walks, tables, used = [], [], []
-    text_walk, table, runs = cli.multi_index._text_walk, cli.multi_index._table, cli.multi_index._runs
-
-    def recorded(d, k, scheme, sep, limit, chunk, slack):
-        walks.append((d, limit, chunk))
-        return text_walk(d, k, scheme, sep, limit, chunk, slack)
+    table, runs = cli.multi_index._table, cli.multi_index._runs
 
     def built(*args):
         rows = table(*args)
@@ -484,21 +486,20 @@ def test_block_table_holds_at_most_its_characters_and_is_built_once(d, k, order_
         return rows
 
     def watched(d, l, scheme, pieces, head, tail, m):
+        walks.append(d)
         used.append(m)
         return runs(d, l, scheme, pieces, head, tail, m)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli.multi_index, "_text_walk", recorded)
         patch.setattr(cli.multi_index, "_table", built)
         patch.setattr(cli.multi_index, "_runs", watched)
         chunk = next(cli._slice_lines(d, k, scheme, graded, fmt))
     with pytest.MonkeyPatch.context() as patch:  # the same lines with no table
-        patch.setattr(
-            cli.multi_index, "_text_walk", lambda d, k, scheme, sep, limit, chunk, slack: text_walk(d, k, scheme, sep, 0, chunk, slack)
-        )
+        patch.setattr(cli, "TABLE_CHARS", 0)
         assert chunk == next(cli._slice_lines(d, k, scheme, graded, fmt))
-    # one walk per call, and at most one table, built with no second walk
-    assert walks == [(dimension, cli.TABLE_CHARS, cli.CHUNK_LINES)]
+    # every run of the call walks one dimension, and at most one table is
+    # built, with no second walk
+    assert set(walks) == {dimension}
     m = used[0]
     assert set(used) == {m}
     fits = [j for j in range(2, d + 1) if k and _table_chars(j, k, sep, extra) <= cli.TABLE_CHARS]
@@ -708,6 +709,17 @@ def test_compare_weighted_order(runner, tmp_path):
     path2.write_text("2 1\n1\n1\n")
     result = runner.invoke(main, ["compare", "--order", f"weighted:{path2}", "1,0", "0,1"])
     assert result.stdout.strip() == "INCOMPARABLE"
+
+
+@pytest.mark.parametrize("fixture", ["2 2\n1_0 0\n0 1\n", "2 2\n+1 0\n0 1\n", "+2 2\n1 0\n0 1\n"])
+def test_compare_reads_fixture_numbers_as_digit_runs(runner, tmp_path, fixture):
+    # int() alone loads these as the grlex-like matrix ((10, 0), (0, 1)) or
+    # the identity, and compare would answer
+    path = tmp_path / "w.txt"
+    path.write_text(fixture)
+    result = runner.invoke(main, ["compare", "--order", f"weighted:{path}", "1,0", "0,1"])
+    _one_error_line(result, "not an integer")
+    assert result.stdout == ""
 
 
 def test_compare_wrong_dimension_order_is_a_usage_error(runner, tmp_path):

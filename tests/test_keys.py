@@ -47,7 +47,7 @@ from gradedorders import (
     weighted_relation,
 )
 from gradedorders.families import sorted_total
-from gradedorders.weighted import MATRIX_ORDER_NAMES
+from gradedorders.graded import NAMED_ORDERS
 
 NAMED = {
     "lex": lex,
@@ -63,7 +63,7 @@ NAMED = {
 
 def keyed_orders(d):
     orders = {name: build(LT) for name, build in NAMED.items()}
-    for name in MATRIX_ORDER_NAMES:
+    for name in NAMED_ORDERS:
         orders[f"matrix_for({name})"] = weighted_relation(matrix_for(name, d), LT)
     # one weight column with a zero entry: ties are incomparable, not total
     orders["inline non-total"] = weighted_relation(

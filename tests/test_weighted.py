@@ -20,9 +20,9 @@ from gradedorders import (
     weighted_lt,
     weighted_relation,
 )
-from gradedorders.weighted import MATRIX_ORDER_NAMES
+from gradedorders.graded import NAMED_ORDERS
 
-ORDER_NAMES = ("lex", "grlex", "grevlex", "grsymlex", "grcolex")
+ORDER_NAMES = tuple(NAMED_ORDERS)
 
 
 def agree_on_box(w, order, d, bound=3):
@@ -58,10 +58,13 @@ def test_dimension_mismatch_raises():
 @pytest.mark.parametrize("name", ORDER_NAMES)
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_matrix_for_agrees_with_combinators(name, d):
-    from gradedorders import grcolex, grevlex, grsymlex
+    from gradedorders import colex, grcolex, grevlex, grsymlex, revlex, symlex
 
     reference = {
         "lex": lex(LT),
+        "colex": colex(LT),
+        "symlex": symlex(LT),
+        "revlex": revlex(LT),
         "grlex": grlex(LT),
         "grcolex": grcolex(LT),
         "grsymlex": grsymlex(LT),
@@ -79,7 +82,7 @@ def test_matrix_for_unknown_name():
         matrix_for("grlex", 0)
 
 
-@pytest.mark.parametrize("name", ["colex", "symlex", "revlex"])
+@pytest.mark.parametrize("name", ["COLEX", "revlex:", "grsymlex_rec"])
 def test_matrix_for_rejects_orders_without_a_matrix(name):
     with pytest.raises(ValueError, match="unknown order name"):
         matrix_for(name, 2)
@@ -88,7 +91,6 @@ def test_matrix_for_rejects_orders_without_a_matrix(name):
 def test_matrix_for_returns_the_reference_columns():
     # test_matrix_for_agrees_with_combinators compares the orders only up
     # to d = 3; above that the columns must match their definition
-    assert MATRIX_ORDER_NAMES == ORDER_NAMES
     for name in ORDER_NAMES:
         for d in range(1, 9):
             columns = reference_columns(name, d)
@@ -174,3 +176,13 @@ def test_fixture_format_errors():
         parse_matrix("1 2\n1 2 3\n")
     with pytest.raises(ValueError, match="bad matrix header"):
         parse_matrix("2\n1\n1\n")
+
+
+@pytest.mark.parametrize("token", ["1_0", "+1", "0x1", "1.0"])
+@pytest.mark.parametrize("where", ["entry", "header"])
+def test_fixture_numbers_are_read_as_compare_reads_them(token, where):
+    # an optional minus and a run of digits: int() alone would read "1_0"
+    # as 10 and "+1" as 1
+    text = f"2 2\n{token} 0\n0 1\n" if where == "entry" else f"{token} 2\n1 0\n"
+    with pytest.raises(ValueError, match="not an integer"):
+        parse_matrix(text)
