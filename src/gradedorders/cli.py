@@ -128,24 +128,30 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
         raise click.UsageError(f"--d must be >= 1, got {d}")
     if k < 0:
         raise click.UsageError(f"--k must be >= 0, got {k}")
+    order = None if order_name in NAMED_ORDERS else resolve_order(order_name, d)
+    if order is not None and not allow_sort_fallback:
+        click.echo(
+            f"order {order_name!r} has no slice scheme; pass --allow-sort-fallback",
+            err=True,
+        )
+        sys.exit(3)
+    # a set of more than sys.maxsize entries, C(d + k, d), is refused before
+    # any is made, named by the larger of d and k; the count stops past it
+    small, large = sorted((d, k))
+    count = 1
+    for i in range(1, small + 1):
+        count = count * (large + i) // i
+        if count > sys.maxsize:
+            raise click.UsageError(f"--d {d} is too large" if d > k else f"--k {k} is too large")
     # the named orders stream from the slice walk of their scheme
-    if order_name in NAMED_ORDERS:
+    if order is None:
         chunks = _slice_lines(d, k, *NAMED_ORDERS[order_name], fmt)
     else:
-        order = resolve_order(order_name, d)
-        if not allow_sort_fallback:
-            click.echo(
-                f"order {order_name!r} has no slice scheme; pass --allow-sort-fallback",
-                err=True,
-            )
-            sys.exit(3)
         click.echo(f"note: generate-then-sort fallback for order {order_name!r}", err=True)
         try:
             entries = sorted_total(multi_index.iter_multi_index_set(d, k, "lex"), order)
         except IncomparableError as exc:
             raise _not_total(order_name, exc)
-        except TOO_LARGE:  # resolve_order held d to the matrix's, so only k can be too large
-            raise click.UsageError(f"--k {k} is too large")
         lines = _lines(entries, fmt)
         chunks = ("\n".join(chunk) + "\n" for chunk in iter(lambda: list(islice(lines, CHUNK_LINES)), []))
 
@@ -172,27 +178,26 @@ def _slice_lines(d, k, scheme, graded, fmt):
     multi_index): the slack walk, where a line's sum is k minus its slack.
 
     multi_index._runs gives each run with the components it fixed as text,
-    joined once per level; the m components left, of sum r, are the row r
-    of one multi_index._table, built when the first chunk is asked for.  m
-    is the largest m <= d whose tables of 2..m components hold at most
-    TABLE_CHARS characters together, by the bound below.  A run is cut
-    where it fills a chunk, its row split into lines once.  A piece of a
-    run is written with one str.replace, which puts the frames and the
-    fixed components at every line, and one %-format, which fills the
-    ranks, a running count.  When k = 0 or no table fits, m = 2: a line has
-    a "%d" field per component left, which the %-format fills from ranges
-    as it does the sums and ranks, and the texts of the fixed components
-    0..l are made per slice, for a walk of 3 or more components.
+    each made by joined when the walk fixes it; the m components left, of
+    sum r, are the row r of one multi_index._table, built when the first
+    chunk is asked for.  m is the largest m <= d whose tables of 2..m
+    components hold at most TABLE_CHARS characters together, by the bound
+    below.  A run is cut where it fills a chunk, its row split into lines
+    once.  A piece of a run is written with one str.replace, which puts the
+    frames and the fixed components at every line, and one %-format, which
+    fills the ranks, a running count.  When k = 0 or no table fits, m = 2:
+    a line has a "%d" field per component left, which the %-format fills
+    from the two ranges of multi_index._pairs, cut at the chunks, as it
+    does the sums and ranks.
 
     Memory: the walk's stack, O(d); the table, at most TABLE_CHARS
-    characters; with no table, the texts of the numbers 0..l of the slice,
-    all k + 1 in the slack walk before its first run; and one chunk,
-    however large the set or its largest slice."""
+    characters; and one chunk, however large k, the set or its largest
+    slice."""
     sep, opening, before_sum, before_rank, closing = _FRAMES[fmt]
     ranked = fmt != "plain"
     if graded and d == 1:  # a graded order of N^1 is lex(<), which needs no slices
         scheme, graded = "lex", False
-    down, back = SCHEMES[scheme]
+    back = SCHEMES[scheme][1]
     end = multi_index._END
     # the dimension walked, the sums of its slices, and what the slack walk
     # writes after the components of a line
@@ -212,10 +217,10 @@ def _slice_lines(d, k, scheme, graded, fmt):
         m += 1
     if m > 1:
         rows = multi_index._table(m, k, scheme, sep, slack)
-        fixed = list(map(joined, range(k + 1)))
     else:
-        m, rows, fixed = 2, (), ()
+        m, rows = 2, ()
         line = ("%d" if slack is not None else "%d" + sep + "%d") + (end if back else "") + (slack or "")
+        pairs = multi_index._pairs(scheme, range(k + 1))
     rank, chunk = 0, []
     for l in slices:
         # the text that closes each line of the slice
@@ -225,14 +230,7 @@ def _slice_lines(d, k, scheme, graded, fmt):
             close = f"{before_sum}{l}{before_rank}%d{closing}\n"
         else:
             close = f"%d{closing}\n"
-        pieces = fixed
-        if not pieces and dimension > 2:
-            try:  # sized at once, so that a sum no list can hold raises here, before memory fills
-                pieces = [""] * (l + 1)
-                pieces[:] = map(joined, range(l + 1))
-            except TOO_LARGE:
-                raise click.UsageError(f"--k {k} is too large")
-        for head, r, tail in multi_index._runs(dimension, l, scheme, pieces, opening, "", m):
+        for head, r, tail in multi_index._runs(dimension, l, scheme, joined, opening, "", m):
             text, n = rows[r] if rows else (line, r + 1)
             room = CHUNK_LINES - rank % CHUNK_LINES
             if n < room:
@@ -242,9 +240,8 @@ def _slice_lines(d, k, scheme, graded, fmt):
                 lines = text.split("\n")
             for i, j in spans:
                 if not rows:
-                    # the firsts and seconds of multi_index._pairs(scheme, range(r + 1))(r)[i:j]
-                    up, downward = range(i, j), range(r - i, r - j, -1)
-                    firsts, seconds = (up, downward) if down == back else (downward, up)
+                    firsts, seconds = pairs(r)
+                    firsts, seconds = firsts[i:j], seconds[i:j]
                     if slack is None:
                         columns = firsts, seconds
                     else:

@@ -78,12 +78,13 @@ def _check_args(d: int, scheme: str) -> None:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {tuple(SCHEMES)}")
 
 
-def _runs(d, l, scheme, pieces, head, tail, m):
+def _runs(d, l, scheme, piece, head, tail, m):
     """The slice (d >= m >= 2, l >= 0) as runs (head, r, tail).  The walk
     fixes d - m components and joins each fixed component c onto head (front
-    schemes) or tail (back schemes) as pieces[c]; r is the sum left to the
-    m components that follow: the entries of a run are head, each entry of
-    the slice of dimension m and sum r in the scheme's order, and tail."""
+    schemes) or tail (back schemes) as piece(c), made when the walk fixes
+    it; r is the sum left to the m components that follow: the entries of a
+    run are head, each entry of the slice of dimension m and sum r in the
+    scheme's order, and tail."""
     down, back = SCHEMES[scheme]
     depth = d - m
     if depth == 0:
@@ -100,13 +101,13 @@ def _runs(d, l, scheme, pieces, head, tail, m):
         fixed = more[len(more) - n :] if back else more[:n]
         deeper = len(stack) < depth
         for c in it:
-            more = pieces[c] + fixed if back else fixed + pieces[c]
+            more = piece(c) + fixed if back else fixed + piece(c)
             if deeper:
                 if c < r:
                     stack.append((len(more), r - c, iter(values(r - c))))
                     break
                 # no sum left: the components still to fix are all 0
-                zeros = pieces[0] * (depth - len(stack))
+                zeros = piece(0) * (depth - len(stack))
                 more = zeros + more if back else more + zeros
             if back:
                 yield head, r - c, more
@@ -131,10 +132,8 @@ def _slice(d: int, l: int, scheme: str) -> Iterator[Family]:
     if d == 1:
         yield (l,)
         return
-    cells = range(l + 1)
-    pairs = _pairs(scheme, cells)
-    pieces = [(c,) for c in cells] if d > 2 else ()  # d = 2 fixes none, so nothing grows with l
-    for head, r, tail in _runs(d, l, scheme, pieces, (), (), 2):
+    pairs = _pairs(scheme, range(l + 1))
+    for head, r, tail in _runs(d, l, scheme, lambda c: (c,), (), (), 2):
         for pair in zip(*pairs(r)):
             yield head + pair + tail
 

@@ -210,8 +210,8 @@ def test_enumerate_streams_before_the_set_is_exhausted(monkeypatch, fmt):
     runs = cli.multi_index._runs
     pulled, written_before_last = [0], []
 
-    def watched(d, l, scheme, pieces, head, tail, m):
-        for run in runs(d, l, scheme, pieces, head, tail, m):
+    def watched(d, l, scheme, piece, head, tail, m):
+        for run in runs(d, l, scheme, piece, head, tail, m):
             pulled[0] += comb(run[1] + m - 1, m - 1)
             if pulled[0] == 5456:
                 written_before_last.append(out.getvalue().count("\n"))
@@ -287,22 +287,34 @@ def test_enumerate_lexicographic_set_is_written_in_chunks(monkeypatch, order_nam
     assert finished == [(4, 30)]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-@pytest.mark.parametrize("d, graded", [(1, False), (1, True), (3, True), (5, True)])
-def test_first_chunk_of_a_large_k_holds_nothing_of_size_k(fmt, d, graded):
-    # At d = 1 the walk's runs are ranges of ints, so the ranked lines write
-    # their sum from the slack; a graded walk at d >= 3 makes the numbers of
-    # each slice as it reaches it, and the first chunk reaches only the first
-    # few: nothing of size k is made before the first line.
-    k = 10**6
+def _first_chunk_peak(d, k, scheme, graded, fmt):
+    """The tracemalloc peak while the first chunk of lines is made."""
     tracemalloc.start()
     try:
-        chunk = next(cli._slice_lines(d, k, "lex", graded, fmt))
+        chunk = next(cli._slice_lines(d, k, scheme, graded, fmt))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert chunk.count("\n") == cli.CHUNK_LINES
-    assert peak < 4 * 2**20
+    assert chunk.count("\n") == min(cli.CHUNK_LINES, comb(d + k, d))
+    return peak
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize(
+    "d, graded, scheme",
+    [(1, False, "lex"), (1, True, "lex"), (3, True, "lex"), (5, True, "lex")]
+    + [(d, False, scheme) for scheme in ("lex", "colex") for d in (2, 3)],
+    ids=["1-False", "1-True", "3-True", "5-True", "2-lex", "3-lex", "2-colex", "3-colex"],
+)
+def test_first_chunk_of_a_large_k_holds_nothing_of_size_k(fmt, d, graded, scheme):
+    # With no table a run's last two components are ranges of ints and the
+    # ranked lines write their sum from the slack; a fixed component's text
+    # is made when the walk fixes it, so neither a graded walk nor the slack
+    # walk of the one slice of sum k makes anything of size k before the
+    # first line.  The slack walk at d >= 2 fixes components of 0..k, and
+    # these csv and jsonl cases also check that no sum is made for all k + 1
+    # slacks.
+    assert _first_chunk_peak(d, 10**6, scheme, graded, fmt) < 4 * 2**20
 
 
 @pytest.mark.parametrize("scheme", ["lex", "colex"])
@@ -318,7 +330,7 @@ def test_first_line_of_a_deep_slack_walk_holds_one_prefix(scheme):
     pieces = [",0", ",1"] if back else ["0,", "1,"]
     tracemalloc.start()
     try:
-        head, r, tail = next(cli.multi_index._runs(d + 1, 1, scheme, pieces, "", "", 2))
+        head, r, tail = next(cli.multi_index._runs(d + 1, 1, scheme, pieces.__getitem__, "", "", 2))
         first = next(iter_slice(2, r, scheme))
         line = head + str(first[back]) + tail
         peak = tracemalloc.get_traced_memory()[1]
@@ -327,28 +339,6 @@ def test_first_line_of_a_deep_slack_walk_holds_one_prefix(scheme):
     assert r == 1
     assert len(line) == 2 * d - 1
     assert peak < 2 * 2**20
-
-
-def _first_chunk_peak(d, k, scheme, graded, fmt):
-    """The tracemalloc peak while the first chunk of lines is made."""
-    tracemalloc.start()
-    try:
-        chunk = next(cli._slice_lines(d, k, scheme, graded, fmt))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert chunk.count("\n") == min(cli.CHUNK_LINES, comb(d + k, d))
-    return peak
-
-
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-@pytest.mark.parametrize("scheme", ["lex", "colex"])
-def test_first_chunk_of_a_ranked_slack_walk_costs_about_plain(scheme, fmt):
-    # At d = 2 the slack walk holds the numbers 0..k as text whatever the
-    # format; the sums that csv and jsonl write are made as lines use them,
-    # not for all k + 1 slacks before the first line.
-    k = 50_000
-    assert _first_chunk_peak(2, k, scheme, False, fmt) <= 1.5 * _first_chunk_peak(2, k, scheme, False, "plain")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -437,9 +427,9 @@ def _walk_m(d, k, slack=None):
     grlex's, or with slack the slack walk of lex, of the set in d - 1."""
     runs, taken = cli.multi_index._runs, []
 
-    def recorded(d, l, scheme, pieces, head, tail, m):
+    def recorded(d, l, scheme, piece, head, tail, m):
         taken.append(m)
-        return runs(d, l, scheme, pieces, head, tail, m)
+        return runs(d, l, scheme, piece, head, tail, m)
 
     graded = slack is None
     with pytest.MonkeyPatch.context() as patch:
@@ -485,10 +475,10 @@ def test_block_table_holds_at_most_its_characters_and_is_built_once(d, k, order_
         tables.append((args, rows))
         return rows
 
-    def watched(d, l, scheme, pieces, head, tail, m):
+    def watched(d, l, scheme, piece, head, tail, m):
         walks.append(d)
         used.append(m)
-        return runs(d, l, scheme, pieces, head, tail, m)
+        return runs(d, l, scheme, piece, head, tail, m)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli.multi_index, "_table", built)
@@ -954,19 +944,30 @@ def test_check_unknown_names(runner):
 # the exit-code contract
 
 
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+
+
 # 10**19 is past a C ssize_t and 2**62 is past the length of any tuple; both
-# are refused before anything is allocated
+# are refused before anything is allocated, and a set of more than
+# sys.maxsize entries, under any order, before any entry is made, named by
+# the larger of --d and --k
 @pytest.mark.parametrize("size", ["10000000000000000000", str(2**62)])
 @pytest.mark.parametrize(
     "argv, stdin, error",
     [
         (["enumerate", "--d", "{}", "--k", "0"], None, "--d {}"),
         (["enumerate", "--d", "{}", "--k", "0", "--format", "csv"], None, "--d {}"),
+        (["enumerate", "--d", "{}", "--k", "1"], None, "--d {}"),
         (["enumerate", "--d", "2", "--k", "{}", "--order", "lex"], None, "--k {}"),
+        (
+            ["enumerate", "--d", "2", "--k", "{}", "--order", f"weighted:{FIXTURES}/w2.txt", "--allow-sort-fallback"],
+            None,
+            "--k {}",
+        ),
         (["sort-terms", "--d", "{}"], "X0", "--d {}"),
         (["check", "--property", "reflexive", "--relation", "lt", "--carrier", "0..{}"], None, "carrier '0..{}'"),
     ],
-    ids=["enumerate", "enumerate-csv", "enumerate-k", "sort-terms", "check"],
+    ids=["enumerate", "enumerate-csv", "enumerate-d", "enumerate-k", "enumerate-fallback", "sort-terms", "check"],
 )
 def test_sizes_no_tuple_can_hold_are_usage_errors(runner, argv, stdin, error, size):
     result = runner.invoke(main, [arg.format(size) for arg in argv], input=stdin)
@@ -974,9 +975,7 @@ def test_sizes_no_tuple_can_hold_are_usage_errors(runner, argv, stdin, error, si
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
     assert errors == [f"Error: {error.format(size)} is too large"]
     assert "Traceback" not in result.output
-
-
-FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+    assert "Exception ignored" not in result.output
 
 
 def _mostly(valid, *junk):

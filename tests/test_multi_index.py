@@ -61,6 +61,8 @@ def test_multi_index_set_lex_23_matches_grlex_chain():
         (0, 0), (0, 1), (1, 0), (0, 2), (1, 1),
         (2, 0), (0, 3), (1, 2), (2, 1), (3, 0),
     )
+    # a MultiIndexList iterates over its entries
+    assert list(multi_index_set(2, 1, "lex")) == [(0, 0), (0, 1), (1, 0)]
 
 
 def test_counts():

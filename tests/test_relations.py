@@ -47,6 +47,8 @@ def agree_on(r1, r2, carrier):
 def test_converse_unfolds():
     assert converse(LT).apply(5, 3)
     assert not converse(LT).apply(3, 5)
+    # a relation called is its apply
+    assert LT(1, 2) and not LT(2, 1)
 
 
 def test_converse_involutive():
