@@ -11,9 +11,8 @@ the text of a command as it is made, written to the sys.stdout of the
 moment and flushed each time so that a pipe streams: enumerate's a chunk
 of lines at a time, the other commands' one line.  The text is ASCII with no
 escape sequences, which click.echo would only scan for and pass through.
-Enumerate's lines under a named order are laid out and cut into chunks in
-one function, _slice_lines, from multi_index's walk and tables.  Numbers
-are read as weight-matrix fixtures read them, by weighted._integer.
+Every number, of an option, an index or a carrier bound, is read as
+weight-matrix fixtures read them, by weighted._integer.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from __future__ import annotations
 import sys
 from itertools import chain, islice, pairwise
 from math import comb
+from operator import add
 
 import click
 
@@ -75,7 +75,6 @@ def resolve_order(name: str, d: int) -> Relation:
 
 
 def _write(text: str) -> None:
-    """Write text to the sys.stdout of the moment and flush it."""
     out = sys.stdout
     out.write(text)
     out.flush()
@@ -84,6 +83,18 @@ def _write(text: str) -> None:
 def _not_total(order_name: str, exc: IncomparableError) -> click.UsageError:
     x, y = (",".join(map(str, e)) for e in exc.pair)
     return click.UsageError(f"order {order_name!r} is not total: it ties {x} and {y}")
+
+
+class _Integer(click.ParamType):
+    """click's integer type, read by weighted._integer."""
+
+    name = "integer"
+
+    def convert(self, value, param, ctx):
+        try:
+            return _integer(value)
+        except ValueError:
+            self.fail(f"{value!r} is not a valid integer.", param, ctx)
 
 
 def _parse_index(text: str):
@@ -113,8 +124,8 @@ _FRAMES = {
 
 
 @main.command("enumerate")
-@click.option("--d", "d", type=int, required=True, help="Dimension (>= 1).")
-@click.option("--k", "k", type=int, required=True, help="Maximum component sum (>= 0).")
+@click.option("--d", "d", type=_Integer(), required=True, help="Dimension (>= 1).")
+@click.option("--k", "k", type=_Integer(), required=True, help="Maximum component sum (>= 0).")
 @click.option("--order", "order_name", default="grsymlex", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(tuple(_FRAMES)), default="plain", show_default=True)
 @click.option(
@@ -136,14 +147,11 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
         )
         sys.exit(3)
     # a set of more than sys.maxsize entries, C(d + k, d), is refused before
-    # any is made, named by the larger of d and k; the count stops past it
-    small, large = sorted((d, k))
-    count = 1
-    for i in range(1, small + 1):
-        count = count * (large + i) // i
-        if count > sys.maxsize:
-            raise click.UsageError(f"--d {d} is too large" if d > k else f"--k {k} is too large")
-    # the named orders stream from the slice walk of their scheme
+    # any is made, named by the larger of d and k; C(68, 34) is already past
+    # it, so no binomial of more than 64 factors is taken
+    small = min(d, k)
+    if small > 64 or comb(d + k, small) > sys.maxsize:
+        raise click.UsageError(f"--d {d} is too large" if d > k else f"--k {k} is too large")
     if order is None:
         chunks = _slice_lines(d, k, *NAMED_ORDERS[order_name], fmt)
     else:
@@ -169,6 +177,54 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
         _write(chunk)
 
 
+# where a line of a back scheme's text ends its components, which the
+# components fixed for a run follow
+_END = "\0"
+
+
+def _table(m, k, scheme, sep, slack=None):
+    """The slices of dimension m >= 2 and sum r = 0..k as text rows (text,
+    n): the n entries of the slice in the scheme's order, each with sep
+    between its components, joined by newlines.  For a back scheme each
+    line has _END after its components.  With slack, a format with one "%d"
+    or an empty text, the rows are those of the slack walk: the slack, the
+    component the walk reaches last, is left out, and each line ends with
+    slack % (k - s) for its slack s.  The rows of m = 2 are two slices of
+    texts of 0..k, joined per row; each further dimension extends the rows
+    below it by one component, fixed where the walk fixes it: the j-part
+    compositions of r are each c, in the walk's order, then those of r - c
+    in j - 1 parts (Knuth, TAOCP 4A, 7.2.1.3).  An extension is one
+    str.replace per row below it, which writes the new component at every
+    line."""
+    down, back = SCHEMES[scheme]
+    end = _END if back else ""
+    numbers = list(map(str, range(k + 1)))
+    pieces = [sep + c for c in numbers] if back else [c + sep for c in numbers]
+    # a line of m = 2 is firsts[a] + lasts[b] for a pair (a, b) of the row,
+    # taken as (b, a) where the slack comes first
+    if slack is None:
+        firsts, lasts = (numbers, [c + end for c in pieces]) if back else (pieces, numbers)
+    else:
+        firsts, lasts = numbers, [end + (slack and slack % (k - s)) for s in range(k + 1)]
+    swap = slack is not None and back
+    firsts, lasts = multi_index._pairs(scheme, firsts), multi_index._pairs(scheme, lasts)
+    if slack == "":  # the lines end alike
+        rows = [((end + "\n").join(firsts(r)[swap]) + end, r + 1) for r in range(k + 1)]
+    else:
+        rows = [("\n".join(map(add, firsts(r)[swap], lasts(r)[not swap])), r + 1) for r in range(k + 1)]
+    for _ in range(m - 2):
+        below, rows = rows, []
+        for r in range(k + 1):
+            texts, n = [], 0
+            for c in range(r, -1, -1) if down else range(r + 1):
+                text, count = below[r - c]
+                piece = pieces[c]
+                texts.append(text.replace(_END, piece + _END) if back else piece + text.replace("\n", "\n" + piece))
+                n += count
+            rows.append(("\n".join(texts), n))
+    return rows
+
+
 def _slice_lines(d, k, scheme, graded, fmt):
     """The lines of the set under a named order, as text: one string per
     chunk of CHUNK_LINES lines, the last one shorter, each line closed by a
@@ -177,18 +233,15 @@ def _slice_lines(d, k, scheme, graded, fmt):
     one slice k of dimension d + 1 and drops the slack from each line (see
     multi_index): the slack walk, where a line's sum is k minus its slack.
 
-    multi_index._runs gives each run with the components it fixed as text,
-    each made by joined when the walk fixes it; the m components left, of
-    sum r, are the row r of one multi_index._table, built when the first
-    chunk is asked for.  m is the largest m <= d whose tables of 2..m
-    components hold at most TABLE_CHARS characters together, by the bound
-    below.  A run is cut where it fills a chunk, its row split into lines
-    once.  A piece of a run is written with one str.replace, which puts the
-    frames and the fixed components at every line, and one %-format, which
-    fills the ranks, a running count.  When k = 0 or no table fits, m = 2:
-    a line has a "%d" field per component left, which the %-format fills
-    from the two ranges of multi_index._pairs, cut at the chunks, as it
-    does the sums and ranks.
+    A run of multi_index._runs has its fixed components as text, each made
+    by joined, and its last m components as row r of one _table, where m is
+    the largest m <= d whose tables of 2..m components hold at most
+    TABLE_CHARS characters together.  When k = 0 or no table fits, m = 2
+    and a line has a "%d" field per component left, filled from the two
+    ranges of multi_index._pairs.  A run is cut where it fills a chunk, its
+    row split into lines once, and each piece is written with one
+    str.replace, which puts the frames and the fixed components at every
+    line, and one %-format, which fills the fields and the ranks.
 
     Memory: the walk's stack, O(d); the table, at most TABLE_CHARS
     characters; and one chunk, however large k, the set or its largest
@@ -198,7 +251,7 @@ def _slice_lines(d, k, scheme, graded, fmt):
     if graded and d == 1:  # a graded order of N^1 is lex(<), which needs no slices
         scheme, graded = "lex", False
     back = SCHEMES[scheme][1]
-    end = multi_index._END
+    end = _END
     # the dimension walked, the sums of its slices, and what the slack walk
     # writes after the components of a line
     if graded:
@@ -216,14 +269,13 @@ def _slice_lines(d, k, scheme, graded, fmt):
             break
         m += 1
     if m > 1:
-        rows = multi_index._table(m, k, scheme, sep, slack)
+        rows = _table(m, k, scheme, sep, slack)
     else:
         m, rows = 2, ()
         line = ("%d" if slack is not None else "%d" + sep + "%d") + (end if back else "") + (slack or "")
         pairs = multi_index._pairs(scheme, range(k + 1))
     rank, chunk = 0, []
     for l in slices:
-        # the text that closes each line of the slice
         if not ranked:
             close = "\n"
         elif graded:
@@ -235,7 +287,7 @@ def _slice_lines(d, k, scheme, graded, fmt):
             room = CHUNK_LINES - rank % CHUNK_LINES
             if n < room:
                 spans = ((0, n),)
-            else:  # cut where the run fills a chunk
+            else:
                 spans = pairwise(chain((0,), range(room, n, CHUNK_LINES), (n,)))
                 lines = text.split("\n")
             for i, j in spans:
@@ -309,7 +361,7 @@ def cmd_compare(order_name, a, b):
 
 
 @main.command("sort-terms")
-@click.option("--d", "d", type=int, required=True, help="Number of variables.")
+@click.option("--d", "d", type=_Integer(), required=True, help="Number of variables.")
 @click.option("--order", "order_name", default="grlex", show_default=True)
 @click.argument("source", type=click.File("r", encoding="utf-8"), default="-")
 def cmd_sort_terms(d, order_name, source):

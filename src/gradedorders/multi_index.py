@@ -29,20 +29,8 @@ symlex(<) or revlex(<) (Cox, Little and O'Shea, Ideals, Varieties, and
 Algorithms, ch. 2 §2).
 
 The walk keeps an explicit stack, one level per fixed component, so d is
-not bounded by Python's recursion limit.  It fixes d - m components and
-yields runs: the components it fixed, joined once per level, and the sum r
-left to the m components that follow.  It holds its stack of d - m levels,
-each with the length of its prefix of the components fixed so far, and one
-prefix, the deepest made, from which a level cuts its own when it resumes:
-O(d) in all.  The tuple API below takes m = 2, the last two components as
-two ranges.  _table writes the m components left as text instead, the row
-of sum r one string whose lines are the slice of dimension m and sum r, so
-that a caller (the CLI's enumerate) renders a run of any length with a few
-calls of str methods.  It builds the table with no walk, from the
-two-component rows up, by the recurrence of compositions: the entries of
-dimension j and sum r are each value c of the component fixed first, then
-the entries of dimension j - 1 and sum r - c, and one str.replace writes c
-at every line of a row.
+not bounded by Python's recursion limit, and holds O(d) in all.  The tuple
+API below takes the last two components of a run as two ranges.
 
 Generators are the primary interface; callers may consume a prefix without
 materializing the whole set, which grows as binomial(d + k, d).
@@ -51,7 +39,6 @@ materializing the whole set, which grows as binomial(d + k, d).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 from typing import Iterator, Tuple
 
 from .families import SCHEMES, Family
@@ -90,7 +77,6 @@ def _runs(d, l, scheme, piece, head, tail, m):
     if depth == 0:
         yield head, l, tail
         return
-    # the component fixed next runs over values(r)
     values = (lambda r: range(r, -1, -1)) if down else (lambda r: range(r + 1))
     # a level keeps the length n of its prefix, which the deepest prefix
     # made, more, starts with (ends with, for a back scheme)
@@ -122,7 +108,6 @@ def _pairs(scheme, numbers):
     number i: the entries with sum r are (a, b) for a, b in zip(*pairs(r)),
     two slices of numbers."""
     down, back = SCHEMES[scheme]
-    # the first of the two is ascending exactly when down == back
     if down == back:
         return lambda r: (numbers[: r + 1], numbers[r::-1])
     return lambda r: (numbers[r::-1], numbers[: r + 1])
@@ -136,54 +121,6 @@ def _slice(d: int, l: int, scheme: str) -> Iterator[Family]:
     for head, r, tail in _runs(d, l, scheme, lambda c: (c,), (), (), 2):
         for pair in zip(*pairs(r)):
             yield head + pair + tail
-
-
-# where a line of a back scheme's text ends its components, which the
-# components fixed for a run follow
-_END = "\0"
-
-
-def _table(m, k, scheme, sep, slack=None):
-    """The slices of dimension m >= 2 and sum r = 0..k as text rows (text,
-    n): the n entries of the slice in the scheme's order, each with sep
-    between its components, joined by newlines.  For a back scheme each
-    line has _END after its components.  With slack, a format with one "%d"
-    or an empty text, the rows are those of the slack walk: the slack, the
-    component the walk reaches last, is left out, and each line ends with
-    slack % (k - s) for its slack s.  The rows of m = 2 are two slices of
-    texts of 0..k, joined per row; each further dimension extends the rows
-    below it by one component, fixed where the walk fixes it: the j-part
-    compositions of r are each c, in the walk's order, then those of r - c
-    in j - 1 parts (Knuth, TAOCP 4A, 7.2.1.3).  An extension is one
-    str.replace per row below it, which writes the new component at every
-    line."""
-    down, back = SCHEMES[scheme]
-    end = _END if back else ""
-    numbers = list(map(str, range(k + 1)))
-    pieces = [sep + c for c in numbers] if back else [c + sep for c in numbers]
-    # a line of m = 2 is firsts[a] + lasts[b] for a pair (a, b) of the row,
-    # taken as (b, a) where the slack comes first
-    if slack is None:
-        firsts, lasts = (numbers, [c + end for c in pieces]) if back else (pieces, numbers)
-    else:
-        firsts, lasts = numbers, [end + (slack and slack % (k - s)) for s in range(k + 1)]
-    swap = slack is not None and back
-    firsts, lasts = _pairs(scheme, firsts), _pairs(scheme, lasts)
-    if slack == "":  # the lines end alike
-        rows = [((end + "\n").join(firsts(r)[swap]) + end, r + 1) for r in range(k + 1)]
-    else:
-        rows = [("\n".join(map(add, firsts(r)[swap], lasts(r)[not swap])), r + 1) for r in range(k + 1)]
-    for _ in range(m - 2):
-        below, rows = rows, []
-        for r in range(k + 1):
-            texts, n = [], 0
-            for c in range(r, -1, -1) if down else range(r + 1):
-                text, count = below[r - c]
-                piece = pieces[c]
-                texts.append(text.replace(_END, piece + _END) if back else piece + text.replace("\n", "\n" + piece))
-                n += count
-            rows.append(("\n".join(texts), n))
-    return rows
 
 
 def iter_slice(d: int, l: int, scheme: str = "symlex") -> Iterator[Family]:

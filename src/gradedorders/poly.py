@@ -286,21 +286,7 @@ def monomial_mul(p: SparsePoly, gamma: Sequence[int]) -> SparsePoly:
         raise ValueError(f"non-integer shift {gamma}: exponents are naturals")
     if any(g < 0 for g in gamma):
         raise ValueError(f"negative shift {gamma}: exponents are naturals")
-    terms, coefficients = p.terms, p.terms.values()
-    # with every family a tuple of the dimension and every coefficient a
-    # nonzero Fraction, the shifted map is what from_pairs builds, as long as
-    # no two families shift to one, which only numbers other than ints (such
-    # as floats past 2**53) can do; from_pairs takes every other case
-    if (
-        set(map(type, terms)) <= {tuple}
-        and set(map(len, terms)) <= {p.dimension}
-        and set(map(type, coefficients)) <= {Fraction}
-        and all(coefficients)
-    ):
-        shifted = {tuple(map(add, e, gamma)): c for e, c in terms.items()}
-        if len(shifted) == len(terms):
-            return SparsePoly(p.dimension, shifted)
-    return SparsePoly.from_pairs(p.dimension, ((tuple(map(add, e, gamma)), c) for e, c in terms.items()))
+    return SparsePoly.from_pairs(p.dimension, ((tuple(map(add, e, gamma)), c) for e, c in p.terms.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -10,38 +10,20 @@ an order on families is again a relation that the comparators, the deciders
 and the monomial-order checks take as it is.
 
 Every property, elementary or conjunctive, is decided one way: as a tuple of
-conjuncts, decided in order on one table of the relation; an elementary
-property is its own single conjunct.  The table asks the relation about each
-ordered pair of carrier elements at most once, n^2 calls on an n-element
-carrier.  It builds its rows on first use and holds the table twice: as one
-buffer of bytes, row after row, whose strided slices are its columns, and as
-an int mask per row, which the transitivity scans read: one mask operation
-per related pair and no further calls.  Before the scan, a score test on
-the built cells passes an ordered tournament, which with its complement is
-transitive; every other table is scanned.  A table found ordered answers
-each pair property from its constant diagonal alone, since a tournament
-relates two distinct elements one way only.  A pair property fails at (x, y)
-exactly when r(x, y) and r(y, x) are both one truth value, so for each x it
-reads one direction for the y after x, asks the other only where the first
-answer leaves the pair open, and finds the first failing y in those bytes;
-r(x, x) is asked once, and only by the properties that can fail there.  The
-next row reads first the direction this row would have asked less often, so
-a passing pair property costs about n(n + 1)/2 calls when one direction
-settles most pairs, as for every order and its converse; trichotomy, which
-asks both directions of every pair, costs n^2.
-Before any row is built, a lone diagonal or pair property asks the relation
-one x at a time and stops at the first witness; a conjunction starts with a
-conjunct that reads the rows, and its other conjuncts then read them too.
-The witness is the first counterexample of the definitional loop over x, y
-(and z) in carrier order.  Deciders read whole rows, so pairs after the
-first witness in a row may be evaluated: a relation must be a total
-predicate on the carrier, defined and without side effects on every pair.
+conjuncts, decided in order on one table of the relation (_Table), which
+asks the relation about each ordered pair of carrier elements at most once,
+n^2 calls on an n-element carrier; an elementary property is its own single
+conjunct.  The witness is the first counterexample of the definitional loop
+over x, y (and z) in carrier order.  Deciders read whole rows, so pairs
+after the first witness in a row may be evaluated: a relation must be a
+total predicate on the carrier, defined and without side effects on every
+pair.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import compress, islice, repeat
 from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
@@ -208,9 +190,8 @@ _NOT = bytes.maketrans(b"\0\1", b"\1\0")  # complement of a row
 
 
 def _cells(answers) -> bytes:
-    """One byte per answer, 1 where the answer is true.  The answers are
-    stored once, so none is asked twice: bool and int answers of 0 and 1 are
-    the bytes as they are, and any other answer is read by its truth value."""
+    """One byte per answer, 1 where the answer is true (see Relation); the
+    answers are stored once, so none is asked twice."""
     answers = list(answers)
     try:
         cells = bytes(answers)
@@ -233,12 +214,11 @@ def _first(mask: int) -> int:
 class _Table:
     """The relation asked once about every pair of carrier elements.
 
-    Once built, the table is one buffer of n^2 cells, row after row, with the
-    rows as views of it and a mask per row; all are kept.  ``line`` reads
-    the part of row x or column x after x, for all y or for chosen y, and
-    ``diagonal`` reads r(x, x): from the cells once they are built, and
-    until then by asking the relation one x at a time, so that a witness
-    for an early x ends the work early."""
+    The cells are built on first use and kept: one buffer of n^2 bytes, row
+    after row, whose strided slices are its columns, with the rows as views
+    of it and a mask per row, which the transitivity scans read.  Until
+    then ``line`` and ``diagonal`` ask the relation as they are read, so
+    that a lone diagonal or pair property stops at its first witness."""
 
     def __init__(self, r: Relation, c: Carrier):
         self.apply = r.apply
@@ -307,15 +287,15 @@ class _Table:
 # ---------------------------------------------------------------------------
 # elementary property deciders
 #
-# Each decider reads a _Table and returns the first counterexample tuple of
-# the definitional loop over x, y (and z) in carrier order, or None.  On the
+# Each decider reads a _Table and returns its witness tuple or None.  On the
 # empty carrier every universally quantified property holds vacuously.
 
 
 def _transitive(t: _Table, negated: bool = False) -> Optional[tuple]:
-    """First (x, y, z) with r(x, y), r(y, z) and not r(x, z).  Negated, the
-    same scan runs on the complemented table and finds the witness of
-    negative transitivity: not r(x, y), not r(y, z) and r(x, z).  An ordered
+    """First (x, y, z) with r(x, y), r(y, z) and not r(x, z), by one mask
+    operation per related pair and no further calls.  Negated, the same scan
+    runs on the complemented table and finds the witness of negative
+    transitivity: not r(x, y), not r(y, z) and r(x, z).  An ordered
     tournament passes both without the scan."""
     if t.ordered:
         return None
@@ -384,8 +364,6 @@ def _pair_witness(t: _Table, fails) -> Optional[tuple]:
     return None
 
 
-# each pair property fails where r(x, y) == r(y, x) == v, for an entry
-# (v, start) and y at least start places after x
 _PAIR_FAILS = {
     "antisymmetric": ((True, 1),),
     "asymmetric": ((True, 0),),
@@ -442,7 +420,6 @@ CONJUNCTIVE_PARTS = {
     "partial_order": ("transitive", "reflexive", "antisymmetric"),
 }
 
-# every property as its conjuncts; an elementary property is its own one
 _PARTS = {**{name: (name,) for name in _DECIDERS}, **CONJUNCTIVE_PARTS}
 
 PROPERTY_NAMES = tuple(_PARTS)

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .families import SCHEMES, Family, LengthMismatchError, is_strict_less
 from .graded import NAMED_ORDERS

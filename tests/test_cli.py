@@ -9,6 +9,7 @@ from itertools import islice
 from math import comb
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
@@ -468,7 +469,7 @@ def test_block_table_holds_at_most_its_characters_and_is_built_once(d, k, order_
     # end mark, and the sum of the slack walk when the format writes it
     extra = SCHEMES[walked_scheme][1] + (len(f"{before_sum}{k}{before_rank}") if slack_walk and fmt != "plain" else 0)
     walks, tables, used = [], [], []
-    table, runs = cli.multi_index._table, cli.multi_index._runs
+    table, runs = cli._table, cli.multi_index._runs
 
     def built(*args):
         rows = table(*args)
@@ -481,7 +482,7 @@ def test_block_table_holds_at_most_its_characters_and_is_built_once(d, k, order_
         return runs(d, l, scheme, piece, head, tail, m)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli.multi_index, "_table", built)
+        patch.setattr(cli, "_table", built)
         patch.setattr(cli.multi_index, "_runs", watched)
         chunk = next(cli._slice_lines(d, k, scheme, graded, fmt))
     with pytest.MonkeyPatch.context() as patch:  # the same lines with no table
@@ -510,7 +511,7 @@ def test_a_row_cut_at_the_chunks_is_split_once(d, k, fmt):
     # run counts the splits of its row's text: a row cut into several
     # pieces is split once, and no run is walked with its row split before.
     per_run = []
-    table, runs = cli.multi_index._table, cli.multi_index._runs
+    table, runs = cli._table, cli.multi_index._runs
 
     class Row(str):
         def split(self, *args):
@@ -526,7 +527,7 @@ def test_a_row_cut_at_the_chunks_is_split_once(d, k, fmt):
             yield run
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli.multi_index, "_table", counted)
+        patch.setattr(cli, "_table", counted)
         patch.setattr(cli.multi_index, "_runs", watched)
         text = "".join(cli._slice_lines(d, k, "lex", True, fmt))
     assert text == "".join(cli._slice_lines(d, k, "lex", True, fmt))
@@ -669,6 +670,38 @@ def test_compare_reads_components_as_digit_runs(runner, a, error):
     result = runner.invoke(main, ["compare", "--order", "lex", a, "2"])
     assert result.exit_code == 2
     assert [line for line in result.output.splitlines() if line.startswith("Error:")] == [f"Error: {error}"]
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["enumerate", "--d", "1_0", "--k", "0"], "--d", "1_0"),
+        (["enumerate", "--d", "+2", "--k", "1"], "--d", "+2"),
+        (["enumerate", "--d", "2", "--k", "1_0"], "--k", "1_0"),
+        (["sort-terms", "--d", "0_2"], "--d", "0_2"),
+    ],
+)
+def test_options_read_numbers_as_digit_runs(runner, argv, option, value):
+    # click's int alone reads 1_0 as 10, +2 as 2 and 0_2 as 2
+    result = runner.invoke(main, argv, input="X0")
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == [f"Error: Invalid value for '{option}': {value!r} is not a valid integer."]
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("value", ["x", "1.5", "", "0x1", "1e3", "1 0", "٣x", "1" * 5000])
+@pytest.mark.parametrize(
+    "argv", [["enumerate", "--d", "{}", "--k", "1"], ["enumerate", "--d", "1", "--k", "{}"], ["sort-terms", "--d", "{}"]]
+)
+def test_options_refuse_what_click_refuses_with_its_message(runner, argv, value):
+    with pytest.raises(click.BadParameter) as refused:
+        click.INT.convert(value, None, None)
+    option = argv[argv.index("{}") - 1]
+    result = runner.invoke(main, [arg.format(value) for arg in argv], input="X0")
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == [f"Error: Invalid value for '{option}': {refused.value.message}"]
 
 
 def test_compare_allows_blanks_around_components(runner):
@@ -976,6 +1009,21 @@ def test_sizes_no_tuple_can_hold_are_usage_errors(runner, argv, stdin, error, si
     assert errors == [f"Error: {error.format(size)} is too large"]
     assert "Traceback" not in result.output
     assert "Exception ignored" not in result.output
+
+
+# the smallest sets past sys.maxsize entries at d = 1, d = 2 and d = k
+# (test_module_entry streams the largest sets inside it), and sets whose
+# min(d, k) is 34, 64 or 65: C(68, 34) is the first C(2n, n) past the bound
+@pytest.mark.parametrize(
+    "d, k",
+    [(1, 2**63 - 1), (2, 2**32 - 1), (33, 34), (34, 33), (34, 34), (64, 64), (65, 65), (10**19, 65)],
+)
+def test_sets_past_sys_maxsize_entries_are_usage_errors(runner, d, k):
+    result = runner.invoke(main, ["enumerate", "--d", str(d), "--k", str(k)])
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == [f"Error: --d {d} is too large" if d > k else f"Error: --k {k} is too large"]
+    assert result.stdout == ""
 
 
 def _mostly(valid, *junk):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -32,17 +34,33 @@ def test_usage_error_through_the_module_entry():
     assert "Error: --d must be >= 1, got 0" in result.stderr
 
 
-def test_enumerate_into_a_closed_pipe():
-    # The output has 203,491 lines; the reader takes two and closes the
-    # pipe, as `head -n 2` does.  The writer exits 1 with nothing on stderr.
-    argv, env = _module("enumerate", "--d", "8", "--k", "13", "--format", "csv")
+def _into_a_closed_pipe(*args, lines):
+    """The first lines of the module's stdout, read before the pipe is
+    closed as `head` closes it, its stderr and its exit code."""
+    argv, env = _module(*args)
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env) as proc:
         try:
-            lines = [proc.stdout.readline() for _ in range(2)]
+            first = [proc.stdout.readline() for _ in range(lines)]
             proc.stdout.close()
             _, err = proc.communicate(timeout=60)
         finally:
             proc.kill()  # a writer still running after the timeout
+    return first, err, proc.returncode
+
+
+def test_enumerate_into_a_closed_pipe():
+    # The output has 203,491 lines; the reader takes two and closes the
+    # pipe, as `head -n 2` does.  The writer exits 1 with nothing on stderr.
+    lines, err, code = _into_a_closed_pipe("enumerate", "--d", "8", "--k", "13", "--format", "csv", lines=2)
     assert lines == ["i0,i1,i2,i3,i4,i5,i6,i7,sum,rank\n", "0,0,0,0,0,0,0,0,0,0\n"]
     assert err == ""
-    assert proc.returncode == 1
+    assert code == 1
+
+
+@pytest.mark.parametrize("d, k", [(1, 2**63 - 2), (2, 2**32 - 2), (33, 33)])
+def test_the_largest_sets_within_sys_maxsize_entries_stream(d, k):
+    # C(d + k, d) is sys.maxsize, 2**63 - 2**31 and C(66, 33): one more in
+    # k or d is refused (test_cli), these stream until the pipe closes
+    lines, err, code = _into_a_closed_pipe("enumerate", "--d", str(d), "--k", str(k), lines=1)
+    assert lines == [",".join(["0"] * d) + "\n"]
+    assert (err, code) == ("", 1)

@@ -16,7 +16,7 @@ from gradedorders import (
     iter_slice,
     multi_index_set,
 )
-from gradedorders import families, multi_index
+from gradedorders import cli, families
 from gradedorders.families import SCHEMES as SCHEME_FLAGS, sorted_total
 
 GRADED_FOR_SCHEME = {
@@ -178,7 +178,7 @@ def walked_rows(m, k, scheme, sep, slack=None):
     with slack, the slack (last for a front scheme, first for a back one)
     is dropped and slack % (k - slack) closes the line."""
     back = SCHEME_FLAGS[scheme][1]
-    end = multi_index._END if back else ""
+    end = cli._END if back else ""
     rows = []
     for r in range(k + 1):
         lines = []
@@ -203,7 +203,7 @@ TABLE_SHAPES = [
 @pytest.mark.parametrize("sep", [",", ", "])
 def test_extended_table_matches_the_walked_table(scheme, sep):
     for m, k in TABLE_SHAPES:
-        assert multi_index._table(m, k, scheme, sep) == walked_rows(m, k, scheme, sep), (m, k)
+        assert cli._table(m, k, scheme, sep) == walked_rows(m, k, scheme, sep), (m, k)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -211,4 +211,4 @@ def test_extended_table_matches_the_walked_table(scheme, sep):
 def test_slack_table_matches_the_walked_table(scheme, slack):
     sep = ", " if "rank" in slack else ","
     for m, k in TABLE_SHAPES[::3]:
-        assert multi_index._table(m, k, scheme, sep, slack) == walked_rows(m, k, scheme, sep, slack), (m, k)
+        assert cli._table(m, k, scheme, sep, slack) == walked_rows(m, k, scheme, sep, slack), (m, k)
