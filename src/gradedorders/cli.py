@@ -5,24 +5,30 @@ Exit codes: 0 success / property PASS, 1 property FAIL, 2 usage or parse
 error, 3 requested capability unavailable (e.g. enumerate under a weighted:
 order, which has no slice scheme, when --allow-sort-fallback is not given).
 
-Click parses the arguments, writes usage errors and notes to stderr, and
-exits 1 with nothing on stderr when stdout is a closed pipe.  Stdout takes
-the text of a command as it is made, written to the sys.stdout of the
-moment and flushed each time so that a pipe streams: enumerate's a chunk
-of lines at a time, the other commands' one line.  The text is ASCII with no
-escape sequences, which click.echo would only scan for and pass through.
+One table, _COMMANDS, gives each command its function, options and
+arguments: one loop over argv fills the function's parameters from it, as
+click read them, and --help is written from it.  A usage error is a
+click.UsageError with click's text, written to stderr as one `Error:` line
+like the notes, and a closed stdout pipe exits 1 with nothing on stderr.
+Stdout takes the text of a command as it is made, written to the
+sys.stdout of the moment and flushed each time so that a pipe streams:
+enumerate's a chunk of lines at a time, the other commands' one line.
 Every number, of an option, an index or a carrier bound, is read as
 weight-matrix fixtures read them, by weighted._integer.
 """
 
 from __future__ import annotations
 
+import errno
+import io
 import sys
+import textwrap
 from itertools import chain, islice, pairwise
 from math import comb
 from operator import add
 
 import click
+from click.utils import PacifyFlushWrapper
 
 from . import multi_index, poly, weighted
 from .families import SCHEMES, IncomparableError, LengthMismatchError, sorted_total
@@ -85,18 +91,6 @@ def _not_total(order_name: str, exc: IncomparableError) -> click.UsageError:
     return click.UsageError(f"order {order_name!r} is not total: it ties {x} and {y}")
 
 
-class _Integer(click.ParamType):
-    """click's integer type, read by weighted._integer."""
-
-    name = "integer"
-
-    def convert(self, value, param, ctx):
-        try:
-            return _integer(value)
-        except ValueError:
-            self.fail(f"{value!r} is not a valid integer.", param, ctx)
-
-
 def _parse_index(text: str):
     try:
         items = tuple(map(_integer, text.split(",")))
@@ -105,11 +99,6 @@ def _parse_index(text: str):
     if "-" in text:  # -0 as well
         raise click.UsageError(f"multi-index components must be naturals: {text!r}")
     return items
-
-
-@click.group()
-def main():
-    """Lexicographic and graded monomial orders on multi-indices."""
 
 
 # The lines of enumerate are those csv.writer and json.dumps would give.
@@ -123,16 +112,6 @@ _FRAMES = {
 }
 
 
-@main.command("enumerate")
-@click.option("--d", "d", type=_Integer(), required=True, help="Dimension (>= 1).")
-@click.option("--k", "k", type=_Integer(), required=True, help="Maximum component sum (>= 0).")
-@click.option("--order", "order_name", default="grsymlex", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(tuple(_FRAMES)), default="plain", show_default=True)
-@click.option(
-    "--allow-sort-fallback",
-    is_flag=True,
-    help="Permit generate-then-sort for orders without a slice scheme (weighted: orders only).",
-)
 def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
     """List the multi-indices of dimension D with sum <= K, ascending."""
     if d < 1:
@@ -141,10 +120,7 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
         raise click.UsageError(f"--k must be >= 0, got {k}")
     order = None if order_name in NAMED_ORDERS else resolve_order(order_name, d)
     if order is not None and not allow_sort_fallback:
-        click.echo(
-            f"order {order_name!r} has no slice scheme; pass --allow-sort-fallback",
-            err=True,
-        )
+        sys.stderr.write(f"order {order_name!r} has no slice scheme; pass --allow-sort-fallback\n")
         sys.exit(3)
     # a set of more than sys.maxsize entries, C(d + k, d), is refused before
     # any is made, named by the larger of d and k; C(68, 34) is already past
@@ -155,7 +131,7 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
     if order is None:
         chunks = _slice_lines(d, k, *NAMED_ORDERS[order_name], fmt)
     else:
-        click.echo(f"note: generate-then-sort fallback for order {order_name!r}", err=True)
+        sys.stderr.write(f"note: generate-then-sort fallback for order {order_name!r}\n")
         try:
             entries = sorted_total(multi_index.iter_multi_index_set(d, k, "lex"), order)
         except IncomparableError as exc:
@@ -336,10 +312,6 @@ def _lines(entries, fmt):
     )
 
 
-@main.command("compare")
-@click.option("--order", "order_name", default="grsymlex", show_default=True)
-@click.argument("a")
-@click.argument("b")
 def cmd_compare(order_name, a, b):
     """Print LT / GT / EQ / INCOMPARABLE for two multi-indices."""
     x = _parse_index(a)
@@ -360,19 +332,16 @@ def cmd_compare(order_name, a, b):
     _write(verdict + "\n")
 
 
-@main.command("sort-terms")
-@click.option("--d", "d", type=_Integer(), required=True, help="Number of variables.")
-@click.option("--order", "order_name", default="grlex", show_default=True)
-@click.argument("source", type=click.File("r", encoding="utf-8"), default="-")
 def cmd_sort_terms(d, order_name, source):
-    """Parse a polynomial and print its terms ascending under the order."""
+    """Print the terms of a polynomial, from SOURCE or stdin, ascending."""
     if d < 1:
         raise click.UsageError(f"--d must be >= 1, got {d}")
     order = resolve_order(order_name, d)
+    name, read = source
     try:
-        text = source.read()
+        text = read()
     except UnicodeDecodeError as exc:
-        raise click.UsageError(f"cannot read {source.name}: {exc}")
+        raise click.UsageError(f"cannot read {name}: {exc}")
     try:
         p = poly.parse_poly(text, d)
         exponents = sorted_total(p.terms, order)
@@ -390,10 +359,6 @@ def cmd_sort_terms(d, order_name, source):
     _write(line + "\n")
 
 
-@main.command("check")
-@click.option("--property", "property_name", type=click.Choice(PROPERTY_NAMES), required=True)
-@click.option("--relation", "relation_name", type=click.Choice(tuple(CLI_RELATIONS)), required=True)
-@click.option("--carrier", "carrier_spec", required=True, help="Integer range 'a..b'.")
 def cmd_check(property_name, relation_name, carrier_spec):
     """Decide a relation property by brute force over a finite carrier."""
     try:
@@ -415,6 +380,175 @@ def cmd_check(property_name, relation_name, carrier_spec):
     _write(f"FAIL {property_name}({relation_name}) on {carrier_spec}: {conjunct} fails at {witness}\n")
     sys.exit(1)
 
+
+def _number(text):
+    """An option's number, read by weighted._integer."""
+    try:
+        return _integer(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a valid integer.") from None
+
+
+def _source(path):
+    """SOURCE as (name, read): '-' is stdin, read as UTF-8 whatever the
+    locale; a file is read here and closed, so that a missing one is refused
+    before the command runs."""
+    if path == "-":
+        buffer = getattr(sys.stdin, "buffer", None)  # None under an io.StringIO
+        return "<stdin>", sys.stdin.read if buffer is None else lambda: buffer.read().decode("utf-8")
+    try:
+        with open(path, "rb") as file:
+            return path, io.TextIOWrapper(io.BytesIO(file.read()), encoding="utf-8").read
+    except OSError as exc:
+        raise ValueError(f"'{path}': {exc.strerror}") from None
+
+
+# Per command: its function, and its parameters in the function's order as
+# (name, reader, default, help).  An option's name starts with "--".  A reader
+# raises ValueError for a text it refuses; a tuple reader is the choices, and
+# None marks a flag.  A default of None marks the parameter required.
+_COMMANDS = {
+    "enumerate": (cmd_enumerate, (
+        ("--d", _number, None, "Dimension (>= 1)."),
+        ("--k", _number, None, "Maximum component sum (>= 0)."),
+        ("--order", str, "grsymlex", ""),
+        ("--format", tuple(_FRAMES), "plain", ""),
+        ("--allow-sort-fallback", None, False,
+         "Permit generate-then-sort for orders without a slice scheme (weighted: orders only)."),
+    )),
+    "compare": (cmd_compare, (("--order", str, "grsymlex", ""), ("A", str, None, ""), ("B", str, None, ""))),
+    "sort-terms": (cmd_sort_terms, (
+        ("--d", _number, None, "Number of variables."),
+        ("--order", str, "grlex", ""),
+        ("SOURCE", _source, "-", ""),
+    )),
+    "check": (cmd_check, (
+        ("--property", PROPERTY_NAMES, None, ""),
+        ("--relation", tuple(CLI_RELATIONS), None, ""),
+        ("--carrier", str, None, "Integer range 'a..b'."),
+    )),
+}
+
+
+def _values(params, argv):
+    """The values of params read from argv, in params' order, or None for
+    --help.  As click did, argv is split first, then the options given are
+    read in the order given, then the arguments, then the other options."""
+    spec = {p[0]: p for p in params}
+    flags = {name: reader is None for name, reader, _, _ in params if name[:2] == "--"} | {"--help": True}
+    given, positional, rest = {}, [], iter(argv)
+    for arg in rest:
+        name, eq, value = arg.partition("=")
+        if arg == "--":
+            positional += rest
+        elif arg[:1] != "-" or arg == "-":
+            positional.append(arg)
+        elif name not in flags:
+            raise click.UsageError(f"No such option {name!r}.")
+        elif flags[name] and eq:
+            raise click.UsageError(f"Option {name!r} does not take a value.")
+        else:
+            if not (flags[name] or eq):
+                value = next(rest, None)
+                if value is None:
+                    raise click.UsageError(f"Option {name!r} requires an argument.")
+            given[name] = flags[name] or value
+    if "--help" in given:
+        return None
+    arguments = [name for name in spec if name not in flags]
+    given |= zip(arguments, positional)
+    values = {}
+    for name in [*given, *(name for name in spec if name not in given)]:
+        _, reader, default, _ = spec[name]
+        text = given.get(name, default)
+        label = f"[{name}]" if name in arguments and default is not None else name
+        if text is None:
+            choices = " Choose from:" + ",".join("\n\t" + c for c in reader) if isinstance(reader, tuple) else ""
+            raise click.UsageError(f"Missing {'argument' if name in arguments else 'option'} {label!r}.{choices}")
+        try:
+            if isinstance(reader, tuple) and text not in reader:
+                raise ValueError(f"{text!r} is not one of {', '.join(map(repr, reader))}.")
+            values[name] = reader(text) if callable(reader) else text
+        except ValueError as exc:
+            raise click.UsageError(f"Invalid value for {label!r}: {exc}") from None
+    extra = positional[len(arguments) :]
+    if extra:
+        raise click.UsageError(f"Got unexpected extra argument{'s' * (len(extra) > 1)} ({' '.join(extra)})")
+    return [values[name] for name in spec]
+
+
+def _help(prog, command=None):
+    """The --help text of main, or of a command, from _COMMANDS."""
+    usage, params = "[OPTIONS] COMMAND [ARGS]...", ()
+    about = "Lexicographic and graded monomial orders on multi-indices."
+    if command is not None:
+        function, params = _COMMANDS[command]
+        arguments = [name if default is None else f"[{name}]" for name, _, default, _ in params if name[:2] != "--"]
+        usage, about = " ".join([command, "[OPTIONS]", *arguments]), function.__doc__
+    lines = [f"Usage: {prog} {usage}", "", "  " + about, "", "Options:"]
+    for name, reader, default, text in (*params, ("--help", None, False, "Show this message and exit.")):
+        if name[:2] != "--":
+            continue
+        if reader is not None:
+            choices = f"One of {', '.join(reader)}." if isinstance(reader, tuple) else ""
+            mark = "[required]" if default is None else f"[default: {default}]"
+            name, text = f"{name} {name[2:].upper()}", " ".join(filter(None, (choices, text, mark)))
+        lines += ["  " + name, *textwrap.wrap(text, 79, initial_indent=" " * 6, subsequent_indent=" " * 6)]
+    if command is None:
+        lines += ["", "Commands:", *(f"  {name:12}{function.__doc__}" for name, (function, _) in _COMMANDS.items())]
+    return "\n".join(lines) + "\n"
+
+
+class _Main:
+    """The front door, called as click's group was: by the console script and
+    by CliRunner and the benchmark through main()."""
+
+    name = "gradedorders"
+
+    def __call__(self, *args, **kwargs):
+        return self.main(*args, **kwargs)
+
+    def main(self, args=None, prog_name=None, standalone_mode=True, **extra):
+        """Run the command of args (sys.argv[1:] when None); a usage error
+        is raised when not standalone_mode, else it exits 2."""
+        argv, prog = sys.argv[1:] if args is None else list(args), prog_name or self.name
+        try:
+            if not argv:
+                sys.stderr.write(_help(prog))
+                sys.exit(2)
+            command = argv[0]
+            if command == "--help":
+                sys.stdout.write(_help(prog))
+                return 0
+            if command not in _COMMANDS:
+                if command[:1] == "-" and command != "-":
+                    raise click.UsageError(f"No such option {command.partition('=')[0]!r}.")
+                raise click.UsageError(f"No such command {command!r}.")
+            function, params = _COMMANDS[command]
+            values = _values(params, argv[1:])
+            if values is None:
+                sys.stdout.write(_help(prog, command))
+                return 0
+            return function(*values)
+        except click.UsageError as exc:
+            if not standalone_mode:
+                raise
+            sys.stderr.write(f"Error: {exc.format_message()}\n")
+            sys.exit(exc.exit_code)
+        except KeyboardInterrupt:
+            if not standalone_mode:
+                raise
+            sys.stderr.write("\nAborted!\n")
+            sys.exit(1)
+        except OSError as exc:
+            if exc.errno != errno.EPIPE:
+                raise
+            # so that the interpreter's last flush of the closed pipe is quiet
+            sys.stdout, sys.stderr = PacifyFlushWrapper(sys.stdout), PacifyFlushWrapper(sys.stderr)
+            sys.exit(1)
+
+
+main = _Main()
 
 if __name__ == "__main__":
     main()

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+import re
 import sys
 import tracemalloc
 from functools import lru_cache
@@ -233,9 +234,9 @@ class _WriteCounter(io.TextIOBase):
         self.on_write = on_write
 
     def write(self, text):
-        if not isinstance(text, str):  # click probes for a binary stream
+        if not isinstance(text, str):  # the commands write text, never bytes
             raise TypeError("a text stream")
-        if text:  # and writes empty probes
+        if text:  # an empty write holds no line
             self.on_write(text.count("\n"))
         return len(text)
 
@@ -980,6 +981,57 @@ def test_check_unknown_names(runner):
 FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 
+# argv -> exit code and the one `Error:` line on stderr, as click wrote them;
+# {tmp} is a directory that holds no none.txt.  None leaves the line unpinned:
+# click names only the first character of an unknown short option.
+USAGE_CONTRACT = [
+    (["enumerate", "--k", "1"], 2, "Error: Missing option '--d'."),
+    (["enumerate", "--k", "1", "--d"], 2, "Error: Option '--d' requires an argument."),
+    (
+        ["enumerate", "--d", "2", "--k", "1", "--format", "xml"],
+        2,
+        "Error: Invalid value for '--format': 'xml' is not one of 'plain', 'csv', 'jsonl'.",
+    ),
+    (
+        ["check", "--property", "nope", "--relation", "lt", "--carrier", "0..2"],
+        2,
+        "Error: Invalid value for '--property': 'nope' is not one of 'transitive', 'negatively_transitive', "
+        "'reflexive', 'irreflexive', 'antisymmetric', 'asymmetric', 'connected', 'strongly_connected', "
+        "'trichotomous', 'total_order', 'strict_total_order', 'strict_weak_order', 'preorder', 'partial_order'.",
+    ),
+    (["nope", "--d", "1"], 2, "Error: No such command 'nope'."),
+    (["compare", "1,2"], 2, "Error: Missing argument 'B'."),
+    (["compare", "1,2", "3,4", "5"], 2, "Error: Got unexpected extra argument (5)"),
+    (["compare", "--bogus", "1", "2"], 2, "Error: No such option '--bogus'."),
+    (
+        ["enumerate", "--d", "2", "--k", "1", "--allow-sort-fallback=1"],
+        2,
+        "Error: Option '--allow-sort-fallback' does not take a value.",
+    ),
+    (["enumerate", "--d=2", "--k=1"], 0, None),
+    (["compare", "--", "-1", "2"], 2, "Error: multi-index components must be naturals: '-1'"),
+    (["compare", "-1,2", "2"], 2, None),
+    (
+        ["sort-terms", "--d", "1", "{tmp}/none.txt"],
+        2,
+        "Error: Invalid value for '[SOURCE]': '{tmp}/none.txt': No such file or directory",
+    ),
+    (["sort-terms", "--d", "1", "{tmp}"], 2, "Error: Invalid value for '[SOURCE]': '{tmp}': Is a directory"),
+]
+
+
+@pytest.mark.parametrize("argv, code, error", USAGE_CONTRACT, ids=[" ".join(argv) for argv, _, _ in USAGE_CONTRACT])
+def test_usage_errors_keep_their_exit_code_and_line(runner, tmp_path, argv, code, error):
+    result = runner.invoke(main, [arg.format(tmp=tmp_path) for arg in argv], input="X0")
+    assert result.exit_code == code, result.output
+    errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+    if code == 0:
+        assert (errors, result.stdout) == ([], "0,0\n1,0\n0,1\n")
+    else:
+        assert len(errors) == 1 and result.stdout == ""
+        assert error is None or errors == [error.format(tmp=tmp_path)]
+
+
 # 10**19 is past a C ssize_t and 2**62 is past the length of any tuple; both
 # are refused before anything is allocated, and a set of more than
 # sys.maxsize entries, under any order, before any entry is made, named by
@@ -1024,6 +1076,41 @@ def test_sets_past_sys_maxsize_entries_are_usage_errors(runner, d, k):
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
     assert errors == [f"Error: --d {d} is too large" if d > k else f"Error: --k {k} is too large"]
     assert result.stdout == ""
+
+
+# per command: each option, with the default its --help shows (None for a
+# required option or a flag); and the choices of each choice option
+HELP_OPTIONS = {
+    "enumerate": {"--d": None, "--k": None, "--order": "grsymlex", "--format": "plain", "--allow-sort-fallback": None},
+    "compare": {"--order": "grsymlex"},
+    "sort-terms": {"--d": None, "--order": "grlex"},
+    "check": {"--property": None, "--relation": None, "--carrier": None},
+}
+HELP_CHOICES = {
+    "--format": ["plain", "csv", "jsonl"],
+    "--property": PROPERTY_NAMES,
+    "--relation": ["lt", "le", "gt", "ge", "divides"],
+}
+
+
+@pytest.mark.parametrize("command", [None, *HELP_OPTIONS])
+def test_help_lists_every_option_default_and_choice(runner, command):
+    result = runner.invoke(main, [command, "--help"] if command else ["--help"])
+    assert result.exit_code == 0, result.output
+    text = result.stdout
+    options = HELP_OPTIONS.get(command, {})
+    for option in ["--help", *options]:
+        assert re.search(rf"^  {option}(\s|$)", text, re.M), option
+    for default in filter(None, options.values()):
+        assert f"[default: {default}]" in text
+    for option in options:
+        for choice in HELP_CHOICES.get(option, []):
+            assert re.search(rf"(?<!\w){choice}(?!\w)", text), choice
+    if command is None:
+        assert all(re.search(rf"^  {name} ", text, re.M) for name in HELP_OPTIONS)
+        bare = runner.invoke(main, [])
+        assert (bare.exit_code, bare.stdout) == (2, "")
+        assert bare.stderr.startswith("Usage:")
 
 
 def _mostly(valid, *junk):
@@ -1071,17 +1158,23 @@ COMMANDS = {
 
 @st.composite
 def cli_calls(draw):
-    """argv over the four commands, each option left out, given a value or
-    cut off at the end of argv, and a text for stdin."""
-    command = draw(st.sampled_from(sorted(COMMANDS)))
-    options, arguments = COMMANDS[command]
+    """argv over the four commands and an unknown one, each option left out,
+    given a value as `--opt value` or `--opt=value`, or cut off at the end of
+    argv; the arguments after `--` or not; now and then an unknown option or
+    --help anywhere in argv; and a text for stdin."""
+    command = draw(_mostly(st.sampled_from(sorted(COMMANDS)), "nope"))
+    options, arguments = COMMANDS.get(command, ({}, st.just([])))
     argv = [command]
     for option, values in draw(st.permutations(list(options.items()))):
         if values is None:  # a flag
             argv += draw(st.sampled_from([[], [option]]))
         elif draw(st.integers(0, 7)):  # most calls give most options
-            argv += [option, draw(values)]
-    argv += draw(arguments)
+            value = draw(values)
+            argv += draw(st.sampled_from([[option, value], [f"{option}={value}"]]))
+    argv += draw(st.sampled_from([[], ["--"]])) + draw(arguments)
+    for stray in ("--bogus", "--help"):
+        if draw(st.integers(0, 15)) == 0:
+            argv.insert(draw(st.integers(1, len(argv))), stray)
     if draw(st.integers(0, 9)) == 0:
         argv.pop()  # a missing value or argument
     return argv, draw(POLYS)

@@ -34,6 +34,18 @@ def test_usage_error_through_the_module_entry():
     assert "Error: --d must be >= 1, got 0" in result.stderr
 
 
+def test_stdin_is_read_as_utf8_whatever_the_locale():
+    # the byte 0xff is a letter in latin-1, which a stdin of that encoding
+    # would hand to the parser
+    argv, env = _module("sort-terms", "--d", "1")
+    env["PYTHONIOENCODING"] = "latin-1"
+    result = subprocess.run(argv, input=b"\xff", capture_output=True, env=env, timeout=60)
+    assert result.returncode == 2
+    errors = [line for line in result.stderr.decode("latin-1").splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("Error: cannot read <stdin>: 'utf-8' codec can't decode byte 0xff")
+    assert result.stdout == b""
+
 def _into_a_closed_pipe(*args, lines):
     """The first lines of the module's stdout, read before the pipe is
     closed as `head` closes it, its stderr and its exit code."""
