@@ -9,7 +9,8 @@ One table, _COMMANDS, gives each command its function, options and
 arguments: one loop over argv fills the function's parameters from it, as
 click read them, and --help is written from it.  A usage error is a
 click.UsageError with click's text, written to stderr as one `Error:` line
-like the notes, and a closed stdout pipe exits 1 with nothing on stderr.
+like the notes, and a closed stdout pipe exits 1 with nothing on stderr;
+click is imported only for these two.
 Stdout takes the text of a command as it is made, written to the
 sys.stdout of the moment and flushed each time so that a pipe streams:
 enumerate's a chunk of lines at a time, the other commands' one line.
@@ -22,13 +23,9 @@ from __future__ import annotations
 import errno
 import io
 import sys
-import textwrap
 from itertools import chain, islice, pairwise
 from math import comb
 from operator import add
-
-import click
-from click.utils import PacifyFlushWrapper
 
 from . import multi_index, poly, weighted
 from .families import SCHEMES, IncomparableError, LengthMismatchError, sorted_total
@@ -61,6 +58,13 @@ TABLE_CHARS = 2**18
 TOO_LARGE = (OverflowError, MemoryError)
 
 
+def _usage(message: str) -> Exception:
+    """click.UsageError, which CliRunner and callers of main.main catch."""
+    import click
+
+    return click.UsageError(message)
+
+
 def resolve_order(name: str, d: int) -> Relation:
     """Strict vector relation for an order name on families of length d;
     'weighted:FILE' loads a weight matrix fixture, which must have d rows."""
@@ -69,14 +73,14 @@ def resolve_order(name: str, d: int) -> Relation:
         try:
             matrix = weighted.load_matrix(path)
         except (OSError, ValueError) as exc:
-            raise click.UsageError(f"cannot load weight matrix {path!r}: {exc}")
+            raise _usage(f"cannot load weight matrix {path!r}: {exc}")
         if matrix.d != d:
-            raise click.UsageError(f"expected families of length {matrix.d}, got {d}")
+            raise _usage(f"expected families of length {matrix.d}, got {d}")
         return weighted.weighted_relation(matrix, LT)
     try:
         builder = named_builder(name)
     except KeyError:
-        raise click.UsageError(f"unknown order {name!r}")
+        raise _usage(f"unknown order {name!r}")
     return builder(LT)
 
 
@@ -86,18 +90,18 @@ def _write(text: str) -> None:
     out.flush()
 
 
-def _not_total(order_name: str, exc: IncomparableError) -> click.UsageError:
+def _not_total(order_name: str, exc: IncomparableError) -> Exception:
     x, y = (",".join(map(str, e)) for e in exc.pair)
-    return click.UsageError(f"order {order_name!r} is not total: it ties {x} and {y}")
+    return _usage(f"order {order_name!r} is not total: it ties {x} and {y}")
 
 
 def _parse_index(text: str):
     try:
         items = tuple(map(_integer, text.split(",")))
     except ValueError:
-        raise click.UsageError(f"cannot parse multi-index {text!r}")
+        raise _usage(f"cannot parse multi-index {text!r}")
     if "-" in text:  # -0 as well
-        raise click.UsageError(f"multi-index components must be naturals: {text!r}")
+        raise _usage(f"multi-index components must be naturals: {text!r}")
     return items
 
 
@@ -115,9 +119,9 @@ _FRAMES = {
 def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
     """List the multi-indices of dimension D with sum <= K, ascending."""
     if d < 1:
-        raise click.UsageError(f"--d must be >= 1, got {d}")
+        raise _usage(f"--d must be >= 1, got {d}")
     if k < 0:
-        raise click.UsageError(f"--k must be >= 0, got {k}")
+        raise _usage(f"--k must be >= 0, got {k}")
     order = None if order_name in NAMED_ORDERS else resolve_order(order_name, d)
     if order is not None and not allow_sort_fallback:
         sys.stderr.write(f"order {order_name!r} has no slice scheme; pass --allow-sort-fallback\n")
@@ -127,7 +131,7 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
     # it, so no binomial of more than 64 factors is taken
     small = min(d, k)
     if small > 64 or comb(d + k, small) > sys.maxsize:
-        raise click.UsageError(f"--d {d} is too large" if d > k else f"--k {k} is too large")
+        raise _usage(f"--d {d} is too large" if d > k else f"--k {k} is too large")
     if order is None:
         chunks = _slice_lines(d, k, *NAMED_ORDERS[order_name], fmt)
     else:
@@ -144,7 +148,7 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
     try:
         chunk = next(chunks, "")
     except TOO_LARGE:
-        raise click.UsageError(f"--d {d} is too large")
+        raise _usage(f"--d {d} is too large")
     if fmt == "csv":
         _write(",".join([f"i{j}" for j in range(d)] + ["sum", "rank"]) + "\n")
     if chunk:
@@ -320,7 +324,7 @@ def cmd_compare(order_name, a, b):
     try:
         less = strict.apply(x, y)
     except LengthMismatchError as exc:
-        raise click.UsageError(str(exc))
+        raise _usage(str(exc))
     if x == y:
         verdict = "EQ"
     elif less:
@@ -335,27 +339,27 @@ def cmd_compare(order_name, a, b):
 def cmd_sort_terms(d, order_name, source):
     """Print the terms of a polynomial, from SOURCE or stdin, ascending."""
     if d < 1:
-        raise click.UsageError(f"--d must be >= 1, got {d}")
+        raise _usage(f"--d must be >= 1, got {d}")
     order = resolve_order(order_name, d)
     name, read = source
     try:
         text = read()
     except UnicodeDecodeError as exc:
-        raise click.UsageError(f"cannot read {name}: {exc}")
+        raise _usage(f"cannot read {name}: {exc}")
     try:
         p = poly.parse_poly(text, d)
         exponents = sorted_total(p.terms, order)
     except poly.PolyParseError as exc:
-        raise click.UsageError(str(exc))
+        raise _usage(str(exc))
     except IncomparableError as exc:
         raise _not_total(order_name, exc)
     except TOO_LARGE:
-        raise click.UsageError(f"--d {d} is too large")
+        raise _usage(f"--d {d} is too large")
     try:
         # the sorted terms as pairs of the polynomial's own entries, no Term made
         line = poly._format_pairs(zip(exponents, map(p.terms.__getitem__, exponents)), d)
     except ValueError:  # str() of an int past the limit, which a product of coefficients can reach
-        raise click.UsageError(f"the result has a number of more than {sys.get_int_max_str_digits()} digits")
+        raise _usage(f"the result has a number of more than {sys.get_int_max_str_digits()} digits")
     _write(line + "\n")
 
 
@@ -365,13 +369,13 @@ def cmd_check(property_name, relation_name, carrier_spec):
         lo_text, hi_text = carrier_spec.split("..")
         lo, hi = _integer(lo_text), _integer(hi_text)
     except ValueError:
-        raise click.UsageError(f"cannot parse carrier {carrier_spec!r}; expected 'a..b'")
+        raise _usage(f"cannot parse carrier {carrier_spec!r}; expected 'a..b'")
     if lo > hi:
-        raise click.UsageError(f"empty carrier {carrier_spec!r}; expected 'a..b' with a <= b")
+        raise _usage(f"empty carrier {carrier_spec!r}; expected 'a..b' with a <= b")
     try:
         carrier = carrier_range(lo, hi)
     except TOO_LARGE:
-        raise click.UsageError(f"carrier {carrier_spec!r} is too large")
+        raise _usage(f"carrier {carrier_spec!r} is too large")
     failure = property_witness(property_name, CLI_RELATIONS[relation_name], carrier)
     if failure is None:
         _write(f"PASS {property_name}({relation_name}) on {carrier_spec}\n")
@@ -444,14 +448,14 @@ def _values(params, argv):
         elif arg[:1] != "-" or arg == "-":
             positional.append(arg)
         elif name not in flags:
-            raise click.UsageError(f"No such option {name!r}.")
+            raise _usage(f"No such option {name!r}.")
         elif flags[name] and eq:
-            raise click.UsageError(f"Option {name!r} does not take a value.")
+            raise _usage(f"Option {name!r} does not take a value.")
         else:
             if not (flags[name] or eq):
                 value = next(rest, None)
                 if value is None:
-                    raise click.UsageError(f"Option {name!r} requires an argument.")
+                    raise _usage(f"Option {name!r} requires an argument.")
             given[name] = flags[name] or value
     if "--help" in given:
         return None
@@ -464,21 +468,23 @@ def _values(params, argv):
         label = f"[{name}]" if name in arguments and default is not None else name
         if text is None:
             choices = " Choose from:" + ",".join("\n\t" + c for c in reader) if isinstance(reader, tuple) else ""
-            raise click.UsageError(f"Missing {'argument' if name in arguments else 'option'} {label!r}.{choices}")
+            raise _usage(f"Missing {'argument' if name in arguments else 'option'} {label!r}.{choices}")
         try:
             if isinstance(reader, tuple) and text not in reader:
                 raise ValueError(f"{text!r} is not one of {', '.join(map(repr, reader))}.")
             values[name] = reader(text) if callable(reader) else text
         except ValueError as exc:
-            raise click.UsageError(f"Invalid value for {label!r}: {exc}") from None
+            raise _usage(f"Invalid value for {label!r}: {exc}") from None
     extra = positional[len(arguments) :]
     if extra:
-        raise click.UsageError(f"Got unexpected extra argument{'s' * (len(extra) > 1)} ({' '.join(extra)})")
+        raise _usage(f"Got unexpected extra argument{'s' * (len(extra) > 1)} ({' '.join(extra)})")
     return [values[name] for name in spec]
 
 
 def _help(prog, command=None):
     """The --help text of main, or of a command, from _COMMANDS."""
+    import textwrap
+
     usage, params = "[OPTIONS] COMMAND [ARGS]...", ()
     about = "Lexicographic and graded monomial orders on multi-indices."
     if command is not None:
@@ -522,19 +528,14 @@ class _Main:
                 return 0
             if command not in _COMMANDS:
                 if command[:1] == "-" and command != "-":
-                    raise click.UsageError(f"No such option {command.partition('=')[0]!r}.")
-                raise click.UsageError(f"No such command {command!r}.")
+                    raise _usage(f"No such option {command.partition('=')[0]!r}.")
+                raise _usage(f"No such command {command!r}.")
             function, params = _COMMANDS[command]
             values = _values(params, argv[1:])
             if values is None:
                 sys.stdout.write(_help(prog, command))
                 return 0
             return function(*values)
-        except click.UsageError as exc:
-            if not standalone_mode:
-                raise
-            sys.stderr.write(f"Error: {exc.format_message()}\n")
-            sys.exit(exc.exit_code)
         except KeyboardInterrupt:
             if not standalone_mode:
                 raise
@@ -543,9 +544,18 @@ class _Main:
         except OSError as exc:
             if exc.errno != errno.EPIPE:
                 raise
+            from click.utils import PacifyFlushWrapper
+
             # so that the interpreter's last flush of the closed pipe is quiet
             sys.stdout, sys.stderr = PacifyFlushWrapper(sys.stdout), PacifyFlushWrapper(sys.stderr)
             sys.exit(1)
+        except Exception as exc:
+            # a usage error exists only once _usage has imported click
+            click = sys.modules.get("click")
+            if standalone_mode and click and isinstance(exc, click.UsageError):
+                sys.stderr.write(f"Error: {exc.format_message()}\n")
+                sys.exit(exc.exit_code)
+            raise
 
 
 main = _Main()

@@ -233,10 +233,11 @@ def plus_compat_r_witness(r: Relation, monoid: Monoid, c: Carrier):
 def _plus_compat_r_witness(t: _Table, r: Relation, monoid: Monoid):
     """First (x, x1, x2) with r(x1, x2) and not r(x1 + x, x2 + x), reading
     r(x1, x2) from the table and adding each element to x once."""
-    els, ap, op = t.elements, r.apply, monoid.op
+    els, ap, op, cells, n = t.elements, r.apply, monoid.op, t.cells, t.n
+    rows = [cells[i * n : i * n + n] for i in range(n)]
     for x in els:
         sums = [op(y, x) for y in els]
-        for x1, s1, row in zip(els, sums, t.rows):
+        for x1, s1, row in zip(els, sums, rows):
             # r(s1, s2) for the x2 related to x1, asked up to the first False
             kept = map(ap, repeat(s1), compress(sums, row))
             for x2 in compress(compress(els, row), map(operator.not_, kept)):

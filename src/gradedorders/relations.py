@@ -180,13 +180,14 @@ def intersection(r1: Relation, r2: Relation, *, declared_reflexive: bool) -> Rel
 # ---------------------------------------------------------------------------
 # the relation as a table
 #
-# Row i of a table holds truth(r(c[i], c[j])) in byte j.  As an int (little
-# endian) a row is a mask with bit 8j set when c[i] is related to c[j], so
-# quantifying over a row is mask arithmetic: the Boolean-matrix view of a
-# relation (Warshall, "A theorem on Boolean matrices", JACM 9, 1962).
+# Row i of a table holds truth(r(c[i], c[j])) in byte j.  As an int a row is
+# a mask with bit j set when c[i] is related to c[j], so quantifying over a
+# row is mask arithmetic: the Boolean-matrix view of a relation (Warshall, "A
+# theorem on Boolean matrices", JACM 9, 1962).
 
 _truth = operator.truth
 _NOT = bytes.maketrans(b"\0\1", b"\1\0")  # complement of a row
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # a row as binary digits
 
 
 def _cells(answers) -> bytes:
@@ -202,23 +203,14 @@ def _cells(answers) -> bytes:
     return bytes(map(_truth, answers))
 
 
-def _mask(row: bytes) -> int:
-    return int.from_bytes(row, "little")
-
-
-def _first(mask: int) -> int:
-    """Position of the lowest set byte of a nonzero mask."""
-    return ((mask & -mask).bit_length() - 1) >> 3
-
-
 class _Table:
     """The relation asked once about every pair of carrier elements.
 
     The cells are built on first use and kept: one buffer of n^2 bytes, row
-    after row, whose strided slices are its columns, with the rows as views
-    of it and a mask per row, which the transitivity scans read.  Until
-    then ``line`` and ``diagonal`` ask the relation as they are read, so
-    that a lone diagonal or pair property stops at its first witness."""
+    after row, whose strided slices are its columns, and an n-bit mask per
+    row, which the transitivity scans read.  Until then ``line`` and
+    ``diagonal`` ask the relation as they are read, so that a lone diagonal
+    or pair property stops at its first witness."""
 
     def __init__(self, r: Relation, c: Carrier):
         self.apply = r.apply
@@ -231,13 +223,9 @@ class _Table:
         return b"".join([_cells(map(ap, repeat(x), els)) for x in els])
 
     @cached_property
-    def rows(self) -> list:
-        view, n = memoryview(self.cells), self.n
-        return [view[i * n : i * n + n] for i in range(n)]
-
-    @cached_property
     def masks(self) -> list:
-        return [_mask(row) for row in self.rows]
+        cells, n = self.cells, self.n
+        return [int(cells[i * n : i * n + n][::-1].translate(_DIGITS), 2) for i in range(n)]
 
     def line(self, i: int, forward: bool, chosen: Optional[bytes] = None) -> bytes:
         """r(x, y) if ``forward``, else r(y, x), for x = c[i] and each y
@@ -299,17 +287,16 @@ def _transitive(t: _Table, negated: bool = False) -> Optional[tuple]:
     tournament passes both without the scan."""
     if t.ordered:
         return None
-    els, masks, rows = t.elements, t.masks, t.rows
+    els, n, masks, cells = t.elements, t.n, t.masks, t.cells
     if negated:
-        ones = _mask(b"\1" * t.n)
-        masks = [ones ^ mask for mask in masks]
-        rows = (bytes(row).translate(_NOT) for row in rows)
-    for i, (row, related) in enumerate(zip(masks, rows)):
-        outside = ~row
-        for j in compress(range(t.n), related):
+        ones = (1 << n) - 1
+        masks, cells = [ones ^ mask for mask in masks], cells.translate(_NOT)
+    for i in range(n):
+        outside = ~masks[i]
+        for j in compress(range(n), cells[i * n : i * n + n]):
             bad = masks[j] & outside  # z with r(y, z) and not r(x, z)
-            if bad:
-                return (els[i], els[j], els[_first(bad)])
+            if bad:  # the first such z is the lowest bit of bad
+                return (els[i], els[j], els[(bad & -bad).bit_length() - 1])
     return None
 
 

@@ -201,6 +201,39 @@ def test_random_relations_up_to_eight_elements():
                 assert_same_witnesses(relation_from_pairs(pairs), c)
 
 
+def edge_relations(rng, n):
+    """Pairs of carrier positions 0..n-1 for the transitivity scans: random
+    ones, sparse to dense; the preorder x // 2 <= y // 2 under a random
+    ranking, dense and no tournament, which passes both scans, alone and
+    with one pair flipped; and, for each z at a byte or word edge, the full
+    relation less (0, z) and the empty one with (0, z), which fail the scan
+    and the negated scan with z as the witness's last element."""
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    rank = rng.sample(range(n), n)
+    preorder = {(x, y) for x, y in pairs if rank[x] // 2 <= rank[y] // 2}
+    cases = [{p for p in pairs if rng.random() < density} for density in (0.05, 0.5, 0.95, 0.99)]
+    cases += [preorder] + [preorder ^ {rng.choice(pairs)} for _ in range(4 * bool(n))]
+    for z in {7, 8, 9, 31, 32, 63, 64, n - 2, n - 1} & set(range(2, n)):
+        cases += [set(pairs) - {(0, z)}, {(0, z)}]
+    return cases
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65])
+def test_transitivity_scans_match_the_triple_loop_at_byte_and_word_edges(n):
+    """Both transitivity conjuncts give the definitional loop's verdict and
+    witness on the tables of edge_relations, on a carrier of range(n) in a
+    random order, so that the bit of each carrier position in a row mask is
+    pinned across byte and machine-word edges."""
+    rng = random.Random(n)
+    els = rng.sample(range(n), n)
+    c = Carrier(tuple(els))
+    for pairs in edge_relations(rng, n):
+        r = relation_from_pairs((els[x], els[y]) for x, y in pairs)
+        for name, ref in (("transitive", ref_transitive), ("negatively_transitive", ref_negatively_transitive)):
+            w = ref(r, c)
+            assert property_witness(name, r, c) == (w and (name, w)), (n, name, sorted(pairs))
+
+
 @pytest.mark.parametrize("r", [LT, LE, GT, GE, DIVIDES, EMPTY], ids=lambda r: r.name)
 @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 7), (1, 12), (-3, 5)])
 def test_named_relations_on_ranges(r, lo, hi):

@@ -28,6 +28,15 @@ def test_enumerate_through_the_module_entry():
     assert result.stdout.split() == ["0,0", "1,0", "0,1"]
 
 
+def test_importing_the_cli_loads_neither_click_nor_textwrap():
+    # click comes in with the first usage error or a closed pipe, textwrap
+    # with --help
+    argv, env = _module()
+    code = "import sys, gradedorders.cli; print(sorted({'click', 'textwrap'} & set(sys.modules)))"
+    result = subprocess.run([argv[0], "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert result.stdout == "[]\n", result.stderr
+
+
 def test_usage_error_through_the_module_entry():
     result = run_module("enumerate", "--d", "0", "--k", "1")
     assert result.returncode == 2
