@@ -15,13 +15,18 @@ Stdout takes the text of a command as it is made, written to the
 sys.stdout of the moment and flushed each time so that a pipe streams:
 enumerate's a chunk of lines at a time, the other commands' one line.
 Every number, of an option, an index or a carrier bound, is read as
-weight-matrix fixtures read them, by weighted._integer.
+weight-matrix fixtures read them: an optional minus and a run of digits,
+with blanks around, the pattern of weighted._integer.  A multi-index is read
+with one match of that pattern between commas, as a fixture row is with one
+match of it between blanks, then int() per number; the error lines are
+those of reading it number by number.
 """
 
 from __future__ import annotations
 
 import errno
 import io
+import re
 import sys
 from itertools import chain, islice, pairwise
 from math import comb
@@ -41,7 +46,7 @@ from .relations import (
     carrier_range,
     property_witness,
 )
-from .weighted import _integer
+from .weighted import _INTEGER, _integer
 
 CLI_RELATIONS = {r.name: r for r in (LT, LE, GT, GE, DIVIDES)}
 
@@ -95,9 +100,17 @@ def _not_total(order_name: str, exc: IncomparableError) -> Exception:
     return _usage(f"order {order_name!r} is not total: it ties {x} and {y}")
 
 
+# a multi-index: numbers as weighted._integer reads them, between commas
+_INDEX = re.compile(r"(?:{0},)*{0}".format(_INTEGER.pattern))
+
+
 def _parse_index(text: str):
     try:
-        items = tuple(map(_integer, text.split(",")))
+        if _INDEX.fullmatch(text) is None:
+            raise ValueError
+        # int() refuses what the pattern lets by: \x1c-\x1f around a
+        # number, and more digits than the int limit
+        items = tuple(map(int, text.split(",")))
     except ValueError:
         raise _usage(f"cannot parse multi-index {text!r}")
     if "-" in text:  # -0 as well
@@ -434,12 +447,24 @@ _COMMANDS = {
 }
 
 
-def _values(params, argv):
-    """The values of params read from argv, in params' order, or None for
-    --help.  As click did, argv is split first, then the options given are
-    read in the order given, then the arguments, then the other options."""
-    spec = {p[0]: p for p in params}
-    flags = {name: reader is None for name, reader, _, _ in params if name[:2] == "--"} | {"--help": True}
+# Per command, what its argv is read by: its parameters by name, whether
+# each option (and --help) is a flag, and the names of its arguments in order.
+_SPECS = {
+    command: (
+        {p[0]: p for p in params},
+        {name: reader is None for name, reader, _, _ in params if name[:2] == "--"} | {"--help": True},
+        [name for name, *_ in params if name[:2] != "--"],
+    )
+    for command, (_, params) in _COMMANDS.items()
+}
+
+
+def _values(command, argv):
+    """The values of the command's parameters read from argv, in their
+    order, or None for --help.  As click did, argv is split first, then the
+    options given are read in the order given, then the arguments, then the
+    other options."""
+    spec, flags, arguments = _SPECS[command]
     given, positional, rest = {}, [], iter(argv)
     for arg in rest:
         name, eq, value = arg.partition("=")
@@ -459,7 +484,6 @@ def _values(params, argv):
             given[name] = flags[name] or value
     if "--help" in given:
         return None
-    arguments = [name for name in spec if name not in flags]
     given |= zip(arguments, positional)
     values = {}
     for name in [*given, *(name for name in spec if name not in given)]:
@@ -530,12 +554,11 @@ class _Main:
                 if command[:1] == "-" and command != "-":
                     raise _usage(f"No such option {command.partition('=')[0]!r}.")
                 raise _usage(f"No such command {command!r}.")
-            function, params = _COMMANDS[command]
-            values = _values(params, argv[1:])
+            values = _values(command, argv[1:])
             if values is None:
                 sys.stdout.write(_help(prog, command))
                 return 0
-            return function(*values)
+            return _COMMANDS[command][0](*values)
         except KeyboardInterrupt:
             if not standalone_mode:
                 raise

@@ -19,9 +19,10 @@ test suite checks exactly that.  They take families of any length.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, repeat
+from itertools import chain, compress, count, repeat
 from typing import Any, Callable
 
 from . import families
@@ -125,7 +126,7 @@ NAMED_ORDERS = {
 def _grade(name: str, r: Relation, monoid: Monoid, eq: Predicate) -> Relation:
     """The graded order `name`: r on the sums, then its scheme's builder on families."""
     v = graded(r, getattr(families, NAMED_ORDERS[name][0])(r, eq), monoid)
-    return replace(v, name=f"{name}({r.name})")
+    return Relation(v.apply, v.declared_reflexive, f"{name}({r.name})", v.key, v.plan)
 
 
 def grlex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> Relation:
@@ -232,16 +233,17 @@ def plus_compat_r_witness(r: Relation, monoid: Monoid, c: Carrier):
 
 def _plus_compat_r_witness(t: _Table, r: Relation, monoid: Monoid):
     """First (x, x1, x2) with r(x1, x2) and not r(x1 + x, x2 + x), reading
-    r(x1, x2) from the table and adding each element to x once."""
+    r(x1, x2) from the table and adding each element to x once.  The related
+    pairs are listed once, in row order, as two columns of indices; each x
+    then asks r of their sums through one pipeline, up to the first False."""
     els, ap, op, cells, n = t.elements, r.apply, monoid.op, t.cells, t.n
-    rows = [cells[i * n : i * n + n] for i in range(n)]
+    firsts = array("I", compress(chain.from_iterable(map(repeat, range(n), repeat(n))), cells))
+    seconds = array("I", compress(chain.from_iterable(repeat(range(n), n)), cells))
     for x in els:
         sums = [op(y, x) for y in els]
-        for x1, s1, row in zip(els, sums, rows):
-            # r(s1, s2) for the x2 related to x1, asked up to the first False
-            kept = map(ap, repeat(s1), compress(sums, row))
-            for x2 in compress(compress(els, row), map(operator.not_, kept)):
-                return (x, x1, x2)
+        kept = map(ap, map(sums.__getitem__, firsts), map(sums.__getitem__, seconds))
+        for k in compress(count(), map(operator.not_, kept)):
+            return (x, els[firsts[k]], els[seconds[k]])
     return None
 
 

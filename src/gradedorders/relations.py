@@ -206,11 +206,12 @@ def _cells(answers) -> bytes:
 class _Table:
     """The relation asked once about every pair of carrier elements.
 
-    The cells are built on first use and kept: one buffer of n^2 bytes, row
-    after row, whose strided slices are its columns, and an n-bit mask per
-    row, which the transitivity scans read.  Until then ``line`` and
-    ``diagonal`` ask the relation as they are read, so that a lone diagonal
-    or pair property stops at its first witness."""
+    The cells are built on first use and kept: one bytearray of n^2 bytes,
+    filled row after row so that the build holds each answer once, whose
+    strided slices are its columns, and an n-bit mask per row, which the
+    transitivity scans read.  Until then ``line`` and ``diagonal`` ask the
+    relation as they are read, so that a lone diagonal or pair property
+    stops at its first witness."""
 
     def __init__(self, r: Relation, c: Carrier):
         self.apply = r.apply
@@ -218,9 +219,12 @@ class _Table:
         self.n = len(c.elements)
 
     @cached_property
-    def cells(self) -> bytes:
-        ap, els = self.apply, self.elements
-        return b"".join([_cells(map(ap, repeat(x), els)) for x in els])
+    def cells(self) -> bytearray:
+        ap, els, n = self.apply, self.elements, self.n
+        cells = bytearray(n * n)
+        for i, x in enumerate(els):
+            cells[i * n : i * n + n] = _cells(map(ap, repeat(x), els))
+        return cells
 
     @cached_property
     def masks(self) -> list:

@@ -168,7 +168,10 @@ def find_incomparable(w: WeightMatrix, k_lt: Relation, box_bound: int) -> Option
 # plain-text fixture format: first line "d m", then d rows of m integers
 
 
-_INTEGER = re.compile(r"\s*-?\d+\s*")
+_ENTRY = r"-?\d+"
+_INTEGER = re.compile(rf"\s*{_ENTRY}\s*")
+# a fixture row: entries with blanks between them
+_ROW = re.compile(rf"\s*(?:{_ENTRY}\s+)*{_ENTRY}\s*")
 
 
 def _integer(text: str) -> int:
@@ -193,7 +196,9 @@ def parse_matrix(text: str) -> WeightMatrix:
         raise ValueError(f"expected {d} matrix rows, got {len(lines) - 1}")
     rows = []
     for line in lines[1 : d + 1]:
-        entries = list(map(_integer, line.split()))
+        # one match reads a row; only a row it refuses is read entry by
+        # entry, so that the first bad entry is named
+        entries = list(map(int if _ROW.fullmatch(line) else _integer, line.split()))
         if len(entries) != m:
             raise ValueError(f"expected {m} entries per row, got {len(entries)} in {line!r}")
         rows.append(tuple(entries))

@@ -13,7 +13,7 @@ from pathlib import Path
 import click
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from conftest import box, budget, sort_under
 
 from gradedorders import (
@@ -708,6 +708,38 @@ def test_options_refuse_what_click_refuses_with_its_message(runner, argv, value)
 def test_compare_allows_blanks_around_components(runner):
     result = runner.invoke(main, ["compare", "--order", "lex", " 1 , 2 ", "1,3"])
     assert (result.exit_code, result.stdout) == (0, "LT\n")
+
+
+def _index_by_entry(text):
+    """A multi-index read entry by entry, as weighted._integer reads a
+    number, then refused if it has a minus: its tuple or its Error: line."""
+    try:
+        items = tuple(map(cli._integer, text.split(",")))
+    except ValueError:
+        return f"cannot parse multi-index {text!r}"
+    if "-" in text:
+        return f"multi-index components must be naturals: {text!r}"
+    return items
+
+
+# ASCII digits, a non-ASCII decimal digit, blanks (\x1c is one that int()
+# does not strip), the signs and separator int() alone reads, and commas
+INDEX_CHARS = st.sampled_from([*"0123456789", "\u0661", " ", "\t", "\xa0", "\u3000", "\x1c", "-", "+", "_", ","])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.text(INDEX_CHARS, max_size=5), min_size=1, max_size=4).map(",".join))
+@example("1,,2")
+@example("1,2,")
+@example("1," + "9" * 5000)
+@example(" 1 , \u0661 ")
+def test_multi_index_is_read_as_entry_by_entry(text):
+    # one match of the list pattern, then int() per entry
+    try:
+        got = cli._parse_index(text)
+    except click.UsageError as exc:
+        got = exc.format_message()
+    assert got == _index_by_entry(text)
 
 
 @pytest.mark.parametrize("carrier", ["1_0..20", "+1..3", "1..2_0", "0x1..3", "1 0..20"])

@@ -3,6 +3,7 @@ replace, and the bound on how often they ask the relation."""
 
 import operator
 import random
+import tracemalloc
 from collections import Counter
 from functools import partial
 from itertools import compress, product
@@ -10,7 +11,7 @@ from itertools import compress, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import REFERENCE_PAIR_FAILS, all_relations, reference_pair_witness, relation_from_pairs
+from conftest import REFERENCE_PAIR_FAILS, all_relations, box, reference_pair_witness, relation_from_pairs
 
 from gradedorders import (
     DIVIDES,
@@ -24,6 +25,7 @@ from gradedorders import (
     Relation,
     WeightMatrix,
     carrier_range,
+    family_add,
     find_incomparable,
     is_monomial_nonstrict_order,
     is_monomial_order,
@@ -484,19 +486,74 @@ def _scrambled(seed):
     return Relation(lambda a, b: (a * 7 + b * 13 + seed) % 5 < 2, name=f"scrambled{seed}")
 
 
-@pytest.mark.parametrize("monoid", MONOIDS, ids=lambda m: m.name)
+# family addition on boxes, whose carriers are random subsets of the box
+BOX_MONOIDS = [Monoid((0,) * d, family_add, name=f"N^{d}") for d in (2, 3)]
+
+
+def _plus_compat_cases(monoid):
+    """(r, c) pairs: on numbers, ready-made and scrambled relations on a few
+    carriers; on a box, on random subsets of it, a weighted sum compared by
+    < and by <= (which pass), the < with one pair of sums flipped late in
+    the scan, random pair sets (which fail), and EMPTY."""
+    if monoid not in BOX_MONOIDS:
+        for r in [LT, LE, GT, DIVIDES, EMPTY] + [_scrambled(seed) for seed in range(6)]:
+            for c in (carrier_range(0, 5), carrier_range(1, 4), Carrier((3, 0, 2)), Carrier(())):
+                yield r, c
+        return
+    d = len(monoid.identity)
+    rng = random.Random(d)
+    points = box(d, 4 if d == 2 else 2)
+    for n in (1, 2, 5, 9, 14):
+        c = Carrier(tuple(rng.sample(points, n)))
+        weights = [rng.randrange(1, 4) for _ in range(d)]
+
+        def weight(a, weights=weights):
+            return sum(map(operator.mul, weights, a))
+
+        x, x1, x2 = c.elements[-1], c.elements[0], c.elements[n // 2]
+        flipped = {(family_add(x1, x), family_add(x2, x)), (family_add(x2, x), family_add(x1, x))}
+        pairs = list(product(c.elements, repeat=2))
+        yield Relation(lambda a, b, w=weight: w(a) < w(b), name="w<"), c
+        yield Relation(lambda a, b, w=weight: w(a) <= w(b), declared_reflexive=True, name="w<="), c
+        yield Relation(lambda a, b, w=weight, f=flipped: (w(a) < w(b)) != ((a, b) in f), name="w< flipped"), c
+        yield relation_from_pairs(rng.sample(pairs, len(pairs) // 2)), c
+        yield EMPTY, c
+
+
+def ref_plus_compat_calls(r, monoid, c):
+    """The pairs the definitional loop asks r about once r(x1, x2) is known:
+    by addend x, then by x1 and x2 in carrier order over the related pairs,
+    up to the first False."""
+    calls = []
+    for x in c.elements:
+        for x1 in c.elements:
+            for x2 in c.elements:
+                if r.apply(x1, x2):
+                    calls.append((monoid.op(x1, x), monoid.op(x2, x)))
+                    if not r.apply(*calls[-1]):
+                        return calls
+    return calls
+
+
+@pytest.mark.parametrize("monoid", MONOIDS + BOX_MONOIDS, ids=lambda m: m.name)
 def test_plus_compat_r_witness_matches_reference(monoid):
-    for r in [LT, LE, GT, DIVIDES, EMPTY] + [_scrambled(seed) for seed in range(6)]:
-        for c in (carrier_range(0, 5), carrier_range(1, 4), Carrier((3, 0, 2)), Carrier(())):
-            assert plus_compat_r_witness(r, monoid, c) == ref_plus_compat_r_witness(r, monoid, c)
-            assert is_monomial_order(r, monoid, c) == (
-                ref_property_witness("strict_total_order", r, c) is None
-                and ref_plus_compat_r_witness(r, monoid, c) is None
-            )
-            assert is_monomial_nonstrict_order(r, monoid, c) == (
-                ref_property_witness("total_order", r, c) is None
-                and ref_plus_compat_r_witness(r, monoid, c) is None
-            )
+    for r, c in _plus_compat_cases(monoid):
+        log = []
+        recording = Relation(lambda x, y: log.append((x, y)) or r.apply(x, y), r.declared_reflexive, r.name)
+        assert plus_compat_r_witness(recording, monoid, c) == ref_plus_compat_r_witness(r, monoid, c)
+        # the table asks each pair once, row by row; the scan then asks
+        # what the definitional loop asks, in its order
+        n = len(c.elements)
+        assert log[: n * n] == list(product(c.elements, repeat=2)), (r.name, c)
+        assert log[n * n :] == ref_plus_compat_calls(r, monoid, c), (r.name, c)
+        assert is_monomial_order(r, monoid, c) == (
+            ref_property_witness("strict_total_order", r, c) is None
+            and ref_plus_compat_r_witness(r, monoid, c) is None
+        )
+        assert is_monomial_nonstrict_order(r, monoid, c) == (
+            ref_property_witness("total_order", r, c) is None
+            and ref_plus_compat_r_witness(r, monoid, c) is None
+        )
 
 
 @pytest.mark.parametrize("monoid", MONOIDS, ids=lambda m: m.name)
@@ -682,6 +739,23 @@ def test_ordered_table_answers_every_property_as_the_reference(diagonal):
                 assert _conjunctive_witness(_PARTS[name], t) == expected, (n, kind, name)
                 if name in REFERENCE_PAIR_FAILS:
                     assert reference_pair_witness(name, r, c) == (expected and expected[1]), (n, kind, name)
+
+
+def test_table_build_holds_each_answer_once():
+    # a preorder that is no tournament on 0..999: the cells, 10^6 bytes,
+    # are all the build keeps, and a row at a time is all it holds besides
+    n = 1000
+    t = _Table(Relation(lambda x, y: x // 2 <= y // 2, declared_reflexive=True), carrier_range(0, n - 1))
+    tracemalloc.start()
+    try:
+        t.cells
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * n * n
+    # the conjuncts read the buffer as it was built
+    assert _conjunctive_witness(_PARTS["preorder"], t) is None
+    assert _conjunctive_witness(_PARTS["strict_weak_order"], t) == ("irreflexive", (0,))
 
 
 # a strict weak order that is no tournament: x // 2 ties pairs

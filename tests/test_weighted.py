@@ -1,6 +1,8 @@
+import re
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import box, reference_columns
 
@@ -20,6 +22,7 @@ from gradedorders import (
     weighted_lt,
     weighted_relation,
 )
+from gradedorders import weighted
 from gradedorders.graded import NAMED_ORDERS
 
 ORDER_NAMES = tuple(NAMED_ORDERS)
@@ -176,6 +179,33 @@ def test_fixture_format_errors():
         parse_matrix("1 2\n1 2 3\n")
     with pytest.raises(ValueError, match="bad matrix header"):
         parse_matrix("2\n1\n1\n")
+
+
+def _rows_or_error(text):
+    try:
+        return parse_matrix(text).rows
+    except ValueError as exc:
+        return str(exc)
+
+
+# ASCII digits, a non-ASCII decimal digit, blanks, the signs and separator
+# int() alone reads, and commas
+ROW_CHARS = st.sampled_from([*"0123456789", "\u0661", " ", "\t", "\xa0", "\u3000", "-", "+", "_", ","])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.text(ROW_CHARS, max_size=4), min_size=1, max_size=4).map(" ".join), min_size=1, max_size=3))
+@example(["1 -2 \u0661", "3  4 5 "])
+@example(["1 x 2", "1 2 3"])
+@example(["1 2", "9" * 5000 + " 1"])
+def test_fixture_rows_are_read_as_entry_by_entry(rows):
+    # one match of the row pattern; a pattern that matches nothing reads
+    # every row entry by entry, by weighted._integer
+    text = f"{len(rows)} {len(rows[0].split())}\n" + "\n".join(rows) + "\n"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weighted, "_ROW", re.compile(r"(?!)"))
+        by_entry = _rows_or_error(text)
+    assert _rows_or_error(text) == by_entry
 
 
 @pytest.mark.parametrize("token", ["1_0", "+1", "0x1", "1.0"])
