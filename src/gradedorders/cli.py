@@ -17,9 +17,9 @@ enumerate's a chunk of lines at a time, the other commands' one line.
 Every number, of an option, an index or a carrier bound, is read as
 weight-matrix fixtures read them: an optional minus and a run of digits,
 with blanks around, the pattern of weighted._integer.  A multi-index is read
-with one match of that pattern between commas, as a fixture row is with one
-match of it between blanks, then int() per number; the error lines are
-those of reading it number by number.
+with one match of that pattern between commas, as the rows of a fixture are,
+all together, with one match of it between blanks, then int() per number;
+the error lines are those of reading it number by number.
 """
 
 from __future__ import annotations
@@ -142,9 +142,9 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
     # a set of more than sys.maxsize entries, C(d + k, d), is refused before
     # any is made, named by the larger of d and k; C(68, 34) is already past
     # it, so no binomial of more than 64 factors is taken
-    small = min(d, k)
+    small, too_large = min(d, k), f"--d {d} is too large" if d > k else f"--k {k} is too large"
     if small > 64 or comb(d + k, small) > sys.maxsize:
-        raise _usage(f"--d {d} is too large" if d > k else f"--k {k} is too large")
+        raise _usage(too_large)
     if order is None:
         chunks = _slice_lines(d, k, *NAMED_ORDERS[order_name], fmt)
     else:
@@ -153,6 +153,8 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
             entries = sorted_total(multi_index.iter_multi_index_set(d, k, "lex"), order)
         except IncomparableError as exc:
             raise _not_total(order_name, exc)
+        except TOO_LARGE:  # a set that memory cannot hold
+            raise _usage(too_large)
         lines = _lines(entries, fmt)
         chunks = ("\n".join(chunk) + "\n" for chunk in iter(lambda: list(islice(lines, CHUNK_LINES)), []))
 
@@ -447,11 +449,13 @@ _COMMANDS = {
 }
 
 
-# Per command, what its argv is read by: its parameters by name, whether
-# each option (and --help) is a flag, and the names of its arguments in order.
+# Per command, what its argv is read by: per parameter by name, its reader if
+# a function but str, its choices if any, and its default; whether each
+# option (and --help) is a flag; and the names of its arguments in order.
 _SPECS = {
     command: (
-        {p[0]: p for p in params},
+        {name: (reader if callable(reader) and reader is not str else None,
+                reader if isinstance(reader, tuple) else None, default) for name, reader, default, _ in params},
         {name: reader is None for name, reader, _, _ in params if name[:2] == "--"} | {"--help": True},
         [name for name, *_ in params if name[:2] != "--"],
     )
@@ -486,18 +490,18 @@ def _values(command, argv):
         return None
     given |= zip(arguments, positional)
     values = {}
-    for name in [*given, *(name for name in spec if name not in given)]:
-        _, reader, default, _ = spec[name]
+    for name in given | spec:  # the names given, then the others in order
+        read, choices, default = spec[name]
         text = given.get(name, default)
-        label = f"[{name}]" if name in arguments and default is not None else name
-        if text is None:
-            choices = " Choose from:" + ",".join("\n\t" + c for c in reader) if isinstance(reader, tuple) else ""
-            raise _usage(f"Missing {'argument' if name in arguments else 'option'} {label!r}.{choices}")
         try:
-            if isinstance(reader, tuple) and text not in reader:
-                raise ValueError(f"{text!r} is not one of {', '.join(map(repr, reader))}.")
-            values[name] = reader(text) if callable(reader) else text
-        except ValueError as exc:
+            if text is None or choices and text not in choices:
+                raise ValueError(f"{text!r} is not one of {', '.join(map(repr, choices or ()))}.")
+            values[name] = text if read is None else read(text)
+        except ValueError as exc:  # only an error needs the label
+            label = f"[{name}]" if name in arguments and default is not None else name
+            if text is None:
+                listed = " Choose from:" + ",".join("\n\t" + c for c in choices) if choices else ""
+                raise _usage(f"Missing {'argument' if name in arguments else 'option'} {label!r}.{listed}") from None
             raise _usage(f"Invalid value for {label!r}: {exc}") from None
     extra = positional[len(arguments) :]
     if extra:

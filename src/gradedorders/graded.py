@@ -59,7 +59,8 @@ def family_sum(a: Family, monoid: Monoid = NAT_ADD):
 
 def family_add(x: Family, y: Family, monoid: Monoid = NAT_ADD) -> Family:
     """Componentwise monoid operation (the monoid structure on G^n)."""
-    check_same_length(x, y)
+    if len(x) != len(y):
+        check_same_length(x, y)
     return tuple(map(monoid.op, x, y))
 
 
@@ -71,6 +72,10 @@ def graded(scalar: Relation, vector: Relation, monoid: Monoid = NAT_ADD) -> Rela
     natural-number sums, ``apply`` compares ``sum(x)`` with ``sum(y)``, and
     the result has the key (sum, vector key) if the vector relation has a
     key; then a plan of the vector relation gains a last pass by the sum."""
+    return _graded(scalar, vector, monoid, f"graded({scalar.name},{vector.name})")
+
+
+def _graded(scalar: Relation, vector: Relation, monoid: Monoid, name: str) -> Relation:
     op, identity, same = monoid.op, monoid.identity, monoid.eq
     vector_apply, scalar_apply = vector.apply, scalar.apply
 
@@ -104,7 +109,6 @@ def graded(scalar: Relation, vector: Relation, monoid: Monoid = NAT_ADD) -> Rela
             if vector.plan:
                 plan = vector.plan + ((sum, False),)
 
-    name = f"graded({scalar.name},{vector.name})"
     return Relation(apply, declared_reflexive=vector.declared_reflexive, name=name, key=key, plan=plan)
 
 
@@ -125,8 +129,7 @@ NAMED_ORDERS = {
 
 def _grade(name: str, r: Relation, monoid: Monoid, eq: Predicate) -> Relation:
     """The graded order `name`: r on the sums, then its scheme's builder on families."""
-    v = graded(r, getattr(families, NAMED_ORDERS[name][0])(r, eq), monoid)
-    return Relation(v.apply, v.declared_reflexive, f"{name}({r.name})", v.key, v.plan)
+    return _graded(r, getattr(families, NAMED_ORDERS[name][0])(r, eq), monoid, f"{name}({r.name})")
 
 
 def grlex(r: Relation, monoid: Monoid = NAT_ADD, eq: Predicate = operator.eq) -> Relation:

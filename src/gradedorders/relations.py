@@ -31,7 +31,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
 Predicate = Callable[[Any, Any], bool]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Relation:
     """A binary predicate with declared metadata.
 
@@ -68,6 +68,10 @@ class Relation:
     name: str = ""
     key: Optional[Callable[[Any], Any]] = None
     plan: Tuple[Tuple[Optional[Callable[[Any], Any]], bool], ...] = ()
+
+    # one update of the instance dict, not the frozen __init__'s setattr per field
+    def __init__(self, apply, declared_reflexive=False, name="", key=None, plan=()):
+        self.__dict__.update(apply=apply, declared_reflexive=declared_reflexive, name=name, key=key, plan=plan)
 
     def __call__(self, x, y) -> bool:
         return self.apply(x, y)

@@ -20,7 +20,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from typing import Optional, Tuple
 
 from .families import SCHEMES, Family, LengthMismatchError, is_strict_less
@@ -38,12 +38,11 @@ class WeightMatrix:
     rows: Tuple[Tuple, ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
         if not rows:
             raise ValueError("weight matrix needs at least one row")
-        widths = {len(row) for row in rows}
-        if len(widths) != 1:
+        if len(set(map(len, rows))) != 1:
             raise ValueError("weight matrix rows have inconsistent lengths")
         for row in rows:
             for entry in row:
@@ -94,9 +93,10 @@ def weighted_lt(w: WeightMatrix, k_lt: Relation, x: Family, y: Family) -> bool:
 def weighted_relation(w: WeightMatrix, k_lt: Relation = LT) -> Relation:
     """The matrix order as a vector relation: weighted_lt, with the sums of
     products taken over precomputed columns; under the strict ``<`` its key
-    is the tuple of column dot products."""
-    columns = [w.column(j) for j in range(w.m)]
-    d = w.d
+    is the tuple of column dot products, in which a unit column (one entry 1,
+    the others 0) is the component at its 1, read through one itemgetter."""
+    columns = list(zip(*w.rows))
+    d, m = w.d, w.m
     mul = operator.mul
     k_apply = k_lt.apply
 
@@ -111,11 +111,18 @@ def weighted_relation(w: WeightMatrix, k_lt: Relation = LT) -> Relation:
 
     key = None
     if is_strict_less(k_lt):
+        # the key picks unit columns' components from a, the other columns' dot
+        # products after them (no unit for one column: itemgetter(i) is no tuple)
+        units = [m > 1 and column.count(0) == d - 1 and 1 in column for column in columns]
+        dense, others = [column for column, unit in zip(columns, units) if not unit], count(d)
+        positions = [column.index(1) if unit else next(others) for column, unit in zip(columns, units)]
+        pick = operator.itemgetter(*positions) if any(units) else None
 
         def key(a: Family):
             if len(a) != d:
                 raise LengthMismatchError(f"expected families of length {d}, got {len(a)}")
-            return tuple([sum(map(mul, a, column)) for column in columns])
+            values = [sum(map(mul, a, column)) for column in dense]
+            return tuple(values) if pick is None else pick((*a, *values))
 
     # running out of columns gives False, so two equal families are unrelated
     return Relation(apply, declared_reflexive=False, name=f"weighted[{w.d}x{w.m}]", key=key)
@@ -194,14 +201,14 @@ def parse_matrix(text: str) -> WeightMatrix:
     d, m = map(_integer, header)
     if len(lines) - 1 != d:
         raise ValueError(f"expected {d} matrix rows, got {len(lines) - 1}")
+    # one match reads the body; only a body it refuses is read by _integer, to name the bad entry
+    read = int if _ROW.fullmatch(" ".join(lines[1:])) else _integer
     rows = []
-    for line in lines[1 : d + 1]:
-        # one match reads a row; only a row it refuses is read entry by
-        # entry, so that the first bad entry is named
-        entries = list(map(int if _ROW.fullmatch(line) else _integer, line.split()))
+    for line in lines[1:]:
+        entries = tuple(map(read, line.split()))
         if len(entries) != m:
             raise ValueError(f"expected {m} entries per row, got {len(entries)} in {line!r}")
-        rows.append(tuple(entries))
+        rows.append(entries)
     return WeightMatrix(tuple(rows))
 
 
@@ -212,5 +219,6 @@ def format_matrix(w: WeightMatrix) -> str:
 
 
 def load_matrix(path) -> WeightMatrix:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_matrix(handle.read())
+    # decoded bytes: no text wrapper per load, and splitlines reads any line end
+    with open(path, "rb") as handle:
+        return parse_matrix(handle.read().decode("utf-8"))

@@ -785,6 +785,48 @@ def test_compare_wrong_dimension_order_is_a_usage_error(runner, tmp_path):
     assert runner.invoke(main, ["compare", "--order", order, "1,2,0", "1,2,0"]).stdout == "EQ\n"
 
 
+# the verdict of compare under the eight named orders and two weight
+# matrices on fixed pairs in d = 3: an equal pair, four that the orders split
+# differently, and one that flat3 does not separate; one line per order
+COMPARE_PAIRS = [("1,0,2", "1,0,2"), ("1,2,0", "0,1,2"), ("2,0,1", "0,3,0"), ("0,0,5", "1,1,1"), ("1,0,0", "0,0,1"),
+                 ("2,0,0", "0,1,0")]
+COMPARE_VERDICTS = """\
+lex EQ GT GT LT GT GT
+colex EQ LT GT GT LT LT
+symlex EQ LT LT GT LT LT
+revlex EQ GT LT LT GT GT
+grlex EQ GT GT GT GT GT
+grcolex EQ LT GT GT LT GT
+grsymlex EQ LT LT GT LT GT
+grevlex EQ GT LT GT GT GT
+weighted:w3.txt EQ LT LT GT LT GT
+weighted:flat3.txt EQ LT LT GT LT INCOMPARABLE
+"""
+
+
+def test_compare_verdicts_and_number_list_errors(runner, tmp_path):
+    for line in COMPARE_VERDICTS.splitlines():
+        order, *expected = line.split()
+        order = order.replace("weighted:", f"weighted:{FIXTURES}/")
+        got = [runner.invoke(main, ["compare", "--order", order, a, b]).stdout.strip() for a, b in COMPARE_PAIRS]
+        assert got == expected, order
+    # a multi-index is read with one match of the integer pattern between
+    # commas, a fixture's rows with one match of it between blanks, and the
+    # errors are the per-entry reader's: a bad piece, then a minus, then the
+    # entry a row names
+    assert runner.invoke(main, ["compare", "--order", "lex", " 1 , 2", "3,4"]).stdout == "LT\n"
+    fixture = tmp_path / "bad-entry.txt"
+    fixture.write_text("2 2\n1 x\n0 1\n")
+    for order, a, b, error in [
+        *[("lex", index, "3,4", f"cannot parse multi-index '{index}'") for index in ["1,,2", "1,2,", "1_0,1"]],
+        ("lex", "1,-0", "3,4", "multi-index components must be naturals: '1,-0'"),
+        (f"weighted:{fixture}", "1,0", "0,1", f"cannot load weight matrix '{fixture}': not an integer: 'x'"),
+    ]:
+        result = runner.invoke(main, ["compare", "--order", order, a, b])
+        assert result.exit_code == 2
+        assert [line for line in result.stderr.splitlines() if line.startswith("Error:")] == [f"Error: {error}"]
+
+
 def test_mode_option_is_gone(runner):
     assert runner.invoke(main, ["compare", "--mode", "strict", "0,1", "1,0"]).exit_code == 2
     result = runner.invoke(main, ["sort-terms", "--d", "2", "--mode", "strict"], input="X + Y")
@@ -1041,6 +1083,13 @@ USAGE_CONTRACT = [
         "Error: Option '--allow-sort-fallback' does not take a value.",
     ),
     (["enumerate", "--d=2", "--k=1"], 0, None),
+    # the options given are read in the order given, before the others
+    (["enumerate", "--k", "x", "--d", "y"], 2, "Error: Invalid value for '--k': 'x' is not a valid integer."),
+    (
+        ["enumerate", "--format", "xml", "--k", "1"],
+        2,
+        "Error: Invalid value for '--format': 'xml' is not one of 'plain', 'csv', 'jsonl'.",
+    ),
     (["compare", "--", "-1", "2"], 2, "Error: multi-index components must be naturals: '-1'"),
     (["compare", "-1,2", "2"], 2, None),
     (
@@ -1108,6 +1157,23 @@ def test_sets_past_sys_maxsize_entries_are_usage_errors(runner, d, k):
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
     assert errors == [f"Error: --d {d} is too large" if d > k else f"Error: --k {k} is too large"]
     assert result.stdout == ""
+
+
+def test_enumerate_fallback_out_of_memory_is_a_usage_error(runner, monkeypatch):
+    # a set under sys.maxsize entries that memory cannot hold: the list the
+    # sort fallback makes of it fails, named by the larger of --d and --k
+    def filling(d, k, scheme):
+        yield (0,) * d
+        raise MemoryError
+
+    monkeypatch.setattr(cli.multi_index, "iter_multi_index_set", filling)
+    for d, k in [(2, 3037000498), (3, 2)]:
+        argv = ["enumerate", "--d", str(d), "--k", str(k), "--order", f"weighted:{FIXTURES}/w{d}.txt"]
+        result = runner.invoke(main, argv + ["--allow-sort-fallback"])
+        assert result.exit_code == 2
+        errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+        assert errors == [f"Error: --d {d} is too large" if d > k else f"Error: --k {k} is too large"]
+        assert (result.stdout, "Traceback" in result.output) == ("", False)
 
 
 # per command: each option, with the default its --help shows (None for a

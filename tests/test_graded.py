@@ -10,6 +10,7 @@ from gradedorders import (
     GT,
     LE,
     LT,
+    LengthMismatchError,
     Monoid,
     NAT_ADD,
     carrier_range,
@@ -37,7 +38,7 @@ from gradedorders import (
     symlex,
     zero_least_on_nonzero,
 )
-from gradedorders.families import SCHEMES
+from gradedorders.families import SCHEMES, sorted_total
 from gradedorders.graded import NAMED_ORDERS, named_builder
 from gradedorders.relations import Relation
 
@@ -77,6 +78,8 @@ def test_family_sum_other_monoid():
 
 def test_family_add():
     assert family_add((1, 2), (3, 0)) == (4, 2)
+    with pytest.raises(LengthMismatchError, match="family lengths differ: 2 vs 1"):
+        family_add((1, 2), (3,))
 
 
 def test_graded_compares_sums_first():
@@ -137,6 +140,22 @@ def test_builder_names():
         "grlex(lt)", "grcolex(lt)", "grsymlex(lt)", "grevlex(lt)",
         "grlex_rec(lt)", "grcolex_rec(lt)", "grsymlex_rec(lt)", "grevlex_rec(lt)", "grsymlex_full_rec(lt)",
     ]
+
+
+@pytest.mark.parametrize("r", [LT, LE, GT], ids=lambda r: r.name)
+@pytest.mark.parametrize("name", list(ALL_GRADED))
+def test_named_graded_orders_are_their_compositions(name, r):
+    # the grading of the scheme's order, built in one step under its own name
+    order = named_builder(name)(r)
+    composed = graded(r, named_builder(NAMED_ORDERS[name][0])(r))
+    assert (order.name, composed.name) == (f"{name}({r.name})", f"graded({r.name},{NAMED_ORDERS[name][0]}({r.name}))")
+    assert order.declared_reflexive == composed.declared_reflexive == r.declared_reflexive
+    assert agree_on_box(order, composed, 3, 2)
+    assert (order.key is None, len(order.plan)) == (composed.key is None, len(composed.plan))
+    items = box(3, 2)[::-1]
+    if order.key is not None:
+        assert list(map(order.key, items)) == list(map(composed.key, items))
+        assert sorted_total(items, order) == sorted_total(items, composed) == sort_under(composed, items)
 
 
 # ---------------------------------------------------------------------------

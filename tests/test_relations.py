@@ -1,3 +1,4 @@
+import dataclasses
 import operator
 import re
 
@@ -42,6 +43,24 @@ def agree_on(r1, r2, carrier):
         for x in carrier.elements
         for y in carrier.elements
     )
+
+
+def test_relation_keeps_its_dataclass_behaviour():
+    r = Relation(operator.lt, True, "r", abs, ((None, False),))
+    assert [f.name for f in dataclasses.fields(r)] == ["apply", "declared_reflexive", "name", "key", "plan"]
+    assert r == Relation(apply=operator.lt, declared_reflexive=True, name="r", key=abs, plan=((None, False),))
+    assert hash(r) == hash(Relation(operator.lt, True, "r", abs, ((None, False),)))
+    assert dataclasses.replace(r, name="s", key=None) == Relation(operator.lt, True, "s", None, ((None, False),))
+    assert r != dataclasses.replace(r, declared_reflexive=False)
+    assert Relation(operator.lt) == Relation(operator.lt, False, "", None, ())
+    assert repr(r) == (
+        "Relation(apply=<built-in function lt>, declared_reflexive=True, name='r', "
+        "key=<built-in function abs>, plan=((None, False),))"
+    )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.name = "s"
+    with pytest.raises(TypeError):
+        Relation()
 
 
 def test_converse_unfolds():

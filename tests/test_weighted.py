@@ -1,4 +1,6 @@
 import re
+from decimal import Decimal
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -152,9 +154,41 @@ def test_all_ones_rank_one_witness_on_tiny_box():
     assert find_incomparable(WeightMatrix(((1, 1), (1, 1))), LT, 1) is not None
 
 
+# a column of each kind: zero, unit, negated unit, with a Fraction, dense
+def _column(kind, d, i, draw):
+    if kind in ("unit", "negated"):
+        return tuple((1 if kind == "unit" else -1) if j == i else 0 for j in range(d))
+    if kind == "fraction":
+        return tuple(Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4))) for _ in range(d))
+    return (0,) * d if kind == "zero" else tuple(draw(st.integers(-5, 5)) for _ in range(d))
+
+
+@st.composite
+def matrices_and_families(draw):
+    d, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    kinds = st.sampled_from(["zero", "unit", "negated", "fraction", "dense"])
+    columns = [_column(draw(kinds), d, draw(st.integers(0, d - 1)), draw) for _ in range(m)]
+    return WeightMatrix(tuple(zip(*columns))), draw(st.tuples(*[st.integers(-9, 9)] * d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices_and_families())
+@example((WeightMatrix(((1,),)), (7,)))
+@example((WeightMatrix(((0, 1), (1, 0))), (2, 3)))
+def test_key_is_the_tuple_of_column_dot_products(case):
+    # unit columns are read as the component at their 1, the others as dot products
+    w, x = case
+    columns = [tuple(row[j] for row in w.rows) for j in range(w.m)]
+    assert weighted_relation(w, LT).key(x) == tuple(sum(a * c for a, c in zip(x, column)) for column in columns)
+
+
 def test_rejects_float_entries():
-    with pytest.raises(TypeError):
-        WeightMatrix(((1.0, 0.0), (0.0, 1.0)))
+    # the first inexact entry in row order is named, whatever follows it
+    for entry in [1.0, 1j, Decimal(1)]:
+        with pytest.raises(TypeError, match=re.escape(f"inexact matrix entry {entry!r}")):
+            WeightMatrix(((1, Fraction(1, 2)), (entry, 0.5)))
+    mixed = ((True, 0), (Fraction(1, 2), -2), (False, Fraction(3)))
+    assert WeightMatrix(mixed).rows == mixed
     with pytest.raises(ValueError, match="at least one row"):
         WeightMatrix(())
     with pytest.raises(ValueError, match="inconsistent lengths"):
@@ -198,9 +232,12 @@ ROW_CHARS = st.sampled_from([*"0123456789", "\u0661", " ", "\t", "\xa0", "\u3000
 @example(["1 -2 \u0661", "3  4 5 "])
 @example(["1 x 2", "1 2 3"])
 @example(["1 2", "9" * 5000 + " 1"])
+@example(["1 2", "3", "4 5 6"])
+@example(["1 2", "3 4", "5 x"])
+@example(["1 2\r", "3 4\r"])
 def test_fixture_rows_are_read_as_entry_by_entry(rows):
-    # one match of the row pattern; a pattern that matches nothing reads
-    # every row entry by entry, by weighted._integer
+    # one match of the row pattern over all rows; a pattern that matches
+    # nothing reads every row entry by entry, by weighted._integer
     text = f"{len(rows)} {len(rows[0].split())}\n" + "\n".join(rows) + "\n"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(weighted, "_ROW", re.compile(r"(?!)"))
