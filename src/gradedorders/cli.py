@@ -14,6 +14,9 @@ click is imported only for these two.
 Stdout takes the text of a command as it is made, written to the
 sys.stdout of the moment and flushed each time so that a pipe streams:
 enumerate's a chunk of lines at a time, the other commands' one line.
+Under a named order enumerate writes each line once, in one str.replace
+over a row of text that puts in its frame and the components the walk
+fixed, and fills the ranks of a chunk with one %-format (_slice_lines).
 Every number, of an option, an index or a carrier bound, is read as
 weight-matrix fixtures read them: an optional minus and a run of digits,
 with blanks around, the pattern of weighted._integer.  A multi-index is read
@@ -172,41 +175,44 @@ def cmd_enumerate(d, k, order_name, fmt, allow_sort_fallback):
         _write(chunk)
 
 
-# where a line of a back scheme's text ends its components, which the
-# components fixed for a run follow
+# where a line of a back scheme's slack walk ends its components: the
+# components fixed for a run go there, before the text of its sum
 _END = "\0"
 
 
 def _table(m, k, scheme, sep, slack=None):
     """The slices of dimension m >= 2 and sum r = 0..k as text rows (text,
     n): the n entries of the slice in the scheme's order, each with sep
-    between its components, joined by newlines.  For a back scheme each
-    line has _END after its components.  With slack, a format with one "%d"
-    or an empty text, the rows are those of the slack walk: the slack, the
-    component the walk reaches last, is left out, and each line ends with
-    slack % (k - s) for its slack s.  The rows of m = 2 are two slices of
-    texts of 0..k, joined per row; each further dimension extends the rows
-    below it by one component, fixed where the walk fixes it: the j-part
-    compositions of r are each c, in the walk's order, then those of r - c
-    in j - 1 parts (Knuth, TAOCP 4A, 7.2.1.3).  An extension is one
-    str.replace per row below it, which writes the new component at every
-    line."""
+    between its components, joined by newlines.  With slack, a format with
+    one "%d" or an empty text, the rows are those of the slack walk: the
+    slack, the component the walk reaches last, is left out, and each line
+    ends with slack % (k - s) for its slack s, after _END for a back scheme.
+    The rows of m = 2 are one slice each of two lists of texts of 0..k,
+    joined per row; each further dimension extends the rows below it by one
+    component, fixed where the walk fixes it: the j-part compositions of r
+    are each c, in the walk's order, then those of r - c in j - 1 parts
+    (Knuth, TAOCP 4A, 7.2.1.3).  An extension is one str.replace per row
+    below it, which writes the new component at every line: at its
+    newlines, or at _END."""
     down, back = SCHEMES[scheme]
-    end = _END if back else ""
+    end = _END if back and slack is not None else ""
     numbers = list(map(str, range(k + 1)))
     pieces = [sep + c for c in numbers] if back else [c + sep for c in numbers]
     # a line of m = 2 is firsts[a] + lasts[b] for a pair (a, b) of the row,
     # taken as (b, a) where the slack comes first
     if slack is None:
-        firsts, lasts = (numbers, [c + end for c in pieces]) if back else (pieces, numbers)
+        firsts, lasts = (numbers, pieces) if back else (pieces, numbers)
     else:
         firsts, lasts = numbers, [end + (slack and slack % (k - s)) for s in range(k + 1)]
-    swap = slack is not None and back
-    firsts, lasts = multi_index._pairs(scheme, firsts), multi_index._pairs(scheme, lasts)
-    if slack == "":  # the lines end alike
-        rows = [((end + "\n").join(firsts(r)[swap]) + end, r + 1) for r in range(k + 1)]
+    # the pairs of sum r, in the scheme's order, are (a, r - a) with a from 0
+    # up to r or from r down (multi_index._pairs): the same slice of firsts
+    # and the opposite one of lasts
+    if (down == back) != (slack is not None and back):
+        pairs = ((firsts[: r + 1], lasts[r::-1]) for r in range(k + 1))
     else:
-        rows = [("\n".join(map(add, firsts(r)[swap], lasts(r)[not swap])), r + 1) for r in range(k + 1)]
+        pairs = ((firsts[r::-1], lasts[: r + 1]) for r in range(k + 1))
+    # where slack is "" the lines end alike
+    rows = [((end + "\n").join(a) + end if slack == "" else "\n".join(map(add, a, b)), len(a)) for a, b in pairs]
     for _ in range(m - 2):
         below, rows = rows, []
         for r in range(k + 1):
@@ -214,10 +220,24 @@ def _table(m, k, scheme, sep, slack=None):
             for c in range(r, -1, -1) if down else range(r + 1):
                 text, count = below[r - c]
                 piece = pieces[c]
-                texts.append(text.replace(_END, piece + _END) if back else piece + text.replace("\n", "\n" + piece))
+                if not back:
+                    text = piece + text.replace("\n", "\n" + piece)
+                elif end:
+                    text = text.replace(end, piece + end)
+                else:
+                    text = text.replace("\n", piece + "\n") + piece
+                texts.append(text)
                 n += count
             rows.append(("\n".join(texts), n))
     return rows
+
+
+def _filled(parts, ranks):
+    """The text of a chunk: its parts joined, and its "%d" fields filled
+    from ranks unless they are empty; parts is emptied."""
+    text = "".join(parts)
+    parts.clear()
+    return text % tuple(ranks) if ranks else text
 
 
 def _slice_lines(d, k, scheme, graded, fmt):
@@ -231,12 +251,20 @@ def _slice_lines(d, k, scheme, graded, fmt):
     A run of multi_index._runs has its fixed components as text, each made
     by joined, and its last m components as row r of one _table, where m is
     the largest m <= d whose tables of 2..m components hold at most
-    TABLE_CHARS characters together.  When k = 0 or no table fits, m = 2
-    and a line has a "%d" field per component left, filled from the two
-    ranges of multi_index._pairs.  A run is cut where it fills a chunk, its
-    row split into lines once, and each piece is written with one
-    str.replace, which puts the frames and the fixed components at every
-    line, and one %-format, which fills the fields and the ranks.
+    TABLE_CHARS characters together.  A graded walk of m = d > 2 keeps the
+    table of d - 1 components and makes each slice l of d components here,
+    never held whole: a block per value c of the component that the walk
+    fixes first, in the walk's order, which is the row l - c with c put at
+    every line.  When k = 0 or no table fits, m = 2 and a line has a "%d"
+    field per component left, filled from the two ranges of
+    multi_index._pairs.  A run or a block is cut where it fills a chunk,
+    its row split into lines once.  Each piece of a row is written with one
+    str.replace at its newlines, which puts at every line the fixed
+    components, the end of the line's frame with a "%d" for its rank, and
+    the start of the next line's frame; in the slack walk of a back scheme
+    a replace at _END puts the fixed components first.  One %-format per
+    chunk then fills the ranks.  With no table a piece is a line repeated,
+    its components and ranks filled by one %-format.
 
     Memory: the walk's stack, O(d); the table, at most TABLE_CHARS
     characters; and one chunk, however large k, the set or its largest
@@ -245,8 +273,7 @@ def _slice_lines(d, k, scheme, graded, fmt):
     ranked = fmt != "plain"
     if graded and d == 1:  # a graded order of N^1 is lex(<), which needs no slices
         scheme, graded = "lex", False
-    back = SCHEMES[scheme][1]
-    end = _END
+    down, back = SCHEMES[scheme]
     # the dimension walked, the sums of its slices, and what the slack walk
     # writes after the components of a line
     if graded:
@@ -255,7 +282,8 @@ def _slice_lines(d, k, scheme, graded, fmt):
         dimension, slices, slack = d + 1, (k,), f"{before_sum}%d{before_rank}" if ranked else ""
     joined = (sep + "%d").__mod__ if back else ("%d" + sep).__mod__
     # written bounds the characters of the tables of 2..m components: a line
-    # of j components has at most j * width, then the end mark and the sum
+    # of j components has at most j * width, then one character for a back
+    # scheme (the slack walk's end mark) and the sum
     width, extra = len(str(k)) + len(sep), back + len(slack % k if slack else "")
     m, written = 1, 0
     while k and m < d:
@@ -263,12 +291,18 @@ def _slice_lines(d, k, scheme, graded, fmt):
         if written > TABLE_CHARS:
             break
         m += 1
+    made = graded and 2 < m == d  # the rows of d components are made per slice
+    marked = back and slack is not None
     if m > 1:
-        rows = _table(m, k, scheme, sep, slack)
+        rows = _table(m - made, k, scheme, sep, slack)
+        pieces = list(map(joined, range(k + 1))) if made else ()
     else:
         m, rows = 2, ()
-        line = ("%d" if slack is not None else "%d" + sep + "%d") + (end if back else "") + (slack or "")
+        line = "%d" if slack is not None else "%d" + sep + "%d"
         pairs = multi_index._pairs(scheme, range(k + 1))
+    # with a table the ranks of a chunk are filled once it is complete, with
+    # none each piece is filled as it is made
+    filled = ranked and bool(rows)
     rank, chunk = 0, []
     for l in slices:
         if not ranked:
@@ -277,8 +311,26 @@ def _slice_lines(d, k, scheme, graded, fmt):
             close = f"{before_sum}{l}{before_rank}%d{closing}\n"
         else:
             close = f"%d{closing}\n"
-        for head, r, tail in multi_index._runs(dimension, l, scheme, joined, opening, "", m):
+        runs = multi_index._runs(dimension, l, scheme, joined, opening, "", m)
+        if made:  # the slice's one run, as a block per value c of the component
+            [(head, r, tail)] = runs
+            cs = range(r, -1, -1) if down else range(r + 1)
+            n = comb(l + d - 1, d - 1)
+            if n < CHUNK_LINES - rank % CHUNK_LINES:  # the slice within the chunk: its blocks whole
+                if back:
+                    for c in cs:
+                        after = pieces[c] + close
+                        chunk += head, rows[r - c][0].replace("\n", after + head), after
+                else:
+                    for c in cs:
+                        start = head + pieces[c]
+                        chunk += start, rows[r - c][0].replace("\n", close + start), close
+                rank += n
+                continue
+            runs = [(head, r - c, pieces[c] + tail) for c in cs] if back else [(head + pieces[c], r - c, tail) for c in cs]
+        for head, r, tail in runs:
             text, n = rows[r] if rows else (line, r + 1)
+            after = close if marked else tail + close
             room = CHUNK_LINES - rank % CHUNK_LINES
             if n < room:
                 spans = ((0, n),)
@@ -296,7 +348,7 @@ def _slice_lines(d, k, scheme, graded, fmt):
                         columns = (shown, range(k - slacks.start, k - slacks.stop, -slacks.step)) if slack else (shown,)
                     if ranked:
                         columns += (range(rank, rank + j - i),)
-                    piece = (head + text.replace(end, tail) + close) * (j - i)
+                    piece = (head + text + tail + (slack or "") + close) * (j - i)
                     if len(columns) == 1:
                         piece %= tuple(columns[0])
                     else:
@@ -304,20 +356,17 @@ def _slice_lines(d, k, scheme, graded, fmt):
                         for c, column in enumerate(columns):
                             fields[c :: len(columns)] = column
                         piece %= tuple(fields)
+                    chunk.append(piece)
                 else:
                     piece = text if j - i == n else "\n".join(lines[i:j])
-                    if back:
-                        piece = piece.replace(end, tail)
-                    piece = head + piece.replace("\n", close + head) + close
-                    if ranked:
-                        piece %= tuple(range(rank, rank + j - i))
+                    if marked:
+                        piece = piece.replace(_END, tail)
+                    chunk += head, piece.replace("\n", after + head), after
                 rank += j - i
-                chunk.append(piece)
                 if rank % CHUNK_LINES == 0:
-                    yield "".join(chunk)
-                    chunk = []
+                    yield _filled(chunk, filled and range(rank - CHUNK_LINES, rank))
     if chunk:
-        yield "".join(chunk)
+        yield _filled(chunk, filled and range(rank - rank % CHUNK_LINES, rank))
 
 
 def _lines(entries, fmt):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import random
@@ -453,6 +454,53 @@ def test_block_shapes_take_every_m():
     assert _walk_m(2, 5, "") == 2
 
 
+@pytest.mark.parametrize("order_name", list(NAMED_ORDERS))
+def test_every_m_of_a_walk_matches_the_sorted_set(monkeypatch, order_name):
+    # TABLE_CHARS set to the characters of the tables of 2..m components
+    # makes a walk take that m: each m from 2 to d, a graded walk of m = d
+    # making its last component per slice, on sets of more than one chunk,
+    # so that the chunks cut runs, blocks and rows
+    scheme, graded = NAMED_ORDERS[order_name]
+    runs, taken = cli.multi_index._runs, []
+
+    def recorded(d, l, scheme, piece, head, tail, m):
+        taken.append(m)
+        return runs(d, l, scheme, piece, head, tail, m)
+
+    monkeypatch.setattr(cli.multi_index, "_runs", recorded)
+    for d, k in [(3, 30), (5, 12), (6, 9)]:
+        entries = sorted_total(cli.multi_index.iter_multi_index_set(d, k, "lex"), named_builder(order_name)(LT))
+        for fmt, (sep, _, before_sum, before_rank, _) in cli._FRAMES.items():
+            expected = "".join(line + "\n" for line in cli._lines(entries, fmt))
+            extra = SCHEMES[scheme][1] + (len(f"{before_sum}{k}{before_rank}") if not graded and fmt != "plain" else 0)
+            for m in range(2, d + 1):
+                monkeypatch.setattr(cli, "TABLE_CHARS", _table_chars(m, k, sep, extra))
+                taken.clear()
+                chunks = list(cli._slice_lines(d, k, scheme, graded, fmt))
+                assert set(taken) == {m}, (d, k, fmt, m)
+                assert "".join(chunks) == expected, (d, k, fmt, m)
+                assert [chunk.count("\n") for chunk in chunks] == [cli.CHUNK_LINES, len(entries) - cli.CHUNK_LINES]
+
+
+def test_a_graded_walk_of_d_components_holds_no_rows_of_d():
+    # At d = 5, k = 10 the walk takes m = 5 = d: its table keeps the rows
+    # of 4 components and makes the last component per slice, so what the
+    # walk holds once its one chunk is made is less than the rows of 5
+    # components would be alone
+    d, k = 5, 10
+    assert _walk_m(d, k) == d
+    level = sum(len(text) for text, _ in cli._table(d, k, "lex", ","))
+    tracemalloc.start()
+    try:
+        lines = cli._slice_lines(d, k, "lex", True, "csv")
+        chunk = next(lines)
+        held = tracemalloc.get_traced_memory()[0] - sys.getsizeof(chunk)
+    finally:
+        tracemalloc.stop()
+    assert chunk.count("\n") == comb(d + k, d)
+    assert held < level
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(1, 40),
@@ -498,11 +546,14 @@ def test_block_table_holds_at_most_its_characters_and_is_built_once(d, k, order_
     if not fits:
         assert m == 2 and tables == []
         return
+    # a graded walk of m = d > 2 components makes the last of them per
+    # slice, from a table of m - 1
     [((m_built, k_built, *_), rows)] = tables
-    assert m == m_built == max(fits) and k_built == k
+    assert m == max(fits) and k_built == k
+    assert m_built == (m - 1 if not slack_walk and 2 < m == d else m)
     assert len(rows) == k + 1
     assert sum(len(text) for text, _ in rows) <= cli.TABLE_CHARS
-    assert all(n == text.count("\n") + 1 == comb(r + m - 1, m - 1) for r, (text, n) in enumerate(rows))
+    assert all(n == text.count("\n") + 1 == comb(r + m_built - 1, m_built - 1) for r, (text, n) in enumerate(rows))
 
 
 @pytest.mark.parametrize("fmt", ["plain", "csv"])
@@ -533,6 +584,70 @@ def test_a_row_cut_at_the_chunks_is_split_once(d, k, fmt):
         text = "".join(cli._slice_lines(d, k, "lex", True, fmt))
     assert text == "".join(cli._slice_lines(d, k, "lex", True, fmt))
     assert max(per_run) == 1
+
+
+# enumerate's stdout, one row per call: digest|line count|arguments|last line
+# (empty: not checked).  In order: the block walk at the benchmark's peak
+# size; a table of m = 5 with a back scheme's slack swap; tables of m = 5..7
+# under colex and symlex, graded and by the slack walk; small shapes (d = 2
+# from a table, d = 3 and 4 from tables that hold the whole set, the slack
+# walk of d = 2 with no table); and shapes whose tables would pass 256 Ki
+# characters, every line "%d" fields filled from ranges, each many chunks long
+ENUMERATE_CALLS = """\
+b7164987cb06095d248013daee68cefffd4895db8a30dd1c7410c3ab740de44b|203491|--d 8 --k 13 --order grlex --format csv|13,0,0,0,0,0,0,0,13,203489
+145155bcfdd1e96efdfa294c68839d9c38b1dd5fb5eed8b49266b716637338f7|1716|--d 6 --k 7 --order revlex --format jsonl|{"index": [0, 0, 0, 0, 0, 0], "sum": 0, "rank": 1715}
+3478fb335b258c6ea483f8a00cf92594359872da73e1ab443d7f42465afd5f00|463|--d 5 --k 6 --order colex --format csv|
+d6428cea6b9a6c979408d4a42dbced57683305c606cf9e853d7111b18f19d822|495|--d 8 --k 4 --order grcolex --format jsonl|
+f34db707dc31ddfaf48ea2415d063f307eaccb680322854bbf8f44d1591304da|462|--d 6 --k 5 --order symlex --format jsonl|
+f41fd70db4c19b59b9a649c71a6b4b9bd99d37c489ce8dd0035716433d7903c8|792|--d 7 --k 5 --order grsymlex --format plain|0,0,0,0,0,0,5
+a73f3ace7d11630d6995d7e058901bbecba413fd2a896890b5a90f9700c744fd|7381|--d 2 --k 120 --order grcolex --format plain|
+593f5361db4fdc6e4ed17b0a379456e3d718faa7a9772860a28bc0a5088c6d87|3277|--d 3 --k 25 --order grsymlex --format csv|
+3c39a23a816c428f57bab4852286b2a4d111f2443a5235be62edb9c8b08b1df3|10626|--d 4 --k 20 --order grlex --format jsonl|
+3eb6e6f9c7af2f0fd5c0f9f9e935ad3864ce843a8a7001e489eb768cf6086cbd|45452|--d 2 --k 300 --order lex --format csv|
+a37530134c91ea6e4194091235c06a0fea70138ac3ae10daa484ab9b7a381381|80601|--d 2 --k 400 --order grevlex --format jsonl|
+c98ed70808d88d976cae2494d647342e450f2909552ea5c2ea560639e4287c82|45452|--d 2 --k 300 --order grsymlex --format csv|
+c22721a987accc691930117fab6059580ad65401b200f25bd9eb23b12718e376|20001|--d 1 --k 20000 --order colex --format jsonl|
+"""
+
+
+@pytest.mark.parametrize("row", ENUMERATE_CALLS.splitlines(), ids=lambda row: row.split("|")[2])
+def test_enumerate_stdout_digests(monkeypatch, row):
+    digest, lines, args, last = row.split("|")
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    main.main(["enumerate", *args.split()], standalone_mode=False)
+    text = out.getvalue()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert text.count("\n") == int(lines)
+    if last:
+        assert text.splitlines()[-1] == last
+
+
+# the sha256 of the text of _slice_lines over every case below, in order:
+# orders in NAMED_ORDERS order, then plain, csv and jsonl, then the shapes
+# d = 1..9, k = 0..13 with C(d + k, d) <= 60,000, then (1, 20000),
+# (3, 150), (64, 1), (12, 3) and (5000, 0); each case's own digest is in
+# enumerate_digests.txt
+ENUMERATE_DIGEST = "df7b1000193e18d38cb9906d99d9ee0ceb8b7f75e9634891c03d1ef4dd319ce4"
+ENUMERATE_SHAPES = [(d, k) for d in range(1, 10) for k in range(14) if comb(d + k, d) <= 60000] + [
+    (1, 20000), (3, 150), (64, 1), (12, 3), (5000, 0)
+]
+
+
+def test_enumerate_text_of_every_case_keeps_its_digest():
+    recorded = Path(__file__).with_name("enumerate_digests.txt").read_text().splitlines()
+    recorded = [line for line in recorded if not line.startswith("#")]
+    cases = [(o, fmt, d, k) for o in NAMED_ORDERS for fmt in cli._FRAMES for d, k in ENUMERATE_SHAPES]
+    assert len(cases) == len(recorded) == 2952
+    total = hashlib.sha256()
+    for (order_name, fmt, d, k), line in zip(cases, recorded):
+        case = hashlib.sha256()
+        for chunk in cli._slice_lines(d, k, *NAMED_ORDERS[order_name], fmt):
+            data = chunk.encode()
+            case.update(data)
+            total.update(data)
+        assert f"{order_name} {fmt} {d} {k} {case.hexdigest()[:12]}" == line
+    assert total.hexdigest() == ENUMERATE_DIGEST
 
 
 @pytest.mark.parametrize("order_name", list(NAMED_ORDERS))

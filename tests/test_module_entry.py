@@ -85,3 +85,19 @@ def test_the_largest_sets_within_sys_maxsize_entries_stream(d, k):
     lines, err, code = _into_a_closed_pipe("enumerate", "--d", str(d), "--k", str(k), lines=1)
     assert lines == [",".join(["0"] * d) + "\n"]
     assert (err, code) == ("", 1)
+
+
+def test_enumerate_at_a_large_k_streams_and_a_set_past_sys_maxsize_is_refused():
+    # the slack walk at k = 10**6 with no table, cut off after two lines,
+    # and a set of more than sys.maxsize entries under the sort fallback,
+    # which exits 2 with one error line before any entry is made
+    args = "enumerate", "--d", "2", "--k", "1000000", "--order", "lex", "--format", "csv"
+    lines, err, code = _into_a_closed_pipe(*args, lines=2)
+    assert lines == ["i0,i1,sum,rank\n", "0,0,0,0\n"]
+    assert (err, code) == ("", 1)
+    fixture = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "w2.txt"
+    k = "4611686018427387904"
+    result = run_module("enumerate", "--d", "2", "--k", k, "--order", f"weighted:{fixture}", "--allow-sort-fallback")
+    assert result.returncode == 2
+    assert [line for line in result.stderr.splitlines() if line.startswith("Error:")] == [f"Error: --k {k} is too large"]
+    assert result.stdout == ""

@@ -174,11 +174,11 @@ def test_deep_dimensions_do_not_recurse(scheme):
 def walked_rows(m, k, scheme, sep, slack=None):
     """The text table of dimension m from the tuple walk, the definition
     that the table's extension replaces: a line holds an entry's components
-    with sep between them and, for a back scheme, the end mark after them;
-    with slack, the slack (last for a front scheme, first for a back one)
-    is dropped and slack % (k - slack) closes the line."""
+    with sep between them; with slack, the slack (last for a front scheme,
+    first for a back one) is dropped and slack % (k - slack) closes the
+    line, after the end mark for a back scheme."""
     back = SCHEME_FLAGS[scheme][1]
-    end = cli._END if back else ""
+    end = cli._END if back and slack is not None else ""
     rows = []
     for r in range(k + 1):
         lines = []
