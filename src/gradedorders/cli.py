@@ -282,8 +282,10 @@ def _slice_lines(d, k, scheme, graded, fmt):
         dimension, slices, slack = d + 1, (k,), f"{before_sum}%d{before_rank}" if ranked else ""
     joined = (sep + "%d").__mod__ if back else ("%d" + sep).__mod__
     # written bounds the characters of the tables of 2..m components: a line
-    # of j components has at most j * width, then one character for a back
-    # scheme (the slack walk's end mark) and the sum
+    # of j components has at most j * width, then the slack walk's sum and,
+    # for a back scheme, one character: the slack walk's end mark; a graded
+    # back walk writes no end mark, and its character is counted only so
+    # that each shape takes the m it took when its rows carried one
     width, extra = len(str(k)) + len(sep), back + len(slack % k if slack else "")
     m, written = 1, 0
     while k and m < d:
@@ -315,8 +317,11 @@ def _slice_lines(d, k, scheme, graded, fmt):
         if made:  # the slice's one run, as a block per value c of the component
             [(head, r, tail)] = runs
             cs = range(r, -1, -1) if down else range(r + 1)
+            # a slice within the chunk writes its blocks whole, with none of
+            # the run loop's work per block, which d = 3 slices of short
+            # blocks would pay on every few lines
             n = comb(l + d - 1, d - 1)
-            if n < CHUNK_LINES - rank % CHUNK_LINES:  # the slice within the chunk: its blocks whole
+            if n < CHUNK_LINES - rank % CHUNK_LINES:
                 if back:
                     for c in cs:
                         after = pieces[c] + close
