@@ -16,7 +16,8 @@ sys.stdout of the moment and flushed each time so that a pipe streams:
 enumerate's a chunk of lines at a time, the other commands' one line.
 Under a named order enumerate writes each line once, in one str.replace
 over a row of text that puts in its frame and the components the walk
-fixed, and fills the ranks of a chunk with one %-format (_slice_lines).
+fixed, and fills the ranks of a chunk with one bytes %-format per chunk,
+decoded once (_slice_lines).
 Every number, of an option, an index or a carrier bound, is read as
 weight-matrix fixtures read them: an optional minus and a run of digits,
 with blanks around, the pattern of weighted._integer.  A multi-index is read
@@ -234,10 +235,19 @@ def _table(m, k, scheme, sep, slack=None):
 
 def _filled(parts, ranks):
     """The text of a chunk: its parts joined, and its "%d" fields filled
-    from ranks unless they are empty; parts is emptied."""
-    text = "".join(parts)
+    from ranks unless they are empty, with one bytes %-format per chunk,
+    decoded once; parts is emptied.  The text is ASCII, and bytes fill a
+    "%d" faster than str does.  The joined text is held only as its bytes,
+    and those are rebound to the filled ones, so at most two copies of the
+    chunk are alive at once, as with a str fill."""
+    if not ranks:
+        text = "".join(parts)
+        parts.clear()
+        return text
+    data = "".join(parts).encode()
     parts.clear()
-    return text % tuple(ranks) if ranks else text
+    data %= tuple(ranks)
+    return data.decode()
 
 
 def _slice_lines(d, k, scheme, graded, fmt):
@@ -262,9 +272,10 @@ def _slice_lines(d, k, scheme, graded, fmt):
     str.replace at its newlines, which puts at every line the fixed
     components, the end of the line's frame with a "%d" for its rank, and
     the start of the next line's frame; in the slack walk of a back scheme
-    a replace at _END puts the fixed components first.  One %-format per
-    chunk then fills the ranks.  With no table a piece is a line repeated,
-    its components and ranks filled by one %-format.
+    a replace at _END puts the fixed components first.  One bytes %-format
+    per chunk, decoded once, then fills the ranks (_filled).  With no table
+    a piece is a line repeated, its components and ranks filled by one
+    bytes %-format, decoded once.
 
     Memory: the walk's stack, O(d); the table, at most TABLE_CHARS
     characters; and one chunk, however large k, the set or its largest
@@ -353,7 +364,7 @@ def _slice_lines(d, k, scheme, graded, fmt):
                         columns = (shown, range(k - slacks.start, k - slacks.stop, -slacks.step)) if slack else (shown,)
                     if ranked:
                         columns += (range(rank, rank + j - i),)
-                    piece = (head + text + tail + (slack or "") + close) * (j - i)
+                    piece = (head + text + tail + (slack or "") + close).encode() * (j - i)
                     if len(columns) == 1:
                         piece %= tuple(columns[0])
                     else:
@@ -361,7 +372,7 @@ def _slice_lines(d, k, scheme, graded, fmt):
                         for c, column in enumerate(columns):
                             fields[c :: len(columns)] = column
                         piece %= tuple(fields)
-                    chunk.append(piece)
+                    chunk.append(piece.decode())
                 else:
                     piece = text if j - i == n else "\n".join(lines[i:j])
                     if marked:

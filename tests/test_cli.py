@@ -7,7 +7,7 @@ import re
 import sys
 import tracemalloc
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, product
 from math import comb
 from pathlib import Path
 
@@ -586,6 +586,67 @@ def test_a_row_cut_at_the_chunks_is_split_once(d, k, fmt):
     assert max(per_run) == 1
 
 
+def _str_filled(parts, ranks):
+    """The chunk as a str %-format fills it."""
+    text = "".join(parts)
+    parts.clear()
+    return text % tuple(ranks) if ranks else text
+
+
+@pytest.mark.parametrize("start", [0, 2**31 - 1, sys.maxsize - 5])
+@pytest.mark.parametrize("fmt", list(cli._FRAMES))
+def test_bytes_fill_matches_str_formatting(fmt, start):
+    # the lines of every frame with a "%d" for the rank, ranks that pass 32
+    # bits and come to sys.maxsize, which no walk reaches, and the fill of
+    # no ranks, which joins the parts alone
+    sep, opening, before_sum, before_rank, closing = cli._FRAMES[fmt]
+    entries = list(islice(iter_slice(3, 12, "lex"), 40))
+    parts = [f"{opening}{sep.join(map(str, e))}{before_sum}{sum(e)}{before_rank}%d{closing}\n" for e in entries]
+    ranks = range(start, start + len(parts))
+    given = list(parts)
+    filled = cli._filled(given, ranks)
+    assert given == []
+    assert type(filled) is str
+    assert filled == _str_filled(list(parts), ranks)
+    assert filled.endswith(f"{before_rank}{start + len(parts) - 1}{closing}\n")
+    for ranks in (range(0), False):
+        assert cli._filled(list(parts), ranks) == "".join(parts)
+
+
+def test_bytes_fill_of_a_chunk_holds_no_more_than_a_str_fill():
+    # A full jsonl chunk of 4096 lines, 214 KiB: the bytes fill holds the
+    # joined text only as its bytes and rebinds them to the filled ones, so
+    # its peak is no higher than the str fill's; holding the joined str
+    # beside its bytes would add a third copy
+    fill, taken = cli._filled, []
+
+    def first(parts, ranks):
+        if not taken:
+            taken.append((list(parts), ranks))
+        return fill(parts, ranks)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_filled", first)
+        next(cli._slice_lines(6, 9, "lex", True, "jsonl"))
+    [(parts, ranks)] = taken
+    assert ranks == range(cli.CHUNK_LINES)
+
+    def peak(filled):
+        given = list(parts)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            text = filled(given, ranks)
+            return tracemalloc.get_traced_memory()[1] - held, text
+        finally:
+            tracemalloc.stop()
+
+    (bytes_peak, text), (str_peak, expected) = peak(cli._filled), peak(_str_filled)
+    assert text == expected
+    assert text.count("\n") == cli.CHUNK_LINES
+    assert bytes_peak <= str_peak
+
+
 # enumerate's stdout, one row per call: digest|line count|arguments|last line
 # (empty: not checked).  In order: the block walk at the benchmark's peak
 # size; a table of m = 5 with a back scheme's slack swap; tables of m = 5..7
@@ -1045,6 +1106,41 @@ def test_sort_terms_from_file(runner, tmp_path):
     assert result.stdout.strip() == "Y^2 + X^3"
 
 
+# 600 terms on the 243 monomials of [0..2]^5, with products, rationals, zero
+# coefficients and like terms that cancel, as one line
+MONOMIALS = list(product(range(3), repeat=5))
+SORT_TERMS_POLY = " ".join(
+    "+-"[i % 2] + " " + ["", "2*", "1/2*", "3*2/3*", "0*", "7/3*"][i % 243 % 6]
+    + "X0^%d*X1^%d*X2^%d*X3^%d*X4^%d" % MONOMIALS[i * 7 % 243]
+    for i in range(600)
+) + "\n"
+# the sha256 of sort-terms' stdout on it under each named order and the w5
+# fixture's weight matrix
+SORT_TERMS_DIGESTS = """\
+lex 331d2e964a324caac3bd929a463b7fa9856c3c2c5e3298d9774c00b948db5f1e
+colex 195b3f7e106c1657d08316a4e3d6e38bd4c8cf4b0cd61d40986f344451c5d70f
+symlex 86f56e512fe6f3769801f4c00c71821804129f84d33f6c171932a767e6ad19f2
+revlex 8aab075e7c327ba50361b76752ce6e0cd2caf2a4a8aa4e9562768b483996f201
+grlex 413636fd243a45f7ef13a5048c0354ea9995a00a27e032692125f78935957239
+grcolex 5e7c0dfe47b26344f824dc6baaf23f458458e8b84d869b9c6656555d76fe6798
+grsymlex de6e0a6ea11f3aa4ff3ff4a169904a7d19e822a46ad6f250bb513c07a1fb8a39
+grevlex 8867e27df633e286bea7ab2b38e96475ce255154490f798040bc897adedd0b53
+w5 428c409f9b9a7a2406ab3d0f02bfe8883ac8556d4f608038773c0ebd8cb39d24
+"""
+
+
+@pytest.mark.parametrize("row", SORT_TERMS_DIGESTS.splitlines(), ids=lambda row: row.split()[0])
+def test_sort_terms_stdout_digests(monkeypatch, row):
+    order, digest = row.split()
+    if order == "w5":
+        order = f"weighted:{FIXTURES / 'w5.txt'}"
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(SORT_TERMS_POLY))
+    monkeypatch.setattr(sys, "stdout", out)
+    main.main(["sort-terms", "--d", "5", "--order", order], standalone_mode=False)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # sorting refuses orders that are not total
 
@@ -1161,6 +1257,35 @@ def test_check_unknown_names(runner):
         ).exit_code
         == 2
     )
+
+
+# check's stdout line and exit code: total orders pass transitivity by the
+# score test, divides by the scan, and on 400 elements, being no
+# tournament, by the scan over the table's row masks
+CHECK_LINES = [
+    ("total_order", "le", "0..300", 0, "PASS total_order(le) on 0..300"),
+    ("strict_total_order", "gt", "0..200", 0, "PASS strict_total_order(gt) on 0..200"),
+    ("transitive", "divides", "1..60", 0, "PASS transitive(divides) on 1..60"),
+    (
+        "negatively_transitive", "divides", "1..12", 1,
+        "FAIL negatively_transitive(divides) on 1..12: negatively_transitive fails at (2, 3, 2)",
+    ),
+    ("partial_order", "divides", "1..400", 0, "PASS partial_order(divides) on 1..400"),
+]
+
+
+@pytest.mark.parametrize("prop, relation, carrier, code, line", CHECK_LINES, ids=[f"{p}-{r}" for p, r, *_ in CHECK_LINES])
+def test_check_stdout_lines(monkeypatch, prop, relation, carrier, code, line):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    argv = ["check", "--property", prop, "--relation", relation, "--carrier", carrier]
+    if code:
+        with pytest.raises(SystemExit) as exit:
+            main.main(argv, standalone_mode=False)
+        assert exit.value.code == code
+    else:
+        main.main(argv, standalone_mode=False)
+    assert out.getvalue() == line + "\n"
 
 
 # ---------------------------------------------------------------------------
