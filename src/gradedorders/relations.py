@@ -101,16 +101,19 @@ class Carrier:
     decidable equality.
 
     Equality is a supplied function, not assumed structural, so the deciders
-    stay generic over user element types.
+    stay generic over user element types.  The elements are stored as a
+    tuple; a range under the default equality is distinct without a test.
     """
 
     elements: Tuple[Any, ...]
     eq: Predicate = operator.eq
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        elems = self.elements
+        given, elems = self.elements, tuple(self.elements)
+        object.__setattr__(self, "elements", elems)
         if self.eq is operator.eq:
+            if isinstance(given, range):  # a range's elements are distinct
+                return
             try:
                 if len(set(elems)) == len(elems):
                     return
@@ -125,7 +128,7 @@ class Carrier:
 
 def carrier_range(lo: int, hi: int) -> Carrier:
     """Carrier of the integers lo..hi inclusive."""
-    return Carrier(tuple(range(lo, hi + 1)))
+    return Carrier(range(lo, hi + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +197,15 @@ _NOT = bytes.maketrans(b"\0\1", b"\1\0")  # complement of a row
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # a row as binary digits
 
 
+# The library's own integer predicates: on a carrier of ints, each answers
+# every pair with a bool, which bytes stores as it is.
+_INT_PREDICATES = (operator.lt, operator.le, operator.gt, operator.ge, _divides)
+
+
 def _cells(answers) -> bytes:
-    """One byte per answer, 1 where the answer is true (see Relation); the
-    answers are stored once, so none is asked twice."""
+    """One byte per answer, 1 where the answer is true (see Relation): the
+    row of a relation whose answers may be no bool.  The answers are
+    stored once, so none is asked twice."""
     answers = list(answers)
     try:
         cells = bytes(answers)
@@ -215,19 +224,27 @@ class _Table:
     strided slices are its columns, and an n-bit mask per row, which the
     transitivity scans read.  Until then ``line`` and ``diagonal`` ask the
     relation as they are read, so that a lone diagonal or pair property
-    stops at its first witness."""
+    stops at its first witness.
+
+    ``row`` makes the bytes of a row from its answers as they come.  The
+    integer predicates of this module answer bools on a carrier of ints
+    (``type(x) is int``: no bool, no other number), so their rows are
+    ``bytes`` of the answers as the calls return them; any other relation
+    or carrier takes ``_cells``."""
 
     def __init__(self, r: Relation, c: Carrier):
         self.apply = r.apply
         self.elements = c.elements
         self.n = len(c.elements)
+        ints = any(r.apply is p for p in _INT_PREDICATES) and {*map(type, c.elements)} <= {int}
+        self.row = bytes if ints else _cells
 
     @cached_property
     def cells(self) -> bytearray:
-        ap, els, n = self.apply, self.elements, self.n
+        ap, els, n, row = self.apply, self.elements, self.n, self.row
         cells = bytearray(n * n)
         for i, x in enumerate(els):
-            cells[i * n : i * n + n] = _cells(map(ap, repeat(x), els))
+            cells[i * n : i * n + n] = row(map(ap, repeat(x), els))
         return cells
 
     @cached_property
@@ -249,7 +266,7 @@ class _Table:
         x, ys = repeat(self.elements[i]), self.elements[i + 1 :]
         if chosen is not None:
             ys = compress(ys, chosen)
-        return _cells(map(self.apply, x, ys) if forward else map(self.apply, ys, x))
+        return self.row(map(self.apply, x, ys) if forward else map(self.apply, ys, x))
 
     @cached_property
     def ordered(self) -> bool:

@@ -1271,10 +1271,24 @@ CHECK_LINES = [
         "FAIL negatively_transitive(divides) on 1..12: negatively_transitive fails at (2, 3, 2)",
     ),
     ("partial_order", "divides", "1..400", 0, "PASS partial_order(divides) on 1..400"),
+    ("partial_order", "divides", "-3..3", 1, "FAIL partial_order(divides) on -3..3: antisymmetric fails at (-3, 3)"),
+    ("reflexive", "divides", "-3..3", 0, "PASS reflexive(divides) on -3..3"),
+    ("strict_total_order", "lt", "-50..50", 0, "PASS strict_total_order(lt) on -50..50"),
+    ("trichotomous", "gt", "-7..7", 0, "PASS trichotomous(gt) on -7..7"),
+    ("strict_weak_order", "le", "-2..2", 1, "FAIL strict_weak_order(le) on -2..2: irreflexive fails at (-2,)"),
 ]
 
 
-@pytest.mark.parametrize("prop, relation, carrier, code, line", CHECK_LINES, ids=[f"{p}-{r}" for p, r, *_ in CHECK_LINES])
+def _check_ids(rows):
+    """property-relation, with the carrier after it where the pair came before"""
+    seen, ids = set(), []
+    for prop, relation, carrier, *_ in rows:
+        ids.append(f"{prop}-{relation}" + (f"-{carrier}" if (prop, relation) in seen else ""))
+        seen.add((prop, relation))
+    return ids
+
+
+@pytest.mark.parametrize("prop, relation, carrier, code, line", CHECK_LINES, ids=_check_ids(CHECK_LINES))
 def test_check_stdout_lines(monkeypatch, prop, relation, carrier, code, line):
     out = io.StringIO()
     monkeypatch.setattr(sys, "stdout", out)

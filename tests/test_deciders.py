@@ -8,6 +8,8 @@ from collections import Counter
 from functools import partial
 from itertools import compress, product
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,7 +34,7 @@ from gradedorders import (
     is_plus_reg_r,
     weighted_lt,
 )
-from gradedorders import weighted
+from gradedorders import relations, weighted
 from gradedorders.graded import plus_compat_r_witness
 from gradedorders.relations import CONJUNCTIVE_PARTS, EMPTY, PROPERTY_NAMES, _Table, _transitive, property_witness
 from gradedorders.relations import _PARTS, _conjunctive_witness
@@ -267,6 +269,65 @@ def test_relations_returning_non_bool_values():
         Relation(lambda x, y: [x] if x <= y else [], name="list if le"),
     ):
         assert_same_witnesses(r, carrier_range(-2, 4))
+
+
+INT_PREDICATES = (LT, LE, GT, GE, DIVIDES)
+# ranges through 0 and the negatives (divides), shuffled ints, one element
+# and none
+INT_CARRIERS = [
+    carrier_range(-4, 4),
+    carrier_range(0, 9),
+    carrier_range(-9, -1),
+    Carrier(tuple(random.Random(3).sample(range(-12, 40), 14))),
+    Carrier(tuple(random.Random(4).sample(range(-5, 6), 11))),
+    Carrier((0,)),
+    Carrier((7,)),
+    Carrier(()),
+]
+# carriers that hold a bool or another number beside ints
+MIXED_CARRIERS = [Carrier((0, True, 2, 3)), Carrier((-1, Fraction(1, 2), 0, 2, 4))]
+
+
+def _wrapped(r):
+    """r with the same answers, as a relation the library does not know."""
+    return Relation(lambda x, y: r.apply(x, y), declared_reflexive=r.declared_reflexive, name=f"wrapped({r.name})")
+
+
+def _witnesses_and_cells(monkeypatch, r, c):
+    """Each property's witness of r on c, and how often a table made for it
+    called relations._cells."""
+    calls = []
+    cells = relations._cells
+    monkeypatch.setattr(relations, "_cells", lambda answers: calls.append(1) or cells(answers))
+    found = []
+    for name in PROPERTY_NAMES:
+        before = len(calls)
+        found.append((property_witness(name, r, c), len(calls) - before))
+    monkeypatch.setattr(relations, "_cells", cells)
+    return found
+
+
+@pytest.mark.parametrize("r", INT_PREDICATES, ids=lambda r: r.name)
+@pytest.mark.parametrize("c", INT_CARRIERS, ids=lambda c: str(c.elements))
+def test_integer_predicates_store_their_rows_as_bytes(monkeypatch, r, c):
+    """On a carrier of ints the five predicates' rows are the bytes of
+    their answers, with no _cells; the same answers from a relation the
+    library does not know take _cells, and every property gives the same
+    verdict and witness."""
+    fast = _witnesses_and_cells(monkeypatch, r, c)
+    general = _witnesses_and_cells(monkeypatch, _wrapped(r), c)
+    assert [w for w, _ in fast] == [w for w, _ in general] == [ref_property_witness(n, r, c) for n in PROPERTY_NAMES]
+    assert sum(k for _, k in fast) == 0
+    assert bool(sum(k for _, k in general)) == bool(c.elements)
+
+
+@pytest.mark.parametrize("r", INT_PREDICATES, ids=lambda r: r.name)
+@pytest.mark.parametrize("c", MIXED_CARRIERS, ids=lambda c: str(c.elements))
+def test_a_carrier_with_a_bool_or_a_fraction_keeps_cells(monkeypatch, r, c):
+    found = _witnesses_and_cells(monkeypatch, r, c)
+    assert found == _witnesses_and_cells(monkeypatch, _wrapped(r), c)
+    assert [w for w, _ in found] == [ref_property_witness(n, r, c) for n in PROPERTY_NAMES]
+    assert sum(k for _, k in found) > 0
 
 
 # answers of every type the deciders read: bools, ints 0 and 1, other ints,

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+FIXTURES = SRC.parent / "perfbench" / "fixtures"
 
 
 def _module(*args):
@@ -17,9 +18,9 @@ def _module(*args):
     return [sys.executable, "-m", "gradedorders.cli", *args], {**os.environ, "PYTHONPATH": path}
 
 
-def run_module(*args):
+def run_module(*args, input=None):
     argv, env = _module(*args)
-    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run(argv, input=input, capture_output=True, text=True, env=env, timeout=60)
 
 
 def test_enumerate_through_the_module_entry():
@@ -41,6 +42,37 @@ def test_usage_error_through_the_module_entry():
     result = run_module("enumerate", "--d", "0", "--k", "1")
     assert result.returncode == 2
     assert "Error: --d must be >= 1, got 0" in result.stderr
+
+
+# The exit-code contract through the module entry: 1 for a failing property,
+# 2 for a usage error, 3 for a missing capability; a weight matrix of the
+# wrong dimension is a usage error on any input, and so is a number that is
+# no run of digits.  Each case is argv, stdin and the exit code.
+EXIT_CODES = [
+    (("check", "--property", "reflexive", "--relation", "lt", "--carrier", "0..3"), None, 1),
+    (("check", "--property", "nope", "--relation", "lt", "--carrier", "0..3"), None, 2),
+    (("enumerate", "--d", "2", "--k", "2", "--order", f"weighted:{FIXTURES / 'w2.txt'}"), None, 3),
+    (("sort-terms", "--d", "1", "--order", f"weighted:{FIXTURES / 'w3.txt'}"), "0\n", 2),
+    (("enumerate", "--d", "1_0", "--k", "1"), None, 2),
+]
+
+
+@pytest.mark.parametrize("args, stdin, code", EXIT_CODES, ids=["fail", "property", "capability", "dimension", "digits"])
+def test_exit_codes_through_the_module_entry(args, stdin, code):
+    assert run_module(*args, input=stdin).returncode == code
+
+
+def test_usage_through_the_module_entry():
+    # help lists check's property names, --opt=value reads as --opt value,
+    # -- ends the options so that a minus reaches the index check, and a
+    # bare call is a usage error
+    assert "strict_weak_order" in run_module("check", "--help").stdout
+    assert run_module("enumerate", "--d=2", "--k=1").stdout == "0,0\n1,0\n0,1\n"
+    result = run_module("compare", "--order", "lex", "--", "1,-2", "0,1")
+    assert result.returncode == 2
+    errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+    assert errors == ["Error: multi-index components must be naturals: '1,-2'"]
+    assert run_module().returncode == 2
 
 
 def test_stdin_is_read_as_utf8_whatever_the_locale():

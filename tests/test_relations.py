@@ -178,6 +178,17 @@ def test_carrier_rejects_duplicates():
     assert len(carrier_range(0, 3000).elements) == 3001
 
 
+def test_range_and_tuple_carriers_are_equal_and_hold_tuples():
+    for lo, hi in [(0, -1), (0, 0), (-3, 3), (5, 600)]:
+        given = Carrier(range(lo, hi + 1))
+        assert given == Carrier(tuple(range(lo, hi + 1))) == carrier_range(lo, hi)
+        assert type(given.elements) is tuple and type(carrier_range(lo, hi).elements) is tuple
+        assert given.elements == tuple(range(lo, hi + 1))
+    # a range is distinct only under the default equality: any other scans
+    with pytest.raises(ValueError, match=r"duplicate carrier elements: 0, 2$"):
+        Carrier(range(4), eq=lambda x, y: x % 2 == y % 2)
+
+
 def test_property_witness_reports_counterexample():
     failure = property_witness("connected", DIVIDES, Carrier((1, 2, 3, 4, 5, 6)))
     assert failure is not None
