@@ -102,18 +102,22 @@ class Carrier:
 
     Equality is a supplied function, not assumed structural, so the deciders
     stay generic over user element types.  The elements are stored as a
-    tuple; a range under the default equality is distinct without a test.
+    tuple; a range under the default equality is distinct without a test,
+    and a range is known to hold ints.
     """
 
     elements: Tuple[Any, ...]
     eq: Predicate = operator.eq
+    _ints = False  # not a field: every element is known to have type int
 
     def __post_init__(self):
         given, elems = self.elements, tuple(self.elements)
         object.__setattr__(self, "elements", elems)
-        if self.eq is operator.eq:
-            if isinstance(given, range):  # a range's elements are distinct
+        if isinstance(given, range):  # ints, distinct under the default equality
+            object.__setattr__(self, "_ints", True)
+            if self.eq is operator.eq:
                 return
+        elif self.eq is operator.eq:
             try:
                 if len(set(elems)) == len(elems):
                     return
@@ -198,8 +202,25 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")  # a row as binary digits
 
 
 # The library's own integer predicates: on a carrier of ints, each answers
-# every pair with a bool, which bytes stores as it is.
+# every pair with a bool, which a bytearray stores as it is.
 _INT_PREDICATES = (operator.lt, operator.le, operator.gt, operator.ge, _divides)
+
+
+def _divides_row(x, ys) -> bytearray:
+    """_divides(x, y) for each int y: not y % x, or not y where x is 0."""
+    if x:
+        return bytearray(map(operator.not_, map(operator.mod, ys, repeat(x))))
+    return bytearray(map(operator.not_, ys))
+
+
+def _divided_row(x, ys) -> bytearray:
+    """_divides(y, x) for each int y: not x % y, and a row that holds y = 0
+    asks _divides of each y instead."""
+    ys = tuple(ys)  # read again by the fallback
+    try:
+        return bytearray(map(operator.not_, map(operator.mod, repeat(x), ys)))
+    except ZeroDivisionError:
+        return bytearray(map(_divides, ys, repeat(x)))
 
 
 def _cells(answers) -> bytes:
@@ -226,25 +247,33 @@ class _Table:
     relation as they are read, so that a lone diagonal or pair property
     stops at its first witness.
 
-    ``row`` makes the bytes of a row from its answers as they come.  The
-    integer predicates of this module answer bools on a carrier of ints
-    (``type(x) is int``: no bool, no other number), so their rows are
-    ``bytes`` of the answers as the calls return them; any other relation
-    or carrier takes ``_cells``."""
+    ``forward(x, ys)`` makes the bytes of r(x, y) for each y in ``ys``,
+    ``backward(x, ys)`` those of r(y, x).  The integer predicates of this
+    module answer bools on a carrier of ints (``type(x) is int``: no bool,
+    no other number; a range carrier is known to hold ints), so their rows
+    are a ``bytearray`` of the answers as the calls return them, which
+    fills faster than ``bytes``; the rows of ``divides`` are its own
+    expressions mapped over the row, one Python call per row, not per pair.
+    Any other relation or carrier takes ``_cells``."""
 
     def __init__(self, r: Relation, c: Carrier):
-        self.apply = r.apply
+        self.apply = ap = r.apply
         self.elements = c.elements
         self.n = len(c.elements)
-        ints = any(r.apply is p for p in _INT_PREDICATES) and {*map(type, c.elements)} <= {int}
-        self.row = bytes if ints else _cells
+        ints = any(ap is p for p in _INT_PREDICATES) and (c._ints or {*map(type, c.elements)} <= {int})
+        if ints and ap is _divides:
+            self.forward, self.backward = _divides_row, _divided_row
+        else:
+            row = bytearray if ints else _cells
+            self.forward = lambda x, ys: row(map(ap, repeat(x), ys))
+            self.backward = lambda x, ys: row(map(ap, ys, repeat(x)))
 
     @cached_property
     def cells(self) -> bytearray:
-        ap, els, n, row = self.apply, self.elements, self.n, self.row
+        els, n, forward = self.elements, self.n, self.forward
         cells = bytearray(n * n)
         for i, x in enumerate(els):
-            cells[i * n : i * n + n] = row(map(ap, repeat(x), els))
+            cells[i * n : i * n + n] = forward(x, els)
         return cells
 
     @cached_property
@@ -263,10 +292,10 @@ class _Table:
             n, at = self.n, i * self.n + i
             line = self.cells[at + 1 : at + n - i] if forward else self.cells[at + n :: n]
             return line if chosen is None else bytes(compress(line, chosen))
-        x, ys = repeat(self.elements[i]), self.elements[i + 1 :]
+        ys = self.elements[i + 1 :]
         if chosen is not None:
             ys = compress(ys, chosen)
-        return self.row(map(self.apply, x, ys) if forward else map(self.apply, ys, x))
+        return (self.forward if forward else self.backward)(self.elements[i], ys)
 
     @cached_property
     def ordered(self) -> bool:

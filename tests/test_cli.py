@@ -1276,6 +1276,17 @@ CHECK_LINES = [
     ("strict_total_order", "lt", "-50..50", 0, "PASS strict_total_order(lt) on -50..50"),
     ("trichotomous", "gt", "-7..7", 0, "PASS trichotomous(gt) on -7..7"),
     ("strict_weak_order", "le", "-2..2", 1, "FAIL strict_weak_order(le) on -2..2: irreflexive fails at (-2,)"),
+    # divides through 0 and the negatives, where a row's divisor may be 0
+    ("antisymmetric", "divides", "-6..6", 1, "FAIL antisymmetric(divides) on -6..6: antisymmetric fails at (-6, 6)"),
+    ("transitive", "divides", "-4..9", 0, "PASS transitive(divides) on -4..9"),
+    ("asymmetric", "divides", "-2..2", 1, "FAIL asymmetric(divides) on -2..2: asymmetric fails at (-2, -2)"),
+    ("strongly_connected", "divides", "-1..1", 0, "PASS strongly_connected(divides) on -1..1"),
+    (
+        "negatively_transitive", "divides", "0..12", 1,
+        "FAIL negatively_transitive(divides) on 0..12: negatively_transitive fails at (2, 3, 2)",
+    ),
+    ("preorder", "divides", "-5..5", 0, "PASS preorder(divides) on -5..5"),
+    ("antisymmetric", "divides", "1..300", 0, "PASS antisymmetric(divides) on 1..300"),
 ]
 
 

@@ -3,6 +3,7 @@ replace, and the bound on how often they ask the relation."""
 
 import operator
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from functools import partial
@@ -280,6 +281,9 @@ INT_CARRIERS = [
     carrier_range(-9, -1),
     Carrier(tuple(random.Random(3).sample(range(-12, 40), 14))),
     Carrier(tuple(random.Random(4).sample(range(-5, 6), 11))),
+    # divides' backward rows that hold 0, whole and among chosen y
+    carrier_range(-30, 30),
+    Carrier((6, -4, -9, 3, -2, 0, 12, -6, 1, 9, 4)),
     Carrier((0,)),
     Carrier((7,)),
     Carrier(()),
@@ -328,6 +332,71 @@ def test_a_carrier_with_a_bool_or_a_fraction_keeps_cells(monkeypatch, r, c):
     assert found == _witnesses_and_cells(monkeypatch, _wrapped(r), c)
     assert [w for w, _ in found] == [ref_property_witness(n, r, c) for n in PROPERTY_NAMES]
     assert sum(k for _, k in found) > 0
+
+
+def _divides_calls(name, r, c):
+    """The witness of r on c and the (a, b) of every call of
+    relations._divides made for it, seen by a profile hook: DIVIDES.apply
+    is the function itself, so it cannot be patched."""
+    code, calls = relations._divides.__code__, []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append((frame.f_locals["a"], frame.f_locals["b"]))
+
+    before = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        witness = property_witness(name, r, c)
+    finally:
+        sys.setprofile(before)
+    return witness, calls
+
+
+@pytest.mark.parametrize("c", INT_CARRIERS, ids=lambda c: str(c.elements))
+def test_divides_asks_itself_only_on_the_diagonal_and_rows_with_a_zero_divisor(c):
+    """On a carrier of ints the rows of divides are its expressions mapped
+    over the row; _divides itself answers r(x, x) and, in a row r(y, x)
+    whose y hold 0, each y of that row, after x in carrier order."""
+    table = _Table(DIVIDES, c)
+    assert (table.forward, table.backward) == (relations._divides_row, relations._divided_row)
+    position = {x: i for i, x in enumerate(c.elements)}
+    for name in PROPERTY_NAMES:
+        _, calls = _divides_calls(name, DIVIDES, c)
+        for a, b in calls:
+            if a != b:
+                assert (0, b) in calls and position[a] > position[b] and position[0] > position[b], (name, a, b)
+    if 0 in c.elements[1:]:
+        assert any(a != b for a, b in _divides_calls("antisymmetric", DIVIDES, c)[1])
+
+
+def test_divides_on_positive_ranges_makes_no_call_per_pair():
+    assert _divides_calls("antisymmetric", DIVIDES, carrier_range(1, 60)) == (None, [])
+    # a lone diagonal property asks before any row is built
+    assert _divides_calls("reflexive", DIVIDES, carrier_range(1, 60)) == (None, [(x, x) for x in range(1, 61)])
+    assert _divides_calls("partial_order", DIVIDES, carrier_range(1, 60)) == (None, [])
+
+
+PER_CALL_DIVIDES = [*((DIVIDES, c) for c in MIXED_CARRIERS), (_wrapped(DIVIDES), carrier_range(-4, 4))]
+
+
+@pytest.mark.parametrize("r, c", PER_CALL_DIVIDES, ids=lambda x: getattr(x, "name", None) or str(x.elements))
+def test_divides_on_a_bool_or_a_fraction_and_wrapped_divides_ask_each_pair(r, c):
+    table = _Table(r, c)
+    assert relations._divides_row is not table.forward and relations._divided_row is not table.backward
+    witness, calls = _divides_calls("partial_order", r, c)
+    assert witness == ref_property_witness("partial_order", r, c)
+    # transitive reads the table first: each ordered pair once
+    assert sorted(calls, key=repr) == sorted(product(c.elements, repeat=2), key=repr)
+
+
+@pytest.mark.parametrize("r", INT_PREDICATES, ids=lambda r: r.name)
+@pytest.mark.parametrize("lo, hi", [(-30, 30), (-6, 6), (0, 12), (1, 60)])
+def test_a_range_carrier_and_its_tuple_give_the_same_witnesses(r, lo, hi):
+    given, listed = carrier_range(lo, hi), Carrier(tuple(range(lo, hi + 1)))
+    assert [property_witness(name, r, given) for name in PROPERTY_NAMES] == [
+        property_witness(name, r, listed) for name in PROPERTY_NAMES
+    ]
 
 
 # answers of every type the deciders read: bools, ints 0 and 1, other ints,
