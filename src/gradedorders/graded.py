@@ -19,10 +19,9 @@ test suite checks exactly that.  They take families of any length.
 from __future__ import annotations
 
 import operator
-from array import array
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress, count, repeat
+from itertools import compress
 from typing import Any, Callable
 
 from . import families
@@ -237,16 +236,15 @@ def plus_compat_r_witness(r: Relation, monoid: Monoid, c: Carrier):
 def _plus_compat_r_witness(t: _Table, r: Relation, monoid: Monoid):
     """First (x, x1, x2) with r(x1, x2) and not r(x1 + x, x2 + x), reading
     r(x1, x2) from the table and adding each element to x once.  The related
-    pairs are listed once, in row order, as two columns of indices; each x
-    then asks r of their sums through one pipeline, up to the first False."""
-    els, ap, op, cells, n = t.elements, r.apply, monoid.op, t.cells, t.n
-    firsts = array("I", compress(chain.from_iterable(map(repeat, range(n), repeat(n))), cells))
-    seconds = array("I", compress(chain.from_iterable(repeat(range(n), n)), cells))
+    pairs are listed once, in row order, as index pairs; each x then asks r
+    of their sums in that order, up to the first False."""
+    els, ap, op, n = t.elements, r.apply, monoid.op, t.n
+    pairs = [divmod(k, n) for k in compress(range(n * n), t.cells)]
     for x in els:
         sums = [op(y, x) for y in els]
-        kept = map(ap, map(sums.__getitem__, firsts), map(sums.__getitem__, seconds))
-        for k in compress(count(), map(operator.not_, kept)):
-            return (x, els[firsts[k]], els[seconds[k]])
+        for i, j in pairs:
+            if not ap(sums[i], sums[j]):
+                return (x, els[i], els[j])
     return None
 
 

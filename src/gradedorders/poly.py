@@ -80,8 +80,8 @@ class SparsePoly:
     @classmethod
     def from_pairs(cls, dimension: int, pairs) -> "SparsePoly":
         """Build a canonical polynomial: like terms combined, zeros dropped.
-        Ints and Fractions are summed as they come, any other number as the
-        Fraction it equals, so that every sum is exact."""
+        Each coefficient is summed as the Fraction it equals, so that every
+        sum is exact."""
         acc: Dict[Tuple[int, ...], Fraction] = {}
         for exponents, coefficient in pairs:
             exponents = tuple(exponents)
@@ -89,13 +89,13 @@ class SparsePoly:
                 raise LengthMismatchError(
                     f"exponent family of length {len(exponents)} in dimension {dimension}"
                 )
-            if not isinstance(coefficient, (int, Fraction)):
+            if type(coefficient) is not Fraction:
                 coefficient = Fraction(coefficient)
             if exponents in acc:
                 acc[exponents] += coefficient
             else:
                 acc[exponents] = coefficient
-        return cls(dimension, {e: c if type(c) is Fraction else Fraction(c) for e, c in acc.items() if c})
+        return cls(dimension, {e: c for e, c in acc.items() if c})
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -57,10 +57,9 @@ class Relation:
     ascending ``key`` order, and only equal families are neighbours that the
     passes do not separate.  It is empty wherever ``key`` is None.
 
-    The deciders read each answer of ``apply`` by its truth value.  Bool and
-    int answers are stored as they are, one byte each; an answer that
-    ``bytes`` takes as 0 or 1 through ``__index__`` is taken to have that
-    truth value, as every int does.
+    The deciders read each answer of ``apply`` through ``operator.truth``,
+    except the bools of the module's integer predicates on a carrier of
+    ints, which are stored as they are.
     """
 
     apply: Predicate
@@ -224,16 +223,9 @@ def _divided_row(x, ys) -> bytearray:
 
 
 def _cells(answers) -> bytes:
-    """One byte per answer, 1 where the answer is true (see Relation): the
-    row of a relation whose answers may be no bool.  The answers are
-    stored once, so none is asked twice."""
-    answers = list(answers)
-    try:
-        cells = bytes(answers)
-        if not cells.translate(None, b"\0\1"):
-            return cells
-    except (TypeError, ValueError):  # an answer that is no int in range(256)
-        pass
+    """One byte per answer, 1 where the answer is true: the row of a
+    relation whose answers may be no bool, each answer read through
+    ``operator.truth`` as it comes."""
     return bytes(map(_truth, answers))
 
 

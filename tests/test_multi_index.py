@@ -212,3 +212,20 @@ def test_slack_table_matches_the_walked_table(scheme, slack):
     sep = ", " if "rank" in slack else ","
     for m, k in TABLE_SHAPES[::3]:
         assert cli._table(m, k, scheme, sep, slack) == walked_rows(m, k, scheme, sep, slack), (m, k)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_runs_fill_trailing_zeros_at_once(scheme):
+    """A prefix whose sum is spent gets its trailing zeros from one piece(0),
+    not one call per component: at most 3 piece calls per run at d = 300."""
+    calls = []
+
+    def piece(c):
+        calls.append(c)
+        return str(c)
+
+    runs = 0
+    for l in range(3):
+        runs += sum(1 for _ in cli.multi_index._runs(300, l, scheme, piece, "", "", 2))
+    assert runs == 1 + 299 + comb(300, 2)
+    assert len(calls) <= 3 * runs
