@@ -427,8 +427,12 @@ def cmd_sort_terms(d, order_name, source):
     except UnicodeDecodeError as exc:
         raise _usage(f"cannot read {name}: {exc}")
     try:
-        p = poly.parse_poly(text, d)
-        exponents = sorted_total(p.terms, order)
+        # a named order sorts packed monomials; weighted: orders, and text
+        # that the packed reader declines, sort the polynomial's tuples
+        packed = order_name in NAMED_ORDERS and poly._sort_packed(text, d, *NAMED_ORDERS[order_name])
+        if not packed:
+            p = poly.parse_poly(text, d)
+            exponents = sorted_total(p.terms, order)
     except poly.PolyParseError as exc:
         raise _usage(str(exc))
     except IncomparableError as exc:
@@ -436,8 +440,10 @@ def cmd_sort_terms(d, order_name, source):
     except TOO_LARGE:
         raise _usage(f"--d {d} is too large")
     try:
-        # the sorted terms as pairs of the polynomial's own entries, no Term made
-        line = poly._format_pairs(zip(exponents, map(p.terms.__getitem__, exponents)), d)
+        if packed:
+            line = poly._write_packed(*packed)
+        else:  # the sorted terms as pairs of the polynomial's own entries, no Term made
+            line = poly._format_pairs(zip(exponents, map(p.terms.__getitem__, exponents)), d)
     except ValueError:  # str() of an int past the limit, which a product of coefficients can reach
         raise _usage(f"the result has a number of more than {sys.get_int_max_str_digits()} digits")
     _write(line + "\n")

@@ -19,11 +19,12 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import add, attrgetter, eq
+from functools import partial
+from itertools import chain, compress, repeat
+from operator import add, and_, attrgetter, eq, xor
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .families import Family, IncomparableError, LengthMismatchError, _check_one_length, sort_key, sorted_total
+from .families import SCHEMES, Family, IncomparableError, LengthMismatchError, _check_one_length, sort_key, sorted_total
 from .relations import Relation
 
 _ALIASES = {"X": 0, "Y": 1, "Z": 2}
@@ -162,6 +163,17 @@ def parse_poly(text: str, dimension: int) -> SparsePoly:
         i += 1
 
 
+def _split_signs(text: str) -> Tuple[List[str], List[str]]:
+    """The sign of each term and its text: the text split at its signs, the
+    first term's sign "+" unless only blanks come before a sign."""
+    pieces = _SIGN_RE.split(text)
+    if len(pieces) > 1 and not pieces[0].strip():
+        del pieces[0]  # the optional leading sign
+    else:
+        pieces.insert(0, "+")
+    return pieces[::2], pieces[1::2]
+
+
 def _parse_by_term(text: str, dimension: int) -> Optional[SparsePoly]:
     """parse_poly of well-formed text, or None for parse_poly to name the
     fault: a factor that does not match (an empty term too) or one that
@@ -170,16 +182,11 @@ def _parse_by_term(text: str, dimension: int) -> Optional[SparsePoly]:
     factor text is read once.  Each term goes straight into the polynomial's
     map, and its coefficient is a cached Fraction under its sign unless it
     has two or more coefficient factors, which alone are multiplied."""
-    pieces = _SIGN_RE.split(text)
-    if len(pieces) > 1 and not pieces[0].strip():
-        del pieces[0]  # the optional leading sign
-    else:
-        pieces.insert(0, "+")
     factors: Dict[str, object] = {}
     terms: Dict[Tuple[int, ...], Fraction] = {}
     zero = False  # whether a coefficient factor or a sum is 0
     try:
-        for sign, term in zip(pieces[::2], pieces[1::2]):
+        for sign, term in zip(*_split_signs(text)):
             exponents = [0] * dimension
             coefficient = None
             for piece in term.strip().split("*"):
@@ -322,16 +329,164 @@ def _format_pairs(
             if exponent:
                 text = powers.get((index, exponent))
                 if text is None:
-                    name = "XYZ"[index] if letters else f"X{index}"
-                    text = powers[index, exponent] = name if exponent == 1 else f"{name}^{exponent}"
+                    text = powers[index, exponent] = _power(index, exponent, letters)
                 factors.append(text)
-        n, q = coefficient.as_integer_ratio()
-        if q != 1:
-            factors.insert(0, f"{abs(n)}/{q}")
-        elif abs(n) != 1 or not factors:
-            factors.insert(0, str(abs(n)))
-        parts.append(("+ " if n > 0 else "- ") + "*".join(factors))
+        head, alone = _coefficient_texts(coefficient)
+        parts.append(head + "*".join(factors) if factors else alone)
+    return _join_terms(parts)
+
+
+def _power(index: int, exponent: int, letters: bool) -> str:
+    """The text of a variable to a positive power: its name, X, Y, Z when
+    letters, else X0, X1, ..., then "^" and the exponent unless it is 1."""
+    name = "XYZ"[index] if letters else f"X{index}"
+    return name if exponent == 1 else f"{name}^{exponent}"
+
+
+def _coefficient_texts(coefficient: Fraction) -> Tuple[str, str]:
+    """The texts of a term with a nonzero coefficient: before the "*"-joined
+    powers of its monomial, and alone for a constant.  Each is the sign,
+    "+ " or "- ", then the coefficient's magnitude, "p/q" or "p", which a
+    monomial leaves out when it is 1."""
+    n, q = coefficient.as_integer_ratio()
+    sign = "+ " if n > 0 else "- "
+    number = f"{abs(n)}/{q}" if q != 1 else str(abs(n))
+    return sign if number == "1" else f"{sign}{number}*", sign + number
+
+
+def _join_terms(parts: List[str]) -> str:
+    """The terms' texts, each after its sign, as one line: the first term's
+    sign shows only when it is negative, and no terms are "0"."""
     if not parts:
         return "0"
     line = " ".join(parts)
     return line[2:] if line[0] == "+" else "-" + line[2:]
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+#
+# A monomial packs into one int of fields w bits wide, where w is the bit
+# length of the largest variable exponent times the most factors in one
+# term, so that no component and no degree carries into the next field.
+# Component i sits at field i for the back schemes (colex, revlex) and at
+# field d - 1 - i for the front schemes, and the degree field above them, so
+# that one int comparison is a graded order and the fields below the degree
+# a lexicographic one.  A field above the degree counts a term's coefficient
+# factors.  Wider monomials than _PACKED_BITS, of a large dimension or large
+# exponents, keep the tuple path: so the packed path holds no int of a size
+# the text does not bound, and a dimension too large for a list is refused
+# where the tuple path makes its first list of d components.
+
+_PACKED_BITS = 2**16
+
+
+def _sort_packed(text: str, dimension: int, scheme: str, graded: bool) -> Optional[tuple]:
+    """The terms of parse_poly(text, dimension) ascending under the named
+    order of SCHEMES[scheme], graded or not, as packed monomials: the
+    arguments of _write_packed.  None for text that _parse_by_term refuses
+    and for monomials wider than _PACKED_BITS.
+
+    Each distinct factor text is read once by _factor and becomes one int.
+    A term's int is the sum of its factors' ints, like terms merge by int
+    equality, and zeros drop.  The sort is one list.sort: by the fields
+    below the degree, descending when down, for a lexicographic order; by
+    the whole int for a graded one, with the fields below the degree
+    complemented when down."""
+    down, back = SCHEMES[scheme]
+    signs, texts = _split_signs(text)
+    terms = [term.strip().split("*") for term in texts]
+    try:
+        factors = {piece: _factor(piece, dimension) for piece in set(chain.from_iterable(terms))}
+    except PolyParseError:
+        return None
+    if None in factors.values():
+        return None
+    exponents = [factor[1] for factor in factors.values() if type(factor) is tuple]
+    width = (max(exponents, default=0) * max(map(len, terms))).bit_length() or 1
+    if width * (dimension + 2) > _PACKED_BITS:
+        return None
+    degree = 1 << width * dimension  # the 1 of the degree field
+    count = degree << width  # of the count of coefficient factors
+    ints, coefficients = {}, {}
+    for piece, factor in factors.items():
+        if type(factor) is tuple:
+            index, exponent = factor
+            ints[piece] = exponent * ((1 << width * (index if back else dimension - 1 - index)) + degree)
+        else:
+            ints[piece], coefficients[piece] = count, factor
+    zero = not all(factor["+"] for factor in coefficients.values())  # whether a coefficient factor or a sum is 0
+    monomials: Dict[int, Fraction] = {}
+    two = 2 * count  # the least total with two coefficient factors
+    for sign, pieces, total in zip(signs, terms, map(sum, map(partial(map, ints.__getitem__), terms))):
+        if total < count:
+            coefficient = _UNIT[sign]
+        elif total < two and pieces[0] in coefficients:
+            coefficient = coefficients[pieces[0]][sign]
+        else:  # the first coefficient factor under the sign, times the others
+            coefficient = None
+            for factor in filter(None, map(coefficients.get, pieces)):
+                coefficient = factor[sign] if coefficient is None else coefficient * factor["+"]
+        monomial = total & count - 1
+        if monomial in monomials:
+            coefficient += monomials[monomial]
+            zero = zero or not coefficient
+        monomials[monomial] = coefficient
+    if zero:
+        monomials = {m: c for m, c in monomials.items() if c}
+    ordered = list(monomials)
+    low = degree - 1
+    if graded:
+        ordered.sort(key=partial(xor, low) if down else None)
+    else:
+        ordered.sort(key=partial(and_, low), reverse=down)
+    return ordered, monomials, dimension, width, back
+
+
+def _write_packed(ordered: List[int], monomials: Dict[int, Fraction], dimension: int, width: int, back: bool) -> str:
+    """_format_pairs of the packed monomials in the order given, with their
+    coefficients.  A monomial's text joins those of its high and its low
+    half of fields, in the order of the components, each made once per
+    call; so are each distinct coefficient's texts."""
+    letters = dimension <= 3
+    split = width * (dimension // 2)  # the low half's bits
+    below = (1 << split) - 1
+    low = (1 << width * dimension) - 1
+
+    def half(value, field):
+        """The powers of a half whose first field is field, "*"-joined."""
+        factors = []
+        while value:  # the highest nonzero field first
+            at = (value.bit_length() - 1) // width
+            exponent = value >> at * width
+            value -= exponent << at * width
+            index = field + at if back else dimension - 1 - field - at
+            factors.append(_power(index, exponent, letters))
+        if back:
+            factors.reverse()
+        return "*".join(factors)
+
+    highs: Dict[int, str] = {}
+    lows: Dict[int, str] = {}
+    heads: Dict[int, Tuple[str, str]] = {}  # by id: every coefficient is alive in monomials
+    parts = []
+    for monomial in ordered:
+        coefficient = monomials[monomial]
+        texts = heads.get(id(coefficient))
+        if texts is None:
+            texts = heads[id(coefficient)] = _coefficient_texts(coefficient)
+        monomial &= low
+        if not monomial:
+            parts.append(texts[1])
+            continue
+        high, rest = monomial >> split, monomial & below
+        first = highs.get(high)
+        if first is None:
+            first = highs[high] = half(high, dimension // 2)
+        second = lows.get(rest)
+        if second is None:
+            second = lows[rest] = half(rest, 0)
+        if back:
+            first, second = second, first
+        parts.append(texts[0] + (f"{first}*{second}" if first and second else first or second))
+    return _join_terms(parts)

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    budget,
     reference_format_poly,
     reference_format_term,
     reference_from_pairs,
@@ -267,6 +268,113 @@ def test_sort_terms_command_matches_the_reference(case):
         assert all(type(c) is Fraction for c in parse_poly(text, d).terms.values())
     elif expected is not None:
         assert [line for line in result.output.splitlines() if line.startswith("Error:")] == [expected]
+
+
+# exponents around powers of two, where the packed fields' width changes
+PACKED_EXPONENTS = [0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32]
+
+
+@st.composite
+def packed_texts(draw):
+    """(text, d), d = 1..6: terms over a few monomials, so that like terms
+    merge and cancel, each with its variables' powers split over repeated
+    factors, coefficient factors anywhere among them, aliases when d <= 3,
+    and now and then a factor that is no factor or is out of range."""
+    d = draw(st.integers(1, 6))
+    alias = d <= 3 and draw(st.booleans())
+    pool = draw(st.lists(st.lists(st.sampled_from(PACKED_EXPONENTS), min_size=d, max_size=d), min_size=1, max_size=4))
+    terms = []
+    for _ in range(draw(st.integers(1, 8))):
+        factors = draw(st.lists(st.sampled_from(["0", "1", "2", "3", "1/2", "2/4", "7"]), max_size=2))
+        for i, exponent in enumerate(draw(st.sampled_from(pool))):
+            name = "XYZ"[i] if alias else f"X{i}"
+            if exponent > 1 and draw(st.booleans()):  # the variable repeated
+                cut = draw(st.integers(1, exponent - 1))
+                parts = [cut, exponent - cut]
+            else:  # an exponent 0 written as ^0 or left out
+                parts = [exponent] if exponent or draw(st.booleans()) else []
+            factors += [name if e == 1 else f"{name}^{e}" for e in parts]
+        if draw(st.integers(0, 9)) == 0:
+            factors.append(draw(st.sampled_from(["Y" if d > 3 else "X3", f"X{d}", "1/0", "", "X^", "?"])))
+        if not factors:
+            factors = [draw(st.sampled_from(["1", "0", "5"]))]
+        terms.append(draw(st.sampled_from(["+", "-", " - ", " + "])) + "*".join(draw(st.permutations(factors))))
+    text = "".join(terms)
+    return text[1:] if text[0] == "+" and draw(st.booleans()) else text, d
+
+
+def _tuple_path(text, d, order_name):
+    """sort-terms' line by parse_poly, sorted_total and _format_pairs, or
+    its Error: line."""
+    try:
+        p = parse_poly(text, d)
+    except PolyParseError as err:
+        return f"Error: {err}"
+    exponents = sorted_total(p.terms, named_builder(order_name)(LT))
+    return poly._format_pairs(zip(exponents, map(p.terms.__getitem__, exponents)), d)
+
+
+def _sort_terms_line(text, d, order_name):
+    """sort-terms' stdout, or its one Error: line."""
+    result = CliRunner().invoke(main, ["sort-terms", "--d", str(d), "--order", order_name], input=text)
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    if result.exit_code == 0:
+        assert result.stdout.endswith("\n") and not errors
+        return result.stdout[:-1]
+    assert (result.exit_code, result.stdout, len(errors)) == (2, "", 1), result.output
+    return errors[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(packed_texts(), st.sampled_from(list(NAMED_ORDERS)))
+@example(("X - X", 1), "grlex")
+@example(("X*Y - Y*X", 3), "revlex")
+@example(("2*X0*X1 - X1*X0*2 + 3 - 1*3", 2), "grevlex")
+@example(("0*X + 0 + X0*0*X1 - Y + 1", 3), "colex")
+@example(("X*X^3 + X^2*X^2*Y - Y*X^4", 2), "lex")
+@example(("X*3 + 2*3*X^2 - Y*1/2*2 + 2/4*Y*X", 2), "grsymlex")
+@example(("X*Y^2*Z - 3*X + 1/2", 3), "symlex")
+@example(("X^15 - Y^15 + X^15*Y^0", 2), "grcolex")  # a component and a degree of 2^4 - 1 in 4-bit fields
+@example(("X^8*X^8 + X^15*Y + Y^16", 2), "grevlex")  # 2^4 in 5-bit fields
+@example(("X0^3*X0^4*X2^7 + X1^7 - X5^7*X0^0", 6), "grsymlex")
+@example(("2*X^{0}*X - X^{0} + X^2".format(2**70), 1), "symlex")  # fields past 64 bits
+@example(("X + Y", 1), "grlex")
+@example(("X + ", 2), "lex")
+@example(("X", 4), "revlex")
+@example(("1/0*X", 2), "grevlex")
+@example(("", 1), "colex")
+def test_packed_sort_matches_the_tuple_path(case, order_name):
+    # a named order's terms sort as packed monomials; only text that the
+    # term parse refuses goes back to the tuple path, and sort-terms writes
+    # what the tuple path writes, or its Error: line
+    text, d = case
+    expected = _tuple_path(text, d, order_name)
+    packed = poly._sort_packed(text, d, *NAMED_ORDERS[order_name])
+    assert (packed is None) == (poly._parse_by_term(text, d) is None)
+    if packed is not None:
+        assert poly._write_packed(*packed) == expected
+    assert _sort_terms_line(text, d, order_name) == expected
+
+
+@pytest.mark.parametrize("order_name", list(NAMED_ORDERS))
+@pytest.mark.parametrize(
+    "text, d",
+    [("X0^3 + X0 - 2*X1", 2**16), ("X^{0} + Y - X^{0}*Y".format("9" * 4300), 3)],
+    ids=["dimension", "exponent"],
+)
+def test_monomials_too_wide_to_pack_keep_the_tuple_path(text, d, order_name):
+    assert poly._sort_packed(text, d, *NAMED_ORDERS[order_name]) is None
+    assert _sort_terms_line(text, d, order_name) == _tuple_path(text, d, order_name)
+
+
+@budget(1, "a dimension no list holds is refused at once")
+@pytest.mark.parametrize("order_name", list(NAMED_ORDERS))
+@pytest.mark.parametrize("size", [10**18, sys.maxsize])
+def test_sort_terms_refuses_a_dimension_no_list_holds_at_once(size, order_name):
+    # no text, well-formed or not, makes anything of the dimension's size
+    # before the dimension is refused
+    for text in ["X0", "7", "X0 - X0", "X0^2*X1 + 3/4*X5", "X +"]:
+        assert _sort_terms_line(text, size, order_name) == f"Error: --d {size} is too large"
 
 
 def test_a_fault_walk_that_finds_no_fault_is_an_error(monkeypatch):
