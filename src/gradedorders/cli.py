@@ -450,7 +450,7 @@ def cmd_sort_terms(d, order_name, source):
 
 
 def cmd_check(property_name, relation_name, carrier_spec):
-    """Decide a relation property by brute force over a finite carrier."""
+    """Decide a relation property on a finite carrier: a known order or a pair scan."""
     try:
         lo_text, hi_text = carrier_spec.split("..")
         lo, hi = _integer(lo_text), _integer(hi_text)

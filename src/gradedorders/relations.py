@@ -17,7 +17,8 @@ conjunct.  The witness is the first counterexample of the definitional loop
 over x, y (and z) in carrier order.  Deciders read whole rows, so pairs
 after the first witness in a row may be evaluated: a relation must be a
 total predicate on the carrier, defined and without side effects on every
-pair.
+pair.  Known instead of asked: lt, le, gt and ge are linear orders on the
+ints, so on pairwise-distinct ints their table is an ordered tournament.
 """
 
 from __future__ import annotations
@@ -58,8 +59,7 @@ class Relation:
     passes do not separate.  It is empty wherever ``key`` is None.
 
     The deciders read each answer of ``apply`` through ``operator.truth``,
-    except the bools of the module's integer predicates on a carrier of
-    ints, which are stored as they are.
+    except where ``divides`` on a carrier of ints maps its own expressions.
     """
 
     apply: Predicate
@@ -200,9 +200,8 @@ _NOT = bytes.maketrans(b"\0\1", b"\1\0")  # complement of a row
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # a row as binary digits
 
 
-# The library's own integer predicates: on a carrier of ints, each answers
-# every pair with a bool, which a bytearray stores as it is.
-_INT_PREDICATES = (operator.lt, operator.le, operator.gt, operator.ge, _divides)
+# linear orders on the ints, strict or not
+_COMPARISONS = (operator.lt, operator.le, operator.gt, operator.ge)
 
 
 def _divides_row(x, ys) -> bytearray:
@@ -240,25 +239,23 @@ class _Table:
     stops at its first witness.
 
     ``forward(x, ys)`` makes the bytes of r(x, y) for each y in ``ys``,
-    ``backward(x, ys)`` those of r(y, x).  The integer predicates of this
-    module answer bools on a carrier of ints (``type(x) is int``: no bool,
-    no other number; a range carrier is known to hold ints), so their rows
-    are a ``bytearray`` of the answers as the calls return them, which
-    fills faster than ``bytes``; the rows of ``divides`` are its own
-    expressions mapped over the row, one Python call per row, not per pair.
-    Any other relation or carrier takes ``_cells``."""
+    ``backward(x, ys)`` those of r(y, x), by ``_cells``.  On ints
+    (``type(x) is int``: no bool, no other number; a range carrier is known
+    to hold ints) ``divides`` maps its own expressions over each row, one
+    Python call per row, not per pair; lt, le, gt and ge, on ints that are
+    also pairwise distinct (a range, or a set of n: a custom eq says nothing
+    of ints), are linear orders, known ``ordered`` with no row built."""
 
     def __init__(self, r: Relation, c: Carrier):
         self.apply = ap = r.apply
-        self.elements = c.elements
-        self.n = len(c.elements)
-        ints = any(ap is p for p in _INT_PREDICATES) and (c._ints or {*map(type, c.elements)} <= {int})
-        if ints and ap is _divides:
+        self.elements = els = c.elements
+        self.n = n = len(els)
+        self.forward = lambda x, ys: _cells(map(ap, repeat(x), ys))
+        self.backward = lambda x, ys: _cells(map(ap, ys, repeat(x)))
+        if ap is _divides and (c._ints or {*map(type, els)} <= {int}):
             self.forward, self.backward = _divides_row, _divided_row
-        else:
-            row = bytearray if ints else _cells
-            self.forward = lambda x, ys: row(map(ap, repeat(x), ys))
-            self.backward = lambda x, ys: row(map(ap, ys, repeat(x)))
+        elif n and any(ap is p for p in _COMPARISONS) and (c._ints or ({*map(type, els)} <= {int} and len({*els}) == n)):
+            self.ordered = True
 
     @cached_property
     def cells(self) -> bytearray:
@@ -297,7 +294,8 @@ class _Table:
         d, d + 1, ..., n - 1 + d in some order.  A tournament is transitive
         exactly when its scores are 0, 1, ..., n - 1 (J. W. Moon, Topics on
         Tournaments, 1968, ch. 2); a constant diagonal keeps it so, and the
-        complement is the converse tournament with the other diagonal."""
+        complement is the converse tournament with the other diagonal.
+        Preset where the class docstring says, else tested on the cells."""
         n, cells = self.n, self.cells
         if not n:
             return False
@@ -370,12 +368,13 @@ def _pair_witness(t: _Table, fails) -> Optional[tuple]:
     twice.  A passing pair property then costs about n(n + 1)/2 calls on an
     n-element carrier whenever one direction settles most pairs, and
     trichotomy, which asks both directions of every pair, n^2.  A table
-    found ordered reads no row: a tournament relates distinct elements one
-    way only, so only its constant diagonal can fail, at the first x."""
+    known or found ordered reads no row: a tournament relates distinct
+    elements one way only, so only its constant diagonal can fail, at the
+    first x, whose r(x, x) is the one answer asked."""
     els, n = t.elements, t.n
     on_diagonal = [v for v, start in fails if start == 0]
     if t.__dict__.get("ordered"):
-        return (els[0], els[0]) if _truth(t.cells[0]) in on_diagonal else None
+        return (els[0], els[0]) if _truth(next(t.diagonal())) in on_diagonal else None
     diagonal = t.diagonal()
     forward = True
     for i in range(n):

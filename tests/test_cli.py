@@ -1259,9 +1259,9 @@ def test_check_unknown_names(runner):
     )
 
 
-# check's stdout line and exit code: total orders pass transitivity by the
-# score test, divides by the scan, and on 400 elements, being no
-# tournament, by the scan over the table's row masks
+# check's stdout line and exit code: the four comparisons pass as linear
+# orders known without a table, divides by the scan, and on 400 elements,
+# being no tournament, by the scan over the table's row masks
 CHECK_LINES = [
     ("total_order", "le", "0..300", 0, "PASS total_order(le) on 0..300"),
     ("strict_total_order", "gt", "0..200", 0, "PASS strict_total_order(gt) on 0..200"),

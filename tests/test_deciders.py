@@ -314,8 +314,9 @@ def _witnesses_and_cells(monkeypatch, r, c):
 @pytest.mark.parametrize("r", INT_PREDICATES, ids=lambda r: r.name)
 @pytest.mark.parametrize("c", INT_CARRIERS, ids=lambda c: str(c.elements))
 def test_integer_predicates_store_their_rows_as_bytes(monkeypatch, r, c):
-    """On a carrier of ints the five predicates' rows are the bytes of
-    their answers, with no _cells; the same answers from a relation the
+    """On a carrier of ints the five predicates take no _cells: the rows
+    of divides are its own expressions, and the four comparisons, on
+    distinct ints, build no row; the same answers from a relation the
     library does not know take _cells, and every property gives the same
     verdict and witness."""
     fast = _witnesses_and_cells(monkeypatch, r, c)
@@ -332,6 +333,38 @@ def test_a_carrier_with_a_bool_or_a_fraction_keeps_cells(monkeypatch, r, c):
     assert found == _witnesses_and_cells(monkeypatch, _wrapped(r), c)
     assert [w for w, _ in found] == [ref_property_witness(n, r, c) for n in PROPERTY_NAMES]
     assert sum(k for _, k in found) > 0
+
+
+COMPARISONS = (LT, LE, GT, GE)
+# distinct ints beside INT_CARRIERS: ranges that step down or by more than
+# one, ints beyond the machine word, one element
+DISTINCT_INTS = [
+    Carrier(range(9, -9, -2)),
+    Carrier(range(0, 40, 7)),
+    Carrier((2**64, -(2**70), 3, 2**63, -(2**63) - 1, 0)),
+    Carrier((5,)),
+]
+# ints that a custom eq keeps apart although they repeat, and carriers that
+# hold a bool or a Fraction: none is known to be a linear order
+UNKNOWN_CARRIERS = [Carrier((1, 1, 2), eq=lambda a, b: False), *MIXED_CARRIERS]
+
+
+@pytest.mark.parametrize("r", COMPARISONS, ids=lambda r: r.name)
+@pytest.mark.parametrize("c", INT_CARRIERS + DISTINCT_INTS + UNKNOWN_CARRIERS, ids=lambda c: str(c.elements))
+def test_comparisons_on_distinct_ints_are_known_ordered(r, c):
+    """lt, le, gt and ge on non-empty distinct ints give a table preset
+    ordered, which answers every property with the scan's verdict and
+    witness and never builds its cells or masks; any other carrier keeps
+    the scan."""
+    known = bool(c.elements) and not any(c is u for u in UNKNOWN_CARRIERS)
+    for name in PROPERTY_NAMES:
+        t = _Table(r, c)
+        assert ("ordered" in vars(t)) == known, name
+        expected = ref_property_witness(name, r, c)
+        assert _conjunctive_witness(_PARTS[name], t) == expected, name
+        assert property_witness(name, _wrapped(r), c) == expected, name
+        if known:
+            assert "cells" not in vars(t) and "masks" not in vars(t), name
 
 
 def _divides_calls(name, r, c):

@@ -1,12 +1,17 @@
 """The CLI run as a module, the way README documents it: a new interpreter
-with the source tree on its path."""
+with the source tree on its path, and, for check at carrier scale, this
+process."""
 
+import io
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from gradedorders import relations
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURES = SRC.parent / "perfbench" / "fixtures"
@@ -133,3 +138,32 @@ def test_enumerate_at_a_large_k_streams_and_a_set_past_sys_maxsize_is_refused():
     assert result.returncode == 2
     assert [line for line in result.stderr.splitlines() if line.startswith("Error:")] == [f"Error: --k {k} is too large"]
     assert result.stdout == ""
+
+
+# lt, le, gt and ge on a range are linear orders, known without a table, so
+# that a million-element carrier answers at once; divides keeps its n^2 scan
+MILLION = [
+    ("strict_total_order", "lt"),
+    ("total_order", "le"),
+    ("trichotomous", "gt"),
+    ("connected", "ge"),
+]
+
+
+@pytest.mark.parametrize("prop, relation", MILLION, ids=[f"{p}-{r}" for p, r in MILLION])
+def test_comparisons_on_a_million_ints_build_no_table(monkeypatch, prop, relation):
+    """python -m gradedorders.cli, run in this process, passes each linear
+    order on 0..1000000 with the PASS line, and no table is built."""
+
+    def unbuilt(table):
+        raise AssertionError("a relation table was built")
+
+    monkeypatch.setattr(relations._Table, "cells", property(unbuilt))
+    # runpy warns of a package module it is asked to run again
+    monkeypatch.delitem(sys.modules, "gradedorders.cli", raising=False)
+    monkeypatch.setattr(sys, "argv", ["gradedorders", "check", "--property", prop, "--relation", relation,
+                                      "--carrier", "0..1000000"])
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    runpy.run_module("gradedorders.cli", run_name="__main__")
+    assert out.getvalue() == f"PASS {prop}({relation}) on 0..1000000\n"
